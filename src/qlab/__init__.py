@@ -95,7 +95,6 @@ from .wave import (
     solve_mu,
     soliton_check,
     spectral_shift,
-    speed_of_mu,
     traveling_field,
 )
 

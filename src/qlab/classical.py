@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .deformation import EPS_SWITCH, lambda_over_sinh, q_number
+from .deformation import lambda_over_sinh, q_number
 from .errors import ParameterError, SolverError
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -79,14 +81,19 @@ def poisson_bracket_check(alpha: complex, lam: float, h: float = 1e-4) -> float:
     da_dp = (a_q(q0, p0 + h) - a_q(q0, p0 - h)) / (2.0 * h)
     bracket = da_dq * da_dp.conjugate() - da_dp * da_dq.conjugate()
     aq4 = abs(deform_amplitude(alpha, lam)) ** 4
-    sh = math.sinh(lam) if abs(lam) >= EPS_SWITCH else lam
+    sh = math.sinh(lam)
     target = -1j * lambda_over_sinh(lam) * math.sqrt(1.0 + aq4 * sh * sh)
     return abs(bracket - target)
 
 
-def exact_alpha(alpha0: complex, lam: float, t: float) -> complex:
-    """Closed-form orbit alpha(t) = alpha0 exp(-i t omega_q(|alpha0|^2))."""
-    return alpha0 * cmath.exp(-1j * t * omega_q(abs(alpha0) ** 2, lam))
+def exact_alpha(alpha0: complex, lam: float, t) -> complex | np.ndarray:
+    """Closed-form orbit alpha(t) = alpha0 exp(-i t omega_q(|alpha0|^2)).
+
+    ``t`` may be a scalar or an array.
+    """
+    omega = omega_q(abs(alpha0) ** 2, lam)
+    out = alpha0 * np.exp(-1j * np.asarray(t, dtype=float) * omega)
+    return complex(out) if out.ndim == 0 else out
 
 
 def exact_alpha_deformed(alpha_q0: complex, lam: float, t: float) -> complex:
@@ -96,7 +103,7 @@ def exact_alpha_deformed(alpha_q0: complex, lam: float, t: float) -> complex:
     with exact_alpha through the amplitude map (sqrt(1+sinh^2) = cosh).
     """
     aq2 = abs(alpha_q0) ** 2
-    sh = math.sinh(lam) if abs(lam) >= EPS_SWITCH else lam
+    sh = math.sinh(lam)
     freq = lambda_over_sinh(lam) * math.sqrt(1.0 + aq2 * aq2 * sh * sh)
     return alpha_q0 * cmath.exp(-1j * t * freq)
 
@@ -109,7 +116,7 @@ def momentum_from_velocity(q: float, qdot: float, lam: float) -> float:
     p cosh((lam/2)(q^2+p^2)) - (sinh lam/lam) qdot, which is strictly
     increasing in p between 0 and the undamped image of p = 0.
     """
-    if abs(lam) < EPS_SWITCH or qdot == 0.0:
+    if lam == 0 or qdot == 0.0:
         return float(qdot)
     c = qdot / lambda_over_sinh(lam)  # (sinh lam / lam) * qdot
 
@@ -144,17 +151,15 @@ def approx_momentum(q: float, qdot: float, lam: float) -> float:
 
 
 def exact_q(q0: float, qdot0: float, lam: float, t) -> float | np.ndarray:
-    """Closed-form q(t) = q0 cos(Omega t) + (qdot0/Omega) sin(Omega t).
+    """Closed-form q(t) = q0 cos(Omega t) + p0 sin(Omega t) from (q0, qdot0).
 
-    Omega = (lam/sinh lam) cosh((lam/2)(q0^2 + p0^2)) with p0 from the
-    implicit momentum relation; the resummed form of the four-exponential
-    solution.  ``t`` may be a scalar or an array.
+    p0 comes from the implicit momentum relation, and the orbit is
+    sqrt(2) Re exact_alpha((q0 + i p0)/sqrt 2): the resummed form of the
+    four-exponential solution.  ``t`` may be a scalar or an array.
     """
     p0 = momentum_from_velocity(q0, qdot0, lam)
-    omega = omega_q(0.5 * (q0 * q0 + p0 * p0), lam)
-    t = np.asarray(t, dtype=float)
-    out = q0 * np.cos(omega * t) + (qdot0 / omega) * np.sin(omega * t)
-    return float(out) if out.ndim == 0 else out
+    out = _SQRT2 * np.real(exact_alpha(complex(q0, p0) / _SQRT2, lam, t))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -167,29 +172,29 @@ class Trajectory:
     max_exact_dev: float
 
 
-def integrate_eom(state0: ClassicalState, t_end: float, dt: float = 1e-3) -> Trajectory:
-    """Fixed-step RK4 trajectory of qdot = omega_q p, pdot = -omega_q q.
-
-    omega_q is evaluated at the instantaneous intensity (q^2+p^2)/2.
-    Reports the max drift of the conserved |alpha|^2 and of the deformed
-    Hamiltonian, plus the max deviation from the closed-form q(t).
-    """
+def _step_grid(t_end: float, dt: float) -> tuple[float, int]:
+    """(dt, n_steps) with dt snapped so the grid lands exactly on t_end."""
     if dt <= 0:
         raise ParameterError("dt must be positive")
-    lam = state0.lam
-    c1 = lambda_over_sinh(lam)
     n_steps = max(1, round(t_end / dt))
-    dt = t_end / n_steps  # snap so the grid lands exactly on t_end
-    t_arr = np.empty(n_steps + 1)
+    return t_end / n_steps, n_steps
+
+
+def _rk4(q: float, p: float, lam: float, dt: float,
+         n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 of qdot = w p, pdot = -w q, w = omega_q((q^2+p^2)/2).
+
+    The one integrator of the nonlinear flow alpha' = -i omega_q(|alpha|^2)
+    alpha, alpha = (q + ip)/sqrt 2, shared by this module and ``level``.
+    Scalar floats and math.cosh: for one trajectory this beats numpy.
+    """
+    c1 = lambda_over_sinh(lam)
     q_arr = np.empty(n_steps + 1)
     p_arr = np.empty(n_steps + 1)
-    q, p = float(state0.q), float(state0.p)
     q_arr[0] = q
     p_arr[0] = p
-    t_arr[0] = 0.0
     cosh = math.cosh
     for i in range(1, n_steps + 1):
-        # RK4 with the derivative field (w p, -w q), w = c1 cosh(lam I)
         w = c1 * cosh(lam * 0.5 * (q * q + p * p))
         k1q, k1p = w * p, -w * q
         q2, p2 = q + 0.5 * dt * k1q, p + 0.5 * dt * k1p
@@ -203,17 +208,27 @@ def integrate_eom(state0: ClassicalState, t_end: float, dt: float = 1e-3) -> Tra
         k4q, k4p = w * p4, -w * q4
         q += dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
         p += dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        t_arr[i] = i * dt
         q_arr[i] = q
         p_arr[i] = p
+    return q_arr, p_arr
+
+
+def integrate_eom(state0: ClassicalState, t_end: float, dt: float = 1e-3) -> Trajectory:
+    """Fixed-step RK4 trajectory of qdot = omega_q p, pdot = -omega_q q.
+
+    omega_q is evaluated at the instantaneous intensity (q^2+p^2)/2.
+    Reports the max drift of the conserved |alpha|^2 and of the deformed
+    Hamiltonian, plus the max deviation from the closed-form q(t).
+    """
+    lam = state0.lam
+    dt, n_steps = _step_grid(t_end, dt)
+    t_arr = np.arange(n_steps + 1) * dt
+    q_arr, p_arr = _rk4(float(state0.q), float(state0.p), lam, dt, n_steps)
 
     intensity = 0.5 * (q_arr * q_arr + p_arr * p_arr)
-    i0 = intensity[0]
-    alpha_sq_drift = float(np.max(np.abs(intensity - i0)))
+    alpha_sq_drift = float(np.max(np.abs(intensity - intensity[0])))
     hq = np.array([hamiltonian_q(v, lam) for v in intensity])
     hq_drift = float(np.max(np.abs(hq - hq[0])))
-    # initial velocity for the closed form: qdot(0) = omega_q(I0) p(0)
-    qdot0 = omega_q(i0, lam) * state0.p
-    q_exact = exact_q(state0.q, qdot0, lam, t_arr)
+    q_exact = _SQRT2 * exact_alpha(state0.alpha, lam, t_arr).real
     max_exact_dev = float(np.max(np.abs(q_arr - q_exact)))
     return Trajectory(t_arr, q_arr, p_arr, alpha_sq_drift, hq_drift, max_exact_dev)

@@ -122,8 +122,10 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _emit_error(exc: Exception) -> None:
-    sys.stderr.write(json.dumps({"error": type(exc).__name__,
-                                 "message": str(exc)}) + "\n")
+    """One JSON line: the type, the message and the error's public fields."""
+    payload = {"error": type(exc).__name__, "message": str(exc)}
+    payload.update((k, v) for k, v in vars(exc).items() if not k.startswith("_"))
+    sys.stderr.write(json.dumps(payload) + "\n")
 
 
 def _dispatch(ns: argparse.Namespace) -> int:

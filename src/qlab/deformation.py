@@ -11,15 +11,12 @@ import bisect
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
 from .errors import ParameterError, SaturationError
-
-# Below this |lambda| the sinh ratios switch to series limits to avoid 0/0
-# and catastrophic cancellation.
-EPS_SWITCH = 1e-6
 
 # sinh overflows double just above this argument.
 _SINH_MAX_ARG = 709.0
@@ -71,31 +68,24 @@ def custom(f_values) -> DeformationSpec:
 def q_number(n: float, lam: float) -> float:
     """The q-integer n_q = sinh(n*lam)/sinh(lam), q = e^lam.
 
-    Accepts nonnegative real ``n`` (continuous extension).  For
-    |lam| < EPS_SWITCH the series limit
-
-        n * (1 + lam^2 (n^2-1)/6 + lam^4 [(n^4-1)/120 - (n^2-1)/36])
-
-    is used instead of the sinh ratio; at lam = 0 this is exactly n.
-    Even in lam.
+    Accepts nonnegative real ``n`` (continuous extension).  The plain ratio
+    is accurate for every lam down to the subnormals, since sinh keeps its
+    relative accuracy there; only where n*lam underflows the normal range
+    (lam = 0 included) is the limit n returned.  Even in lam.
     """
     if n < 0:
         raise ParameterError("q_number requires n >= 0")
-    if abs(lam) < EPS_SWITCH:
-        l2 = lam * lam
-        n2 = n * n
-        return n * (1.0 + l2 * (n2 - 1.0) / 6.0
-                    + l2 * l2 * ((n2 * n2 - 1.0) / 120.0 - (n2 - 1.0) / 36.0))
-    if n * abs(lam) > _SINH_MAX_ARG:
+    x = n * abs(lam)
+    if x < sys.float_info.min:
+        return float(n)
+    if x > _SINH_MAX_ARG:
         return math.inf
     return math.sinh(n * lam) / math.sinh(lam)
 
 
 def lambda_over_sinh(lam: float) -> float:
-    """lam/sinh(lam), with its series limit 1 - lam^2/6 below EPS_SWITCH."""
-    if abs(lam) < EPS_SWITCH:
-        return 1.0 - lam * lam / 6.0
-    return lam / math.sinh(lam)
+    """lam/sinh(lam), and its limit 1 at lam = 0."""
+    return 1.0 if lam == 0 else lam / math.sinh(lam)
 
 
 def _custom_f(n: float, table) -> float:
@@ -213,29 +203,51 @@ def f_factorial(n: int, spec: DeformationSpec, convention: str = "f") -> float:
     return out
 
 
+def _read_csv_rows(source, what: str) -> list[tuple[int, list[float]]]:
+    """(line number, values) for each data row of a small numeric CSV file.
+
+    ``source`` is a path or an open text file (UTF-8, LF or CRLF line ends).
+    Blank lines are skipped, and so is the first nonblank row if it does not
+    parse as numbers (a header).  An unreadable file or any later
+    non-numeric row raises ParameterError naming ``what`` and the line.
+    """
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8", newline="") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read {what} file: {exc}")
+    rows = []
+    header_allowed = True
+    reader = csv.reader(io.StringIO(text))
+    for cells in reader:
+        if not any(c.strip() for c in cells):
+            continue
+        try:
+            rows.append((reader.line_num, [float(c) for c in cells]))
+        except ValueError:
+            if not header_allowed:
+                raise ParameterError(f"{what} line {reader.line_num}: non-numeric data")
+        header_allowed = False
+    return rows
+
+
 def load_f_table(source) -> DeformationSpec:
     """Build a custom DeformationSpec from two-column CSV (n, f(n)).
 
     ``source`` is a path or an open text file; a header row is optional;
     UTF-8 with LF or CRLF line endings.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
+    rows = _read_csv_rows(source, "f table")
     if not rows:
         raise ParameterError("empty f table")
-    try:
-        float(rows[0][0])
-    except ValueError:
-        rows = rows[1:]  # header row
     pairs = []
-    for r in rows:
+    for line_no, r in rows:
         if len(r) < 2:
-            raise ParameterError(f"f table rows need two columns, got {r!r}")
-        pairs.append((int(float(r[0])), float(r[1])))
+            raise ParameterError(f"f table line {line_no}: needs two columns (n, f)")
+        pairs.append((int(r[0]), r[1]))
     pairs.sort()
     if [n for n, _ in pairs] != list(range(len(pairs))):
         raise ParameterError("f table must cover n = 0..n_max without gaps")

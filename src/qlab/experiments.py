@@ -12,7 +12,6 @@ import cmath
 import configparser
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,7 +20,6 @@ import numpy as np
 from . import classical, coherent, deformation, fock, level, thermo, wave
 from .errors import ParameterError, QlabError
 from .fock import FockState
-from .thermo import _max_workers
 
 _REQUIRED = object()
 
@@ -161,8 +159,8 @@ def _run_classical_simulate(p: dict) -> ExperimentResult:
     n = traj.t.shape[0]
     stride = max(1, p["stride"])
     idx = np.unique(np.r_[np.arange(0, n, stride), n - 1])
-    qdot0 = classical.omega_q(state0.intensity, lam) * state0.p
-    q_exact = np.atleast_1d(classical.exact_q(state0.q, qdot0, lam, traj.t[idx]))
+    alpha_t = classical.exact_alpha(state0.alpha, lam, traj.t[idx])
+    q_exact = math.sqrt(2.0) * alpha_t.real
     rows = []
     for j, i in enumerate(idx):
         q, mom = float(traj.q[i]), float(traj.p[i])
@@ -259,35 +257,19 @@ def _run_classical_alpha(p: dict) -> ExperimentResult:
 # ----------------------------------------------------------------------- wave
 
 def _read_ic_file(path: str):
-    try:
-        raw = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise ParameterError(f"cannot read initial-condition file: {exc}")
-    x, phi, pi = [], [], []
-    for line_no, line in enumerate(raw.splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        parts = [s.strip() for s in line.split(",")]
-        if len(parts) != 3:
-            raise ParameterError(f"initial-condition line {line_no + 1}: "
+    rows = deformation._read_csv_rows(path, "initial-condition")
+    for line_no, r in rows:
+        if len(r) != 3:
+            raise ParameterError(f"initial-condition line {line_no}: "
                                  "expected 3 columns (x, phi, pi)")
-        try:
-            vals = [float(s) for s in parts]
-        except ValueError:
-            if line_no == 0:
-                continue  # header
-            raise ParameterError(f"initial-condition line {line_no + 1}: "
-                                 "non-numeric data")
-        x.append(vals[0]); phi.append(vals[1]); pi.append(vals[2])
-    if len(x) < 4:
+    if len(rows) < 4:
         raise ParameterError("initial-condition file needs >= 4 rows")
-    x = np.array(x)
+    x, phi, pi = np.array([r for _, r in rows]).T
     dx = np.diff(x)
     if dx.min() <= 0 or dx.max() - dx.min() > 1e-9 * dx.mean():
         raise ParameterError("initial-condition x column must be uniform")
     length = float(x[-1] - x[0] + dx.mean())
-    return np.array(phi), np.array(pi), length
+    return phi, pi, length
 
 
 def _run_wave_simulate(p: dict) -> ExperimentResult:
@@ -395,22 +377,8 @@ def _run_coherent_overlap(p: dict) -> ExperimentResult:
 
 def _run_coherent_recover(p: dict) -> ExperimentResult:
     if p["coeffs"]:
-        try:
-            raw = open(p["coeffs"], "r", encoding="utf-8").read()
-        except OSError as exc:
-            raise ParameterError(f"cannot read coefficient file: {exc}")
-        values = []
-        for line_no, line in enumerate(raw.splitlines()):
-            line = line.split(",")[-1].strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                if line_no == 0:
-                    continue
-                raise ParameterError(f"coefficient line {line_no + 1}: "
-                                     "non-numeric data")
+        csv_rows = deformation._read_csv_rows(p["coeffs"], "coefficient")
+        values = [r[-1] for _, r in csv_rows]  # the last column holds C_n
         recovered = coherent.f_from_coefficients(values)
         rows = [{"n": n + 1, "f": float(v)} for n, v in enumerate(recovered)]
         summary = {"count": len(recovered)}
@@ -785,12 +753,7 @@ def _evaluate_entry(entry: SuiteEntry) -> dict:
 
 def run_suite(path: str) -> tuple[dict, int]:
     """(report, exit_code): 0 all passed, 1 any failure; config errors raise."""
-    entries = load_suite(path)
-    if entries:
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            records = list(pool.map(_evaluate_entry, entries))
-    else:
-        records = []
+    records = [_evaluate_entry(entry) for entry in load_suite(path)]
     n_passed = sum(1 for r in records if r["passed"])
     n_failed = len(records) - n_passed
     report = {"suite": os.path.basename(path), "experiments": records,

@@ -9,13 +9,12 @@ frequency shared with the classical module.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import omega_q
+from .classical import _SQRT2, _rk4, _step_grid, exact_alpha, omega_q
 from .errors import ParameterError
 
 
@@ -55,32 +54,18 @@ def evolve_one_level(psi0: complex, lam: float, t_end: float,
 
     The exact solution is psi0 e^{-i Omega t} with
     Omega = (lam/sinh lam) cosh(lam |psi0|^2); the RK4 track integrates the
-    nonlinear right side blindly.  Reports their max deviation and the norm
-    drift of the integrated track (|psi| is conserved by the flow).
+    nonlinear right side blindly with the classical integrator, since
+    psi = (q + ip)/sqrt 2 turns the equation into the classical flow.
+    Reports their max deviation and the norm drift of the integrated track
+    (|psi| is conserved by the flow).
     """
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
     psi0 = complex(psi0)
-    freq = omega_q(abs(psi0) ** 2, lam)
-    n_steps = max(1, round(t_end / dt))
-    dt = t_end / n_steps  # snap so the grid lands exactly on t_end
+    dt, n_steps = _step_grid(t_end, dt)
     t_arr = np.arange(n_steps + 1) * dt
-    rk4 = np.empty(n_steps + 1, dtype=complex)
-    rk4[0] = psi0
-    psi = psi0
-
-    def deriv(z: complex) -> complex:
-        return -1j * omega_q(abs(z) ** 2, lam) * z
-
-    for i in range(1, n_steps + 1):
-        k1 = deriv(psi)
-        k2 = deriv(psi + 0.5 * dt * k1)
-        k3 = deriv(psi + 0.5 * dt * k2)
-        k4 = deriv(psi + dt * k3)
-        psi = psi + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        rk4[i] = psi
-
-    exact = psi0 * np.exp(-1j * freq * t_arr)
+    q, p = _rk4(_SQRT2 * psi0.real, _SQRT2 * psi0.imag, lam, dt, n_steps)
+    rk4 = (q + 1j * p) / _SQRT2
+    exact = exact_alpha(psi0, lam, t_arr)
     max_dev = float(np.max(np.abs(rk4 - exact)))
     norm_drift = float(np.max(np.abs(np.abs(rk4) - abs(psi0))))
-    return LevelEvolution(t_arr, exact, rk4, freq, max_dev, norm_drift)
+    return LevelEvolution(t_arr, exact, rk4, omega_q(abs(psi0) ** 2, lam),
+                          max_dev, norm_drift)

@@ -14,14 +14,15 @@ is decided empirically by planck_coefficient_check, not assumed.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .deformation import EPS_SWITCH, q_number
+from .deformation import q_number
 from .errors import ParameterError, SaturationError
 
 CONVENTIONS = ("sym", "num")
+
+# Below this |lambda| the partition sums and C use their lambda = 0 closed forms.
+EPS_SWITCH = 1e-6
 
 _TAIL_REL = 1e-15
 _MAX_TERMS = 200_000
@@ -208,39 +209,18 @@ class ThermoTable:
     cutoff_used: int
 
 
-def _max_workers() -> int:
-    cap = os.environ.get("QLAB_MAX_THREADS")
-    if cap:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            raise ParameterError(f"QLAB_MAX_THREADS must be an integer, got {cap!r}")
-    return min(8, os.cpu_count() or 1)
-
-
 def thermo_table(temperatures, lam: float, convention: str = "sym") -> ThermoTable:
-    """Per-temperature Z, <n>, C and the small-lam Planck value.
-
-    Rows are independent pure computations, evaluated in parallel and
-    collected in input order; QLAB_MAX_THREADS caps the pool.
-    """
+    """Per-temperature Z, <n>, C and the small-lam Planck value, in input order."""
     _check_convention(convention)
     temps = [float(t) for t in temperatures]
     if not temps:
         raise ParameterError("temperature grid is empty")
-
-    def row(t):
-        z, cutoff = partition_function(t, lam, convention)
-        return (z, mean_occupation(t, lam, convention),
-                specific_heat(t, lam, convention),
-                deformed_planck_approx(t, lam), cutoff)
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        rows = list(pool.map(row, temps))
-    return ThermoTable(lam, convention, temps,
-                       [r[0] for r in rows], [r[1] for r in rows],
-                       [r[2] for r in rows], [r[3] for r in rows],
-                       max(r[4] for r in rows))
+    rows = [(*partition_function(t, lam, convention),
+             mean_occupation(t, lam, convention),
+             specific_heat(t, lam, convention),
+             deformed_planck_approx(t, lam)) for t in temps]
+    z, cutoffs, mean_n, c, planck = (list(col) for col in zip(*rows))
+    return ThermoTable(lam, convention, temps, z, mean_n, c, planck, max(cutoffs))
 
 
 def bose_einstein(x: float) -> float:

@@ -2,8 +2,9 @@
 
 The Cauchy data (phi, pi) determine a conserved invariant mu through an
 implicit scalar equation; the field then obeys an ordinary wave equation
-with constant speed f_q(mu) = (lam/sinh lam) cosh(lam mu).  Each Fourier
-mode is a harmonic oscillator of frequency |k| * speed, so time stepping is
+with constant speed f_q(mu) = (lam/sinh lam) cosh(lam mu), which is the
+classical orbit frequency omega_q at intensity mu.  Each Fourier mode is a
+harmonic oscillator of frequency |k| * speed, so time stepping is
 spectrally exact and dt only affects output sampling.
 
 Conventions: grid of N samples (power of two) on a periodic domain of
@@ -22,15 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .deformation import lambda_over_sinh
+from .classical import omega_q
 from .errors import ParameterError, SolverError
 
 TWO_PI = 2.0 * math.pi
-
-
-def speed_of_mu(mu: float, lam: float) -> float:
-    """Deformed wave speed f_q(mu) = (lam/sinh lam) cosh(lam mu)."""
-    return lambda_over_sinh(lam) * math.cosh(lam * mu)
 
 
 @dataclass(frozen=True)
@@ -94,17 +90,17 @@ def solve_mu(phi, pi, lam: float) -> tuple[float, float]:
     s_pi = float(np.sum(0.5 / ak * np.abs(pi_hat) ** 2))
 
     def rhs(mu: float) -> float:
-        c = speed_of_mu(mu, lam)
+        c = omega_q(mu, lam)
         return s_phi + s_pi / (c * c)
 
     upper = rhs(0.0)
     if upper == 0.0:
-        return 0.0, speed_of_mu(0.0, lam)
+        return 0.0, omega_q(0.0, lam)
     try:
         mu = brentq(lambda m: rhs(m) - m, 0.0, upper, xtol=1e-13, rtol=8.9e-16)
     except ValueError as exc:
         raise SolverError(f"mu fixed point not bracketed: {exc}")
-    return mu, speed_of_mu(mu, lam)
+    return mu, omega_q(mu, lam)
 
 
 def make_field(phi, pi, lam: float, length: float = TWO_PI) -> WaveField:
@@ -212,7 +208,7 @@ def traveling_field(profile, direction: int, lam: float,
     phi_hat = np.fft.fft(profile)
     s_phi = float(np.sum(0.5 * np.abs(k) * np.abs(phi_hat / profile.shape[0]) ** 2))
     mu = 2.0 * s_phi
-    speed = speed_of_mu(mu, lam)
+    speed = omega_q(mu, lam)
     dprofile = np.fft.ifft(1j * k * phi_hat).real
     pi = -direction * speed * dprofile
     field = make_field(profile, pi, lam, length)

@@ -9,6 +9,7 @@ bracket, so the production code and the oracle share no path.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -87,6 +88,19 @@ def test_momentum_satisfies_implicit_relation(lam):
         p = classical.momentum_from_velocity(q, qdot, lam)
         lhs = p * math.cosh(0.5 * lam * (q * q + p * p))
         assert abs(lhs - math.sinh(lam) / lam * qdot) < 1e-11
+
+
+def test_momentum_at_tiny_lambda_matches_mpmath():
+    """At q = 1e3 the implicit relation moves p by 9% from qdot even at
+    lambda = 9e-7, so only lambda = 0 may return qdot unchanged."""
+    q, qdot = 1e3, 1.0
+    for lam in (9e-7, 1.1e-6):
+        with mpmath.workdps(40):
+            c = mpmath.sinh(mpmath.mpf(lam)) / lam * qdot
+            expected = float(mpmath.findroot(
+                lambda p: p * mpmath.cosh(lam / 2 * (q * q + p * p)) - c, 0.9))
+        assert_allclose(classical.momentum_from_velocity(q, qdot, lam), expected,
+                        rtol=1e-12)
 
 
 def test_momentum_trivial_cases():

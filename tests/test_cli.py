@@ -5,10 +5,12 @@ every library operation is reachable from some subcommand.
 
 import importlib
 import json
+import math
 
 import pytest
 
 from qlab import cli, experiments
+from qlab.errors import SolverError
 
 
 def run(capsys, argv):
@@ -82,6 +84,43 @@ def test_errors_are_single_json_lines(capsys):
     lines = err.splitlines()
     assert len(lines) == 1
     assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+def test_cutoff_error_carries_required_cutoff(capsys):
+    code, _, err = run(capsys, ["coherent", "build", "--alpha-re", "3",
+                                "--cutoff", "4"])
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "CutoffError"
+    need = payload["required_cutoff"]
+    assert isinstance(need, int) and need > 4
+    code, _, _ = run(capsys, ["coherent", "build", "--alpha-re", "3",
+                              "--cutoff", str(need)])
+    assert code == 0
+
+
+def test_saturation_error_carries_largest_safe_n(capsys):
+    code, _, err = run(capsys, ["thermo", "levels", "--lambda", "1.0",
+                                "--n-max", "800"])
+    assert code == 3
+    payload = json.loads(err)
+    assert payload["error"] == "SaturationError"
+    assert payload["largest_safe_n"] == 708
+    code, _, _ = run(capsys, ["thermo", "levels", "--lambda", "1.0",
+                              "--n-max", "708"])
+    assert code == 0
+
+
+def test_solver_error_carries_residual(capsys, monkeypatch):
+    def fail(key, given):
+        raise SolverError("no convergence", residual=2.5e-3)
+
+    monkeypatch.setattr(experiments, "run_experiment", fail)
+    code, _, err = run(capsys, ["classical", "momentum", "--lambda", "1",
+                                "--q", "1", "--qdot", "1"])
+    assert code == 3
+    assert json.loads(err) == {"error": "SolverError", "message": "no convergence",
+                               "residual": 2.5e-3}
 
 
 def test_no_arguments_exits_two(capsys):
@@ -259,3 +298,95 @@ def test_thermo_table_reports_law_dev_only_where_the_law_applies():
     below_range = experiments.run_experiment(
         "thermo table", {"lambda": 0.1, "t_min": 2.0, "t_max": 3.0, "points": 2})
     assert "law_dev" not in below_range.metrics
+
+
+# ------------------------------------------------------------- input files
+
+def wave_ic_lines(n=16):
+    """(x, phi, pi) rows of phi = cos(theta), pi = 0 on a 2 pi grid."""
+    lines = []
+    for j in range(n):
+        x = 2.0 * math.pi * j / n
+        lines.append(f"{x!r},{math.cos(x)!r},0.0")
+    return lines
+
+
+def run_wave_ic(capsys, tmp_path, text):
+    path = tmp_path / "ic.csv"
+    path.write_text(text, encoding="utf-8")
+    return run(capsys, ["wave", "simulate", "--lambda", "0.5", "--t-end", "1",
+                        "--ic", str(path)])
+
+
+def test_wave_ic_file_with_header_and_blank_lines(capsys, tmp_path):
+    rows = wave_ic_lines()
+    text = "x,phi,pi\n" + "\n".join(rows[:5]) + "\n\n" + "\n".join(rows[5:]) + "\n\n"
+    code, out, err = run_wave_ic(capsys, tmp_path, text)
+    assert code == 0, err
+    assert abs(json.loads(out)["mu"] - 0.25) < 1e-12
+    code, out_plain, _ = run_wave_ic(capsys, tmp_path, "\n".join(rows) + "\n")
+    assert code == 0
+    assert out_plain == out
+
+
+@pytest.mark.parametrize("bad_row", ["1.0,2.0", "1.0,2.0,3.0,4.0", "1.0,zebra,0.0"])
+def test_wave_ic_file_bad_row_names_its_line(capsys, tmp_path, bad_row):
+    rows = wave_ic_lines()
+    rows[1] = bad_row  # line 3 of the file, after the header
+    code, _, err = run_wave_ic(capsys, tmp_path, "x,phi,pi\n" + "\n".join(rows) + "\n")
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ParameterError"
+    assert "line 3" in payload["message"]
+
+
+def test_wave_ic_missing_file_exits_two(capsys, tmp_path):
+    code, _, err = run(capsys, ["wave", "simulate", "--lambda", "0.5", "--t-end", "1",
+                                "--ic", str(tmp_path / "absent.csv")])
+    assert code == 2
+    assert json.loads(err)["error"] == "ParameterError"
+
+
+COEFFS = [1.0, 0.5, 0.2, 0.05]  # f(n) = C_{n-1} / (C_n sqrt n)
+
+
+def run_coeffs(capsys, tmp_path, text):
+    path = tmp_path / "coeffs.csv"
+    path.write_text(text, encoding="utf-8")
+    return run(capsys, ["coherent", "recover", "--coeffs", str(path),
+                        "--format", "json"])
+
+
+def test_coeffs_file_with_header_and_blank_lines(capsys, tmp_path):
+    rows = [f"{n},{c!r}" for n, c in enumerate(COEFFS)]
+    text = "n,c\n" + rows[0] + "\n\n" + "\n".join(rows[1:]) + "\n\n"
+    code, out, err = run_coeffs(capsys, tmp_path, text)
+    assert code == 0, err
+    assert json.loads(out)["count"] == 3
+    _, csv_out, _ = run(capsys, ["coherent", "recover", "--coeffs",
+                                 str(tmp_path / "coeffs.csv")])
+    f_values = [float(line.split(",")[1]) for line in csv_out.splitlines()[1:]]
+    expected = [COEFFS[n - 1] / (COEFFS[n] * math.sqrt(n)) for n in (1, 2, 3)]
+    assert f_values == pytest.approx(expected, rel=1e-14)
+
+
+def test_coeffs_file_reads_the_last_column_of_any_width(capsys, tmp_path):
+    text = "1.0\n7,0.5\n2,2,0.2\n0.05\n"
+    code, out, err = run_coeffs(capsys, tmp_path, text)
+    assert code == 0, err
+    assert json.loads(out)["count"] == 3
+
+
+def test_coeffs_file_non_numeric_row_names_its_line(capsys, tmp_path):
+    code, _, err = run_coeffs(capsys, tmp_path, "n,c\n0,1.0\n1,0.5\n2,zebra\n")
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ParameterError"
+    assert "line 4" in payload["message"]
+
+
+def test_coeffs_missing_file_exits_two(capsys, tmp_path):
+    code, _, err = run(capsys, ["coherent", "recover", "--coeffs",
+                                str(tmp_path / "absent.csv")])
+    assert code == 2
+    assert json.loads(err)["error"] == "ParameterError"

@@ -2,12 +2,14 @@
 increments, deformed factorials, and the CSV table loader.
 
 Reference values were computed independently with 40-digit arithmetic and
-frozen here as literals.
+frozen here as literals; q_number and F^{-1} at small lambda are also
+checked against a live 40-digit mpmath oracle.
 """
 
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -53,11 +55,51 @@ def test_q_number_even_in_lambda():
 
 
 def test_q_number_series_matches_sinh_across_switch():
-    """The small-lambda series and the sinh ratio must agree where they meet."""
+    """Just below and above |lambda| = 1e-6 (thermo's closed-form switch),
+    q_number is continuous and matches the sinh ratio for n*lambda up to 700."""
     n = 5.0
     below = q_number(n, 9.9e-7)
     above = q_number(n, 1.01e-6)
     assert abs(below - above) < 1e-12 * n
+    for x in np.geomspace(1e-3, 700.0, 15):
+        for lam in (9.9e-7, 1.01e-6):
+            n = float(x) / lam
+            assert_allclose(q_number(n, lam), oracle_q_number(n, lam), rtol=1e-12,
+                            err_msg=f"n = {n!r}, lambda = {lam!r}")
+
+
+def oracle_q_number(n: float, lam: float) -> float:
+    """sinh(n lam)/sinh(lam) in 40-digit arithmetic on the exact doubles."""
+    with mpmath.workdps(40):
+        n, lam = mpmath.mpf(n), mpmath.mpf(lam)
+        return float(mpmath.sinh(n * lam) / mpmath.sinh(lam))
+
+
+ORACLE_LAMBDAS = (5e-324, 1e-320, 1e-300, 1e-9, 9.9e-7, 1.01e-6, 1e-3, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMBDAS)
+def test_q_number_matches_mpmath_oracle(lam):
+    """1e-12 relative against 40 digits for n*lambda in [1e-3, 700] (where
+    n stays finite), for small n, and for n*lambda below the normal range."""
+    xs = [float(x) for x in np.geomspace(1e-3, 700.0, 25)]
+    ns = [x / lam for x in xs if math.isfinite(x / lam)] + [0.5, 1.0, 2.0, 7.0, 1e6]
+    for n in ns:
+        for sign in (1.0, -1.0):
+            assert_allclose(q_number(n, sign * lam), oracle_q_number(n, lam),
+                            rtol=1e-12, err_msg=f"n = {n!r}, lambda = {sign * lam!r}")
+    assert_allclose(lambda_over_sinh(lam), float(lam / mpmath.sinh(mpmath.mpf(lam))),
+                    rtol=1e-15)
+
+
+def test_big_f_inverse_matches_mpmath_at_tiny_lambda():
+    """F^{-1}(1e50) at lambda = 1e-9 is asinh(1e50 sinh(lambda))/lambda,
+    about 9.51e10: n*lambda = 95 is far from small."""
+    lam = 1e-9
+    with mpmath.workdps(40):
+        expected = float(mpmath.asinh(mpmath.mpf(1e50) * mpmath.sinh(mpmath.mpf(lam)))
+                         / mpmath.mpf(lam))
+    assert_allclose(big_f_inverse(1e50, q_deform(lam)), expected, rtol=1e-12)
 
 
 def test_q_number_overflow_returns_inf():
@@ -232,3 +274,15 @@ def test_load_f_table_rejects_gaps_and_short_rows():
         load_f_table(io.StringIO("0\n"))
     with pytest.raises(ParameterError):
         load_f_table(io.StringIO(""))
+
+
+def test_load_f_table_errors_are_typed_and_name_the_line(tmp_path):
+    with pytest.raises(ParameterError, match="line 3"):
+        load_f_table(io.StringIO("n,f\n0,1.0\n1,zebra\n"))
+    with pytest.raises(ParameterError, match="cannot read"):
+        load_f_table(str(tmp_path / "absent.csv"))
+
+
+def test_load_f_table_skips_blank_lines():
+    spec = load_f_table(io.StringIO("\nn,f\n0,1.0\n\n1,1.1\n\n"))
+    assert spec.table == (1.0, 1.1)

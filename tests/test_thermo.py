@@ -190,15 +190,6 @@ def test_thermo_table_matches_scalars():
                         rtol=1e-13)
 
 
-def test_thermo_table_thread_cap(monkeypatch):
-    monkeypatch.setenv("QLAB_MAX_THREADS", "2")
-    table = thermo.thermo_table([1.0, 2.0], 0.3, "num")
-    assert len(table.z) == 2
-    monkeypatch.setenv("QLAB_MAX_THREADS", "zebra")
-    with pytest.raises(ParameterError):
-        thermo.thermo_table([1.0], 0.3, "num")
-
-
 def test_bose_einstein_frozen_value():
     assert_allclose(thermo.bose_einstein(1.0), BOSE_X1, rtol=1e-14)
 
