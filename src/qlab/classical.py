@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .deformation import lambda_over_sinh, q_number
+from .deformation import _SINH_MAX_ARG, lambda_over_sinh, q_number
 from .errors import ParameterError, SolverError
 
 _SQRT2 = math.sqrt(2.0)
@@ -108,40 +108,81 @@ def exact_alpha_deformed(alpha_q0: complex, lam: float, t: float) -> complex:
     return alpha_q0 * cmath.exp(-1j * t * freq)
 
 
+def _sech(x: float) -> float:
+    """1/cosh(x), going to 0 where cosh would overflow instead of raising."""
+    x = abs(x)
+    return 1.0 / math.cosh(x) if x < _SINH_MAX_ARG else 2.0 * math.exp(-x)
+
+
+# Bisection alone closes any bracket of doubles in fewer steps than this.
+_MAX_BISECTIONS = 2200
+_ROOT_RTOL = 4.0 * sys.float_info.epsilon
+
+
+def _newton_bisect(fdf, lo: float, hi: float) -> float:
+    """Root of f in [lo, hi], where fdf(x) returns (f(x), f'(x)).
+
+    Safeguarded Newton in the manner of Brent (1973): f(lo) and f(hi) must
+    differ in sign, every Newton step must land strictly inside the
+    shrinking sign-change bracket and at most halve the step before last,
+    and any other step (an inf or NaN one included) bisects.  A root at an
+    endpoint is returned as is.  Stops once a step is within 4 eps |x|.
+    """
+    f_lo, f_hi = fdf(lo)[0], fdf(hi)[0]
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
+    if not (lo <= hi and (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo)):
+        raise SolverError(f"root not bracketed in [{lo}, {hi}]",
+                          residual=min(abs(f_lo), abs(f_hi)))
+    lo_negative = f_lo < 0.0
+    x = 0.5 * (lo + hi)
+    step = before = hi - lo
+    for _ in range(_MAX_BISECTIONS):
+        f, df = fdf(x)
+        if f == 0.0:
+            return x
+        if (f < 0.0) == lo_negative:
+            lo = x
+        else:
+            hi = x
+        newton = f / df if 0.0 < abs(df) < math.inf else math.inf
+        if abs(newton) <= _ROOT_RTOL * abs(x):
+            return x - newton
+        x_new = x - newton
+        if not lo < x_new < hi or abs(2.0 * newton) > abs(before):
+            x_new = 0.5 * (lo + hi)
+            if hi - lo <= 2.0 * _ROOT_RTOL * abs(x_new) or x_new in (lo, hi):
+                return x_new
+        before, step = step, x - x_new
+        x = x_new
+    raise SolverError("root finder did not converge", residual=f)
+
+
 def momentum_from_velocity(q: float, qdot: float, lam: float) -> float:
     """Solve p = (sinh lam / lam) qdot / cosh((lam/2)(q^2 + p^2)) for p.
 
-    Damped fixed-point iteration (damping 0.5, |dp| <= 1e-12, at most 200
-    iterations) with a bracketed-root fallback on the residual
-    p cosh((lam/2)(q^2+p^2)) - (sinh lam/lam) qdot, which is strictly
-    increasing in p between 0 and the undamped image of p = 0.
+    With c = (sinh lam / lam)|qdot| the root p of the residual
+    p - c sech((lam/2)(q^2 + p^2)) takes the sign of qdot.  It lies in
+    [0, c sech(lam q^2/2)], and since p e^{|lam| p^2/2} <= 2c it also lies
+    below max(2, sqrt(2 ln(2c)/|lam|)), which keeps the bracket short for a
+    huge qdot.  The residual rises with slope >= 1 and cannot overflow; an
+    underflowing root comes back as 0.
     """
     if lam == 0 or qdot == 0.0:
         return float(qdot)
-    c = qdot / lambda_over_sinh(lam)  # (sinh lam / lam) * qdot
+    c = abs(qdot) / lambda_over_sinh(lam)
+    if not math.isfinite(c):
+        raise ParameterError(f"velocity {qdot} too large for lambda = {lam}")
+    q2 = q * q
 
-    def g(p: float) -> float:
-        return c / math.cosh(0.5 * lam * (q * q + p * p))
+    def fdf(p: float) -> tuple[float, float]:
+        a = 0.5 * lam * (q2 + p * p)
+        cs = c * _sech(a)
+        return p - cs, 1.0 + cs * math.tanh(a) * lam * p
 
-    p = float(qdot)
-    for _ in range(200):
-        p_new = 0.5 * p + 0.5 * g(p)
-        if not math.isfinite(p_new):
-            break
-        if abs(p_new - p) <= 1e-12:
-            # polish: one undamped application tightens the damped estimate
-            return g(p_new)
-        p = p_new
-
-    def residual(p: float) -> float:
-        return p * math.cosh(0.5 * lam * (q * q + p * p)) - c
-
-    lo, hi = (0.0, c) if c > 0 else (c, 0.0)
-    try:
-        return brentq(residual, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    except ValueError as exc:
-        raise SolverError(f"momentum solver failed to converge: {exc}",
-                          residual=residual(p) if math.isfinite(p) else None)
+    hi = min(c * _sech(0.5 * lam * q2),
+             max(2.0, math.sqrt(2.0 * math.log(max(2.0 * c, 1.0)) / abs(lam))))
+    return math.copysign(_newton_bisect(fdf, 0.0, hi), qdot)
 
 
 def approx_momentum(q: float, qdot: float, lam: float) -> float:
@@ -227,7 +268,8 @@ def integrate_eom(state0: ClassicalState, t_end: float, dt: float = 1e-3) -> Tra
 
     intensity = 0.5 * (q_arr * q_arr + p_arr * p_arr)
     alpha_sq_drift = float(np.max(np.abs(intensity - intensity[0])))
-    hq = np.array([hamiltonian_q(v, lam) for v in intensity])
+    # hamiltonian_q over the samples: sinh(lam I)/sinh(lam), and I at lam = 0
+    hq = intensity if lam == 0 else np.sinh(lam * intensity) / math.sinh(lam)
     hq_drift = float(np.max(np.abs(hq - hq[0])))
     q_exact = _SQRT2 * exact_alpha(state0.alpha, lam, t_arr).real
     max_exact_dev = float(np.max(np.abs(q_arr - q_exact)))

@@ -14,8 +14,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .errors import ParameterError, SaturationError
 
 # sinh overflows double just above this argument.
@@ -131,12 +129,13 @@ def big_f(n: float, spec: DeformationSpec) -> float:
 
 
 def big_f_inverse(x: float, spec: DeformationSpec) -> float:
-    """Solve F(y) = x for y >= 0 to tolerance 1e-12.
+    """Solve F(y) = x for y >= 0.
 
-    F is strictly increasing for every valid spec, so the root is found by
-    bracketed monotone root-finding on the continuous extension
-    F(y) = sinh(y*lam)/sinh(lam) in the q case, and by inverting the
-    piecewise-linear extension of the table in the custom case.
+    F is strictly increasing for every valid spec.  In the q case the
+    continuous extension F(y) = sinh(y*lam)/sinh(lam) inverts in closed
+    form, y = asinh(x sinh|lam|)/|lam|, and y = x where x*|lam| underflows
+    the normal range.  In the custom case the piecewise-linear extension of
+    the table is inverted.
     """
     if x < 0:
         raise ParameterError("big_f_inverse requires x >= 0")
@@ -152,19 +151,14 @@ def big_f_inverse(x: float, spec: DeformationSpec) -> float:
             return 0.0
         lo, hi = nodes[i - 1], nodes[i]
         return (i - 1) + (x - lo) / (hi - lo)
-    if x == 0.0:
-        return 0.0
-    lam = spec.lam
-    hi = 1.0
-    while q_number(hi, lam) < x:
-        hi *= 2.0
-        if not math.isfinite(q_number(hi, lam)):
-            hi = _SINH_MAX_ARG / abs(lam)  # largest argument sinh can take
-            if q_number(hi, lam) < x:
-                raise SaturationError("F value beyond double range; cannot invert",
-                                      largest_safe_n=hi)
-            break
-    return brentq(lambda y: q_number(y, lam) - x, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+    lam = abs(spec.lam)
+    if x * lam < sys.float_info.min:
+        return float(x)
+    y_lam = math.asinh(x * math.sinh(lam))
+    if y_lam > _SINH_MAX_ARG:
+        raise SaturationError("F value beyond double range; cannot invert",
+                              largest_safe_n=_SINH_MAX_ARG / lam)
+    return y_lam / lam
 
 
 def phi_of_z(z: float, spec: DeformationSpec) -> float:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import classical, coherent, deformation, fock, level, thermo, wave
-from .errors import ParameterError, QlabError
+from .errors import ParameterError, QlabError, SaturationError
 from .fock import FockState
 
 _REQUIRED = object()
@@ -109,6 +109,7 @@ def _run_deform_table(p: dict) -> ExperimentResult:
         raise ParameterError("n_max must be >= 1")
     rows = []
     max_roundtrip = 0.0
+    factorial = 1.0  # f(1) ... f(n), multiplied in f_factorial's order
     for n in range(n_max + 1):
         big = deformation.big_f(n, spec)
         roundtrip = abs(deformation.big_f_inverse(big, spec) - n)
@@ -121,7 +122,12 @@ def _run_deform_table(p: dict) -> ExperimentResult:
         row["phi"] = deformation.phi_of_z(n, spec)
         if spec.kind == "q":
             row["commutator"] = deformation.commutator_function(n, lam)
-        row["f_factorial"] = deformation.f_factorial(n, spec)
+        if n:
+            factorial *= row["f"]
+            if math.isinf(factorial):
+                raise SaturationError(f"deformed factorial overflows at n = {n}",
+                                      largest_safe_n=n - 1)
+        row["f_factorial"] = factorial
         row["roundtrip_err"] = roundtrip
         rows.append(row)
     summary = {"kind": spec.kind, "n_max": n_max, "max_roundtrip_err": max_roundtrip}

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .classical import omega_q
+from .classical import _newton_bisect, _sech, omega_q
+from .deformation import lambda_over_sinh
 from .errors import ParameterError, SolverError
 
 TWO_PI = 2.0 * math.pi
@@ -76,7 +76,8 @@ def solve_mu(phi, pi, lam: float) -> tuple[float, float]:
 
     The right side is continuous and strictly decreasing in mu (f_q grows
     with mu), so the fixed point is unique and bracketed by [0, RHS(0)];
-    solved by bracketed root-finding to 1e-12.  Returns (mu, f_q(mu)).
+    solved by safeguarded Newton on RHS(mu) - mu, written with sech so that
+    it cannot overflow.  Returns (mu, f_q(mu)).
     """
     phi = np.asarray(phi, dtype=float)
     pi = np.asarray(pi, dtype=float)
@@ -88,18 +89,14 @@ def solve_mu(phi, pi, lam: float) -> tuple[float, float]:
     pi_hat = fourier_modes(pi)[nz]
     s_phi = float(np.sum(0.5 * ak * np.abs(phi_hat) ** 2))
     s_pi = float(np.sum(0.5 / ak * np.abs(pi_hat) ** 2))
+    s_pi_scaled = s_pi / lambda_over_sinh(lam) ** 2
 
-    def rhs(mu: float) -> float:
-        c = omega_q(mu, lam)
-        return s_phi + s_pi / (c * c)
+    def fdf(mu: float) -> tuple[float, float]:
+        # RHS(mu) = s_phi + s_pi / f_q(mu)^2, f_q = (lam/sinh lam) cosh(lam mu)
+        s = s_pi_scaled * _sech(lam * mu) ** 2
+        return s_phi + s - mu, -2.0 * lam * s * math.tanh(lam * mu) - 1.0
 
-    upper = rhs(0.0)
-    if upper == 0.0:
-        return 0.0, omega_q(0.0, lam)
-    try:
-        mu = brentq(lambda m: rhs(m) - m, 0.0, upper, xtol=1e-13, rtol=8.9e-16)
-    except ValueError as exc:
-        raise SolverError(f"mu fixed point not bracketed: {exc}")
+    mu = _newton_bisect(fdf, 0.0, s_phi + s_pi_scaled)
     return mu, omega_q(mu, lam)
 
 

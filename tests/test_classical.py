@@ -2,8 +2,8 @@
 implicit momentum, closed-form orbits, and RK4 cross-validation.
 
 The closed-form track is checked against a four-exponential evaluation
-built inside this file from nothing but math/cmath and a scipy root
-bracket, so the production code and the oracle share no path.
+built inside this file from nothing but math/cmath and a plain bisection,
+so the production code and the oracle share no path.
 """
 
 import cmath
@@ -13,11 +13,10 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import brentq
 
 from qlab import classical
 from qlab.deformation import q_number
-from qlab.errors import ParameterError
+from qlab.errors import ParameterError, SolverError
 
 OMEGA_Q_1_LAM1 = 1.3130352854993313           # cosh(1)/sinh(1)
 MOMENTUM_Q1_QD1_LAM01 = 0.9967124970491392    # root of p cosh(...) = sinh(.1)/.1
@@ -27,8 +26,9 @@ EXACT_ALPHA_1_LAM1_T1 = 0.2549162020825684 - 0.9669631481684290j
 
 def reference_q(q0, qdot0, lam, t):
     """Independent route to q(t): solve the implicit momentum by bisection
-    on [0, 2|qdot0|+1], build Omega from the explicit cosh form, and sum the
-    four exponentials (e^{+iOt}, e^{-iOt}) x (q0, qdot0/O) directly."""
+    on [-(2|qdot0|+1), 2|qdot0|+1] down to adjacent doubles, build Omega
+    from the explicit cosh form, and sum the four exponentials
+    (e^{+iOt}, e^{-iOt}) x (q0, qdot0/O) directly."""
     if lam == 0.0:
         p0 = qdot0
     else:
@@ -37,8 +37,13 @@ def reference_q(q0, qdot0, lam, t):
         def resid(p):
             return p * math.cosh(0.5 * lam * (q0 * q0 + p * p)) - c
 
-        hi = 2.0 * abs(qdot0) + 1.0
-        p0 = brentq(resid, -hi, hi, xtol=1e-15, rtol=8.9e-16)
+        lo, hi = -(2.0 * abs(qdot0) + 1.0), 2.0 * abs(qdot0) + 1.0
+        while lo < 0.5 * (lo + hi) < hi:
+            if resid(0.5 * (lo + hi)) < 0.0:
+                lo = 0.5 * (lo + hi)
+            else:
+                hi = 0.5 * (lo + hi)
+        p0 = lo
     intensity = 0.5 * (q0 * q0 + p0 * p0)
     if lam == 0.0:
         omega = 1.0
@@ -101,6 +106,76 @@ def test_momentum_at_tiny_lambda_matches_mpmath():
                 lambda p: p * mpmath.cosh(lam / 2 * (q * q + p * p)) - c, 0.9))
         assert_allclose(classical.momentum_from_velocity(q, qdot, lam), expected,
                         rtol=1e-12)
+
+
+def oracle_momentum(q, qdot, lam, guess):
+    """The root of p cosh((lam/2)(q^2 + p^2)) = (sinh lam/lam) qdot > 0, at
+    50 digits; solved in logs, since the two sides reach 1e300."""
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(lam)
+        log_c = mpmath.log(mpmath.sinh(lam) / lam * qdot)
+        return float(mpmath.findroot(
+            lambda p: mpmath.log(p) + mpmath.log(mpmath.cosh(lam / 2 * (q * q + p * p)))
+            - log_c, guess))
+
+
+@pytest.mark.parametrize("q,qdot,lam,guess", [
+    (1.0, 1e6, 1.0, 5.0),      # cosh of the first iterate overflowed
+    (1.0, 1e300, 0.5, 52.0),   # the old bracket search escaped as RuntimeError
+])
+def test_momentum_at_huge_velocity_matches_mpmath(q, qdot, lam, guess):
+    expected = oracle_momentum(q, qdot, lam, guess)
+    assert_allclose(classical.momentum_from_velocity(q, qdot, lam), expected, rtol=1e-12)
+    assert_allclose(classical.momentum_from_velocity(q, -qdot, lam), -expected, rtol=1e-12)
+
+
+def test_momentum_underflowing_root_is_zero():
+    """At q = 40, lambda = 1 the root is about 8.6e-348, below every double."""
+    assert classical.momentum_from_velocity(40.0, 1.0, 1.0) == 0.0
+
+
+def test_momentum_rejects_a_velocity_beyond_double_range():
+    with pytest.raises(ParameterError):
+        classical.momentum_from_velocity(1.0, 1.7e308, 1.0)
+
+
+def test_newton_bisect_returns_endpoint_roots():
+    def fdf(x):
+        return x - 2.0, 1.0
+    assert classical._newton_bisect(fdf, 0.0, 2.0) == 2.0
+    assert classical._newton_bisect(fdf, 2.0, 5.0) == 2.0
+
+
+def test_newton_bisect_rejects_an_unbracketed_interval():
+    with pytest.raises(SolverError) as exc_info:
+        classical._newton_bisect(lambda x: (x * x + 1.0, 2.0 * x), 0.0, 1.0)
+    assert exc_info.value.residual == 1.0
+
+
+@pytest.mark.parametrize("slope", [0.0, math.inf, math.nan])
+def test_newton_bisect_falls_back_to_bisection(slope):
+    """With no usable derivative every step bisects, and the root is still
+    found to the stopping tolerance; an infinite residual counts as positive."""
+    calls = []
+
+    def fdf(x):
+        calls.append(x)
+        return (math.inf if x > 0.9 else x - 1.0 / 3.0), slope
+
+    root = classical._newton_bisect(fdf, 0.0, 1.0)
+    assert abs(root - 1.0 / 3.0) <= 8.0 * 2.0 ** -52 / 3.0
+    assert 50 <= len(calls) <= 60
+
+
+def test_newton_bisect_takes_newton_steps():
+    calls = []
+
+    def fdf(x):
+        calls.append(x)
+        return x * x - 2.0, 2.0 * x
+
+    assert_allclose(classical._newton_bisect(fdf, 0.0, 2.0), math.sqrt(2.0), rtol=1e-15)
+    assert len(calls) <= 10
 
 
 def test_momentum_trivial_cases():
@@ -180,6 +255,18 @@ def test_rk4_tracks_closed_form(lam):
     assert traj.hq_drift <= 1e-9
     # endpoint against the in-file reference route (qdot0 = omega p0 = 0)
     assert abs(traj.q[-1] - reference_q(1.0, 0.0, lam, float(traj.t[-1]))) < 1e-8
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_hq_drift_matches_per_sample_hamiltonian(lam):
+    """The vectorised sinh(lam I)/sinh(lam) against hamiltonian_q sample by
+    sample; numpy's and math's sinh may differ by an ulp on each side."""
+    traj = classical.integrate_eom(classical.ClassicalState(1.0, 0.5, lam),
+                                   t_end=2.0, dt=1e-3)
+    intensity = 0.5 * (traj.q * traj.q + traj.p * traj.p)
+    hq = np.array([classical.hamiltonian_q(v, lam) for v in intensity])
+    reference = float(np.max(np.abs(hq - hq[0])))
+    assert abs(traj.hq_drift - reference) <= 4.0 * np.finfo(float).eps * float(np.max(hq))
 
 
 def test_trajectory_shapes():

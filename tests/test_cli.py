@@ -6,11 +6,17 @@ every library operation is reachable from some subcommand.
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qlab import cli, experiments
-from qlab.errors import SolverError
+from qlab import cli, deformation, experiments
+from qlab.errors import SaturationError, SolverError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, argv):
@@ -279,6 +285,46 @@ check.max_err.max = 1e-12
     assert cli.run(["suite", path, "--out", str(out_b)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_import_loads_no_third_party_package_but_numpy():
+    """A cold `import qlab` is most of every verb's wait; only numpy may add
+    to it.  Run in a fresh interpreter so that no test's imports count."""
+    probe = ("import sys; before = set(sys.modules); import qlab; "
+             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+             "print(sorted(new - set(sys.stdlib_module_names)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "['numpy', 'qlab']"
+
+
+def test_momentum_at_huge_velocity_exits_zero(capsys):
+    code, out, err = run(capsys, ["classical", "momentum", "--lambda", "1",
+                                  "--q", "1", "--qdot", "1e6", "--format", "json"])
+    assert code == 0, err
+    assert math.isclose(json.loads(out)["p"], 5.011652693560864, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("spec_args,spec", [
+    ({"lambda": 0.1}, deformation.q_deform(0.1)),
+    ({"lambda": -0.7}, deformation.q_deform(-0.7)),
+    ({"kind": "identity", "lambda": 0.0}, deformation.identity()),
+])
+def test_deform_table_factorial_column_is_f_factorial(spec_args, spec):
+    """The table's running product multiplies in f_factorial's order."""
+    result = experiments.run_experiment("deform table", dict(spec_args, n_max=40))
+    for row in result.rows:
+        assert row["f_factorial"] == deformation.f_factorial(row["n"], spec)
+
+
+def test_deform_table_factorial_overflow_names_largest_safe_n():
+    with pytest.raises(SaturationError) as exc_info:
+        experiments.run_experiment("deform table", {"lambda": 1.0, "n_max": 100})
+    assert exc_info.value.largest_safe_n == 56
+    with pytest.raises(SaturationError) as ref_info:
+        deformation.f_factorial(57, deformation.q_deform(1.0))
+    assert str(exc_info.value) == str(ref_info.value)
 
 
 def test_run_experiment_rejects_unknown_params():

@@ -8,10 +8,13 @@ checked against a live 40-digit mpmath oracle.
 
 import io
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qlab.deformation import (
@@ -100,6 +103,64 @@ def test_big_f_inverse_matches_mpmath_at_tiny_lambda():
         expected = float(mpmath.asinh(mpmath.mpf(1e50) * mpmath.sinh(mpmath.mpf(lam)))
                          / mpmath.mpf(lam))
     assert_allclose(big_f_inverse(1e50, q_deform(lam)), expected, rtol=1e-12)
+
+
+INVERSE_LAMBDAS = [5e-324, 1e-9, 1e-3, 0.1, 1.0, 5.0]
+_SATURATION_N_LAMBDA = 709.0  # F^{-1} saturates where n*|lambda| passes this
+
+
+def oracle_big_f_inverse(x, lam):
+    """asinh(x sinh|lambda|)/|lambda| at 50 digits."""
+    with mpmath.workdps(50):
+        lam = abs(mpmath.mpf(lam))
+        return float(mpmath.asinh(mpmath.mpf(x) * mpmath.sinh(lam)) / lam)
+
+
+def saturation_edge(lam):
+    """Largest x that F^{-1} inverts: F(709/|lambda|), capped at the double range."""
+    with mpmath.workdps(50):
+        edge = mpmath.sinh(_SATURATION_N_LAMBDA) / mpmath.sinh(abs(mpmath.mpf(lam)))
+        return min(float(edge), sys.float_info.max)
+
+
+@pytest.mark.parametrize("lam", INVERSE_LAMBDAS)
+def test_big_f_inverse_matches_mpmath_closed_form(lam):
+    """From x = 1e-300 up to the saturation edge, both signs of lambda."""
+    top = saturation_edge(lam) * (1.0 - 1e-12)
+    xs = [float(x) for x in np.geomspace(1e-300, top, 60)] + [top]
+    for x in xs:
+        expected = oracle_big_f_inverse(x, lam)
+        for sign in (1.0, -1.0):
+            assert_allclose(big_f_inverse(x, q_deform(sign * lam)), expected, rtol=1e-12,
+                            err_msg=f"x = {x!r}, lambda = {sign * lam!r}")
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 5.0])
+def test_big_f_inverse_saturates_just_past_the_edge(lam):
+    edge = saturation_edge(lam)
+    for sign in (1.0, -1.0):
+        spec = q_deform(sign * lam)
+        assert_allclose(big_f_inverse(edge * (1.0 - 1e-12), spec),
+                        _SATURATION_N_LAMBDA / lam, rtol=1e-12)
+        with pytest.raises(SaturationError) as exc_info:
+            big_f_inverse(edge * (1.0 + 1e-12), spec)
+        assert exc_info.value.largest_safe_n == _SATURATION_N_LAMBDA / lam
+
+
+_lambdas = st.sampled_from([s * v for v in INVERSE_LAMBDAS for s in (1.0, -1.0)])
+_xs = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_xs, _lambdas)
+def test_big_f_inverse_properties(x, lam):
+    """F(F^{-1}(x)) = x, and F^{-1} is even in lambda."""
+    if x >= saturation_edge(lam):
+        return
+    y = big_f_inverse(x, q_deform(lam))
+    assert big_f_inverse(x, q_deform(-lam)) == y
+    # F has condition number n lambda coth(n lambda) <= 709 here
+    assert_allclose(big_f(y, q_deform(lam)), x, rtol=1e-12)
 
 
 def test_q_number_overflow_returns_inf():
