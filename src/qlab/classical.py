@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import _SINH_MAX_ARG, lambda_over_sinh, q_number
-from .errors import ParameterError, SolverError
+from .errors import ParameterError, SaturationError, SolverError
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -50,10 +50,24 @@ def deform_amplitude(alpha: complex, lam: float) -> complex:
 
 
 def omega_q(intensity: float, lam: float) -> float:
-    """Orbit-dependent frequency (lam/sinh lam) cosh(lam * intensity); 1 at lam = 0."""
+    """Orbit-dependent frequency (lam/sinh lam) cosh(lam * intensity); 1 at lam = 0.
+
+    Raises SaturationError, with the largest safe intensity, where
+    |lam| * intensity would overflow cosh.
+    """
     if intensity < 0:
         raise ParameterError("intensity must be >= 0")
+    _check_saturation(intensity, lam, 1.0)
     return lambda_over_sinh(lam) * math.cosh(lam * intensity)
+
+
+def _check_saturation(intensity: float, lam: float, margin: float) -> None:
+    """SaturationError unless margin * |lam| * intensity <= _SINH_MAX_ARG,
+    the point past which cosh(lam * intensity) overflows."""
+    if margin * abs(lam) * intensity > _SINH_MAX_ARG:
+        safe = int(_SINH_MAX_ARG / (margin * abs(lam)))
+        raise SaturationError(f"intensity {intensity!r} at lambda = {lam!r} is past "
+                              f"the largest safe intensity {safe}", largest_safe_n=safe)
 
 
 def hamiltonian_q(intensity: float, lam: float) -> float:
@@ -228,29 +242,43 @@ def _rk4(q: float, p: float, lam: float, dt: float,
     The one integrator of the nonlinear flow alpha' = -i omega_q(|alpha|^2)
     alpha, alpha = (q + ip)/sqrt 2, shared by this module and ``level``.
     Scalar floats and math.cosh: for one trajectory this beats numpy.
+
+    The flow conserves the intensity I, so it is checked once, up front.
+    With w frozen, a step with dt w <= 1 takes the RK4 stages to at most
+    1.25 I; the check leaves a margin of 2.  A step too long for the orbit
+    frequency makes RK4 diverge instead, which ends in a SolverError.
     """
+    intensity = 0.5 * (q * q + p * p)
+    _check_saturation(intensity, lam, 2.0)
     c1 = lambda_over_sinh(lam)
     q_arr = np.empty(n_steps + 1)
     p_arr = np.empty(n_steps + 1)
     q_arr[0] = q
     p_arr[0] = p
     cosh = math.cosh
-    for i in range(1, n_steps + 1):
-        w = c1 * cosh(lam * 0.5 * (q * q + p * p))
-        k1q, k1p = w * p, -w * q
-        q2, p2 = q + 0.5 * dt * k1q, p + 0.5 * dt * k1p
-        w = c1 * cosh(lam * 0.5 * (q2 * q2 + p2 * p2))
-        k2q, k2p = w * p2, -w * q2
-        q3, p3 = q + 0.5 * dt * k2q, p + 0.5 * dt * k2p
-        w = c1 * cosh(lam * 0.5 * (q3 * q3 + p3 * p3))
-        k3q, k3p = w * p3, -w * q3
-        q4, p4 = q + dt * k3q, p + dt * k3p
-        w = c1 * cosh(lam * 0.5 * (q4 * q4 + p4 * p4))
-        k4q, k4p = w * p4, -w * q4
-        q += dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
-        p += dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        q_arr[i] = q
-        p_arr[i] = p
+    try:
+        for i in range(1, n_steps + 1):
+            w = c1 * cosh(lam * 0.5 * (q * q + p * p))
+            k1q, k1p = w * p, -w * q
+            q2, p2 = q + 0.5 * dt * k1q, p + 0.5 * dt * k1p
+            w = c1 * cosh(lam * 0.5 * (q2 * q2 + p2 * p2))
+            k2q, k2p = w * p2, -w * q2
+            q3, p3 = q + 0.5 * dt * k2q, p + 0.5 * dt * k2p
+            w = c1 * cosh(lam * 0.5 * (q3 * q3 + p3 * p3))
+            k3q, k3p = w * p3, -w * q3
+            q4, p4 = q + dt * k3q, p + dt * k3p
+            w = c1 * cosh(lam * 0.5 * (q4 * q4 + p4 * p4))
+            k4q, k4p = w * p4, -w * q4
+            q += dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
+            p += dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+            q_arr[i] = q
+            p_arr[i] = p
+    except OverflowError:
+        q = math.inf
+    if not math.isfinite(q + p):
+        raise SolverError(f"RK4 diverged: dt * omega_q = "
+                          f"{dt * omega_q(intensity, lam):.3g} is too long a step "
+                          "for this orbit", residual=None)
     return q_arr, p_arr
 
 

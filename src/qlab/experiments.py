@@ -436,7 +436,8 @@ def _run_thermo_table(p: dict) -> ExperimentResult:
             else:
                 metrics["law_dev"] = abs(c[-1] / c_law - 1.0)
     summary = {"lambda": p["lambda"], "convention": p["convention"],
-               "cutoff_used": table.cutoff_used, **metrics}
+               "cutoff_used": table.cutoff_used, "terms": table.terms,
+               "tail": table.tail, **metrics}
     return ExperimentResult(rows, summary, metrics)
 
 

@@ -9,25 +9,40 @@ Two spectrum conventions coexist because the energy ordering of A A† + A†A
 is a modeling choice: "sym" uses E_n = (F(n) + F(n+1))/2 and "num" uses
 E_n = F(n).  Which one reproduces the printed small-lam Planck correction
 is decided empirically by planck_coefficient_check, not assumed.
+
+ln Z, <n> and C = beta^2 Var E all come from one pass over the spectrum,
+_moments: a closed-form cutoff, a centred variance, and past _DIRECT_CAP
+levels an Euler-Maclaurin tail.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .deformation import q_number
+import numpy as np
+
 from .errors import ParameterError, SaturationError
 
 CONVENTIONS = ("sym", "num")
 
-# Below this |lambda| the partition sums and C use their lambda = 0 closed forms.
-EPS_SWITCH = 1e-6
-
-_TAIL_REL = 1e-15
-_MAX_TERMS = 200_000
 _SINH_MAX_ARG = 709.0
 _EULER_GAMMA = 0.5772156649015329
+_TINY = sys.float_info.min
+_T_MIN, _T_MAX = 1e-300, 1e300  # keeps 1/T and the tail's energies ~1e3 T finite
+_TAIL_LOG = math.log(1e18)  # levels left out weigh < 1e-18 of level 1 (_moments)
+_BLOCK = 1 << 13  # levels per block: temporaries stay this long however long the sum
+_DIRECT_CAP = 1 << 20  # levels summed one by one before _em_tail takes over
+# Step of the tail's trapezoid rule in s = ln u.  The integrand is analytic
+# for |Im s| < pi/2, so 1/8 errs by ~1e-20 (1/4 measured 6e-14); a binary
+# step from an integer start keeps the nodes exact.
+_LN_U_STEP = 0.125
+# Gregory's end correction, sum_{k>=0} f(m+k) = int_m^inf f + sum_k
+# _GREGORY[k] f(m+k): Euler-Maclaurin with forward differences up to the 6th.
+_GREGORY = np.array([12023 / 17280, -6961 / 15120, 66109 / 120960, -33 / 70,
+                     31523 / 120960, -1247 / 15120, 275 / 24192])
 
 
 def _check_convention(convention: str) -> None:
@@ -35,10 +50,139 @@ def _check_convention(convention: str) -> None:
         raise ParameterError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
 
 
-def _level(n: int, lam: float, convention: str) -> float:
+def _check_lam(lam: float) -> float:
+    if not math.isfinite(lam):
+        raise ParameterError(f"lambda must be finite, got {lam!r}")
+    return abs(lam)  # the spectrum is even in lam
+
+
+class _Spectrum(NamedTuple):
+    """E_n = sinh(a (n + shift))/scale, a = |lam| > 0.
+
+    "num": shift 0, scale sinh a (E_n = n_q).  "sym": shift 1/2, scale
+    2 sinh(a/2) = sinh(a)/cosh(a/2), exact even where a/2 underflows
+    (E_n = (n_q + (n+1)_q)/2).  E_0 = shift, and the spacing is >= 1 and
+    grows with n.  Where a (n + shift) underflows, E_n = n + shift, as in
+    q_number.
+    """
+    a: float
+    shift: float
+    scale: float
+
+    def energy(self, n: np.ndarray) -> np.ndarray:
+        arg = self.a * (n + self.shift)
+        return np.where(arg < _TINY, n + self.shift, np.sinh(arg) / self.scale)
+
+    def index(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The inverse n(E) of energy() and its slope dn/dE."""
+        y = self.scale * e
+        linear = y < _TINY
+        n = np.where(linear, e, np.arcsinh(y) / self.a) - self.shift
+        return n, np.where(linear, 1.0, (self.scale / self.a) / np.hypot(1.0, y))
+
+
+def _spectrum(a: float, convention: str) -> _Spectrum:
     if convention == "sym":
-        return 0.5 * (q_number(n, lam) + q_number(n + 1, lam))
-    return q_number(n, lam)
+        return _Spectrum(a, 0.5, math.sinh(a) / math.cosh(0.5 * a))
+    return _Spectrum(a, 0.0, math.sinh(a))
+
+
+class _Moments(NamedTuple):
+    log_z: float
+    mean_n: float
+    heat: float    # C = beta^2 Var E
+    cutoff: int    # largest level index inside the tail bound
+    terms: int     # levels summed one by one
+    tail: str      # "closed", "direct" or "direct+em"
+
+
+def _block_moments(n: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """(sum w, mean n, mean x, sum w (x - mean x)^2) of levels weighted w;
+    all zeros where every weight underflows (a cold level 1)."""
+    total = float(np.sum(w))
+    if total == 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    p = w / total
+    mean_x = float(np.sum(p * x))
+    d = x - mean_x
+    return total, float(np.sum(p * n)), mean_x, float(np.sum(w * d * d))
+
+
+def _merge(a, b):
+    """Pool two _block_moments results (Chan, Golub & LeVeque 1983)."""
+    wa, na, xa, qa = a
+    wb, nb, xb, qb = b
+    w = wa + wb
+    share = wb / w
+    d = xb - xa
+    return w, na + (nb - na) * share, xa + d * share, qa + qb + d * d * wa * share
+
+
+def _em_tail(m: int, beta: float, spec: _Spectrum):
+    """Weighted points (n, x, w) that stand for the levels n >= m.
+
+    With u = beta (E - E_m) the integral of e^-x over n in [m, inf) is
+    e^-x_m times that of e^-u dn/du over u > 0, taken by the trapezoid
+    rule in ln u.  dn/du has its branch points at |u| = rho, |Im ln u| >=
+    pi/2, so the rule holds even where rho << 1; the nodes span
+    u in [min(rho, 1) e^-42, 45 - ln min(rho, 1)], outside which less than
+    1e-18 of the integral lies.  Gregory's correction at n = m .. m+6 turns
+    the integral into the sum.
+    """
+    e_m = float(spec.energy(np.float64(m)))
+    ln_rho = math.log(min(beta * math.hypot(e_m, 1.0 / spec.scale), 1.0))
+    u = np.exp(np.arange(math.floor(ln_rho) - 42.0, math.log(45.0 - ln_rho), _LN_U_STEP))
+    n_u, slope = spec.index(e_m + u / beta)
+    x_m = beta * (e_m - spec.shift)
+    n_g = m + np.arange(len(_GREGORY), dtype=float)
+    x_g = beta * (spec.energy(n_g) - spec.shift)
+    return (np.concatenate((n_u, n_g)), np.concatenate((x_m + u, x_g)),
+            np.concatenate((_LN_U_STEP * (u / beta) * slope * np.exp(-(x_m + u)),
+                            _GREGORY * np.exp(-x_g))))
+
+
+def _moments(beta: float, lam: float, convention: str) -> _Moments:
+    """ln Z, <n> and C = beta^2 Var E from one pass over the spectrum.
+
+    With x_n = beta (E_n - E_0), the levels from N on weigh at most
+    e^-x_N/(1 - e^-beta).  So levels 0, 1 and every level with
+    x_n < K + min(x_1, K), K = ln(1e18) - ln(1 - e^-beta), leave out less
+    than 1e-18 of w_1 = e^-x_1, which carries <n> and C when cold.  The
+    last such index is E_n inverted in closed form.  Blocks pool by the
+    Chan-Golub-LeVeque update, so C is a centred variance.  lam = 0 has
+    closed forms.
+    """
+    a = _check_lam(lam)
+    if a == 0.0:
+        em = -math.expm1(-beta)
+        log_z = -math.log(em) - (0.5 * beta if convention == "sym" else 0.0)
+        heat = (beta * math.exp(-0.5 * beta) / em) ** 2
+        return _Moments(log_z, bose_einstein(beta), heat, 0, 0, "closed")
+    spec = _spectrum(a, convention) if a <= _SINH_MAX_ARG else None
+    if spec is not None:
+        k = _TAIL_LOG - math.log(-math.expm1(-beta))
+        x_1 = beta * float(spec.energy(np.float64(1.0)) - spec.shift)
+        with np.errstate(over="ignore"):  # an infinite cutoff is caught below
+            n_cut, _ = spec.index(np.float64(spec.shift + (k + min(x_1, k)) / beta))
+        n_end = max(2, math.ceil(n_cut)) if math.isfinite(n_cut) else math.inf
+    if spec is None or not a * (n_end - 1 + spec.shift) <= _SINH_MAX_ARG:
+        raise SaturationError(f"the levels up to the cutoff overflow the double "
+                              f"range at lambda = {lam!r}, T = {1.0 / beta!r}",
+                              largest_safe_n=int(_SINH_MAX_ARG / a) - 1)
+    direct = min(n_end, _DIRECT_CAP)
+    excited = None  # levels >= 1: ln Z = ln(1 + their weight), to full precision
+    for start in range(1, direct, _BLOCK):
+        n = np.arange(start, min(start + _BLOCK, direct), dtype=float)
+        x = beta * (spec.energy(n) - spec.shift)
+        block = _block_moments(n, x, np.exp(-x))
+        excited = block if excited is None else _merge(excited, block)
+    tail = "direct"
+    if direct < n_end:
+        excited = _merge(excited, _block_moments(*_em_tail(direct, beta, spec)))
+        tail = "direct+em"
+    total, mean_n, _, m2 = _merge((1.0, 0.0, 0.0, 0.0), excited)
+    return _Moments(math.log1p(excited[0]) - beta * spec.shift, mean_n, m2 / total,
+                    n_end - 1, direct, tail)
 
 
 def energy_levels(n_max: int, lam: float, convention: str = "sym",
@@ -49,112 +193,49 @@ def energy_levels(n_max: int, lam: float, convention: str = "sym",
     overflows the double range of sinh.
     """
     _check_convention(convention)
+    a = _check_lam(lam)
     if n_max < 1:
         raise ParameterError("n_max must be >= 1")
-    if abs(lam) >= EPS_SWITCH and (n_max + 1) * abs(lam) > _SINH_MAX_ARG:
-        raise SaturationError(
-            "energy levels overflow double range",
-            largest_safe_n=int(_SINH_MAX_ARG / abs(lam)) - 1)
-    return [hbar_omega * _level(n, lam, convention) for n in range(n_max + 1)]
+    if a != 0.0 and (n_max + 1) * a > _SINH_MAX_ARG:
+        raise SaturationError("energy levels overflow double range",
+                              largest_safe_n=int(_SINH_MAX_ARG / a) - 1)
+    n = np.arange(n_max + 1, dtype=float)
+    if a == 0.0:
+        return (hbar_omega * (n + 0.5 if convention == "sym" else n)).tolist()
+    return (hbar_omega * _spectrum(a, convention).energy(n)).tolist()
 
 
-def _sum_states(beta: float, lam: float, convention: str):
-    """(Z_shifted, sum n w_n, cutoff, E_0) with the adaptive tail rule.
+def _check_temperature(t: float) -> None:
+    if not _T_MIN <= t <= _T_MAX:  # rejects nan too
+        raise ParameterError(f"temperature must lie in [{_T_MIN:g}, {_T_MAX:g}], "
+                             f"got {t!r}")
 
-    Weights are taken relative to the ground state, w_n = exp(-beta (E_n -
-    E_0)), so the leading term is exactly 1 and the sum never underflows;
-    Z = exp(-beta E_0) * Z_shifted.  Terms decrease from n = 0 because E_n
-    is strictly increasing; the loop stops once the geometric continuation
-    of the last term, w_n/(1 - w_n/w_{n-1}), falls below 1e-15 * Z.
-    """
-    e0 = _level(0, lam, convention)
-    z = 0.0
-    s = 0.0
-    w_prev = None
-    n = 0
-    while n < _MAX_TERMS:
-        w = math.exp(-beta * (_level(n, lam, convention) - e0))
-        z += w
-        s += n * w
-        if w == 0.0:
-            break
-        if w_prev is not None and w < w_prev:
-            ratio = w / w_prev
-            if w / (1.0 - ratio) < _TAIL_REL * z:
-                break
-        w_prev = w
-        n += 1
-    else:
-        raise SaturationError("partition sum did not terminate", largest_safe_n=_MAX_TERMS)
-    return z, s, n, e0
+
+def _read(t: float, lam: float, convention: str) -> _Moments:
+    _check_convention(convention)
+    _check_temperature(t)
+    return _moments(1.0 / t, lam, convention)
 
 
 def partition_function(t: float, lam: float, convention: str = "sym") -> tuple[float, int]:
-    """(Z, cutoff_used).  For lam = 0 the geometric closed form is used."""
-    _check_convention(convention)
-    if t <= 0:
-        raise ParameterError("temperature must be positive")
-    beta = 1.0 / t
-    if abs(lam) < EPS_SWITCH:
-        z = 1.0 / -math.expm1(-beta)
-        if convention == "sym":
-            z *= math.exp(-0.5 * beta)
-        return z, 0
-    z, _, cutoff, e0 = _sum_states(beta, lam, convention)
-    return math.exp(-beta * e0) * z, cutoff
+    """(Z, cutoff_used), cutoff_used = 0 for the lam = 0 closed form."""
+    m = _read(t, lam, convention)
+    return math.exp(m.log_z), m.cutoff
 
 
 def log_partition(t: float, lam: float, convention: str = "sym") -> float:
-    """ln Z; the lam = 0 closed form is expm1-based to survive beta -> 0."""
-    _check_convention(convention)
-    if t <= 0:
-        raise ParameterError("temperature must be positive")
-    beta = 1.0 / t
-    if abs(lam) < EPS_SWITCH:
-        base = -math.log(-math.expm1(-beta))
-        return base - 0.5 * beta if convention == "sym" else base
-    z, _, _, e0 = _sum_states(beta, lam, convention)
-    return math.log(z) - beta * e0
+    """ln Z, finite for every T in range."""
+    return _read(t, lam, convention).log_z
 
 
 def mean_occupation(t: float, lam: float, convention: str = "sym") -> float:
-    """<n> = sum n e^{-beta E_n} / Z with the same adaptive cutoff."""
-    _check_convention(convention)
-    if t <= 0:
-        raise ParameterError("temperature must be positive")
-    beta = 1.0 / t
-    if abs(lam) < EPS_SWITCH:
-        return 1.0 / math.expm1(beta)  # both conventions: the shift cancels
-    z, s, _, _ = _sum_states(beta, lam, convention)
-    return s / z
+    """<n> = sum n e^{-beta E_n} / Z."""
+    return _read(t, lam, convention).mean_n
 
 
 def specific_heat(t: float, lam: float, convention: str = "sym") -> float:
-    """C = beta^2 d^2(ln Z)/d beta^2 by central differences.
-
-    Relative step 1e-4 in beta with one Richardson extrapolation, per the
-    calibration all tolerance claims are made against.  At lam = 0 the
-    difference quotient would only deliver ~1e-8 (roundoff divided by the
-    squared step), so the undeformed closed form is returned instead, the
-    same way the partition sums switch to closed forms there.
-    """
-    _check_convention(convention)
-    if t <= 0:
-        raise ParameterError("temperature must be positive")
-    beta = 1.0 / t
-    if abs(lam) < EPS_SWITCH:
-        em = -math.expm1(-beta)  # C = x^2 e^x / (e^x - 1)^2, overflow-free
-        return beta * beta * math.exp(-beta) / (em * em)
-
-    def second_diff(rel: float) -> float:
-        up = log_partition(1.0 / (beta * (1.0 + rel)), lam, convention)
-        mid = log_partition(t, lam, convention)
-        dn = log_partition(1.0 / (beta * (1.0 - rel)), lam, convention)
-        return (up - 2.0 * mid + dn) / (rel * rel)
-
-    coarse = second_diff(1e-4)
-    fine = second_diff(5e-5)
-    return (4.0 * fine - coarse) / 3.0
+    """C = beta^2 Var E = beta^2 d^2 ln Z/d beta^2, as a centred variance."""
+    return _read(t, lam, convention).heat
 
 
 def _log_sinh(x: float) -> float:
@@ -181,12 +262,11 @@ def specific_heat_law(t: float, lam: float, convention: str = "sym") -> float:
     L > 1 (C_law > 0), and lam = 0 has no such law.
     """
     _check_convention(convention)
-    if t <= 0:
-        raise ParameterError("temperature must be positive")
-    if lam == 0:
+    _check_temperature(t)
+    a = _check_lam(lam)
+    if a == 0:
         raise ParameterError("the 1/ln T law needs lam != 0; "
                              "the undeformed C tends to 1")
-    a = abs(lam)
     if convention == "sym":
         big_l = math.log(4.0 * t) + _log_sinh(0.5 * a) - _EULER_GAMMA
     else:
@@ -206,7 +286,9 @@ class ThermoTable:
     mean_n: list[float]
     c: list[float]
     planck_approx: list[float]
-    cutoff_used: int
+    cutoff_used: int  # the largest over the grid
+    terms: int        # levels summed one by one, over the grid
+    tail: str         # how the row with the largest cutoff was summed
 
 
 def thermo_table(temperatures, lam: float, convention: str = "sym") -> ThermoTable:
@@ -215,38 +297,40 @@ def thermo_table(temperatures, lam: float, convention: str = "sym") -> ThermoTab
     temps = [float(t) for t in temperatures]
     if not temps:
         raise ParameterError("temperature grid is empty")
-    rows = [(*partition_function(t, lam, convention),
-             mean_occupation(t, lam, convention),
-             specific_heat(t, lam, convention),
-             deformed_planck_approx(t, lam)) for t in temps]
-    z, cutoffs, mean_n, c, planck = (list(col) for col in zip(*rows))
-    return ThermoTable(lam, convention, temps, z, mean_n, c, planck, max(cutoffs))
+    rows = [_read(t, lam, convention) for t in temps]
+    hottest = max(rows, key=lambda m: m.cutoff)
+    return ThermoTable(lam, convention, temps, [math.exp(m.log_z) for m in rows],
+                       [m.mean_n for m in rows], [m.heat for m in rows],
+                       [deformed_planck_approx(t, lam) for t in temps],
+                       hottest.cutoff, sum(m.terms for m in rows), hottest.tail)
 
 
 def bose_einstein(x: float) -> float:
-    """1/(e^x - 1), expm1-stable."""
+    """1/(e^x - 1), as e^-x/(1 - e^-x) so that no x overflows."""
     if x <= 0:
         raise ParameterError("x must be positive")
-    return 1.0 / math.expm1(x)
+    return math.exp(-x) / -math.expm1(-x)
 
 
 def planck_correction_coefficient(x: float) -> float:
     """The printed lam^2 coefficient -x (e^{3x} + 4 e^{2x} + e^x)/(e^x - 1)^4.
 
     Evaluated in the algebraically identical overflow-free form
-    -x (e^{-x} + 4 e^{-2x} + e^{-3x})/(1 - e^{-x})^4.
+    -x (e^{-x} + 4 e^{-2x} + e^{-3x})/(1 - e^{-x})^4, dividing by 1 - e^{-x}
+    one factor at a time so that a tiny x gives ~ -6/x^3 (or -inf), not a
+    zero division.
     """
     if x <= 0:
         raise ParameterError("x must be positive")
     em = math.exp(-x)
-    denom = (-math.expm1(-x)) ** 4
-    return -x * (em + 4.0 * em * em + em * em * em) / denom
+    d = -math.expm1(-x)
+    return -x / d * (em + 4.0 * em * em + em * em * em) / d / d / d
 
 
 def deformed_planck_approx(t: float, lam: float, hbar_omega: float = 1.0) -> float:
     """Small-lam occupation 1/(e^x - 1) + lam^2 * correction, x = hbar_omega/T."""
-    if t <= 0:
-        raise ParameterError("temperature must be positive")
+    _check_temperature(t)
+    _check_lam(lam)
     x = hbar_omega / t
     return bose_einstein(x) + lam * lam * planck_correction_coefficient(x)
 

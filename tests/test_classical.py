@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from qlab import classical
 from qlab.deformation import q_number
-from qlab.errors import ParameterError, SolverError
+from qlab.errors import ParameterError, SaturationError, SolverError
 
 OMEGA_Q_1_LAM1 = 1.3130352854993313           # cosh(1)/sinh(1)
 MOMENTUM_Q1_QD1_LAM01 = 0.9967124970491392    # root of p cosh(...) = sinh(.1)/.1
@@ -79,6 +79,21 @@ def test_omega_q_frozen_value():
     assert classical.omega_q(0.7, 0.0) == 1.0
     with pytest.raises(ParameterError):
         classical.omega_q(-0.1, 1.0)
+
+
+@pytest.mark.parametrize("lam", [2.0, -2.0])
+def test_omega_q_saturates_where_cosh_overflows(lam):
+    assert math.isfinite(classical.omega_q(354.5, lam))  # |lam| I = 709
+    with pytest.raises(SaturationError) as exc_info:
+        classical.omega_q(355.0, lam)
+    assert exc_info.value.largest_safe_n == 354
+
+
+def test_rk4_checks_the_conserved_intensity_with_a_margin():
+    """The stages overshoot I, so RK4 stops at |lam| I = 709/2."""
+    with pytest.raises(SaturationError) as exc_info:
+        classical.integrate_eom(classical.ClassicalState(19.0, 0.0, 2.0), 1e-3, 1e-4)
+    assert exc_info.value.largest_safe_n == 177  # I = 180.5 > 709/4
 
 
 def test_momentum_frozen_value():

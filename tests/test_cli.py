@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from thermo_oracle import oracle
 
 from qlab import cli, deformation, experiments
 from qlab.errors import SaturationError, SolverError
@@ -115,6 +116,29 @@ def test_saturation_error_carries_largest_safe_n(capsys):
     code, _, _ = run(capsys, ["thermo", "levels", "--lambda", "1.0",
                               "--n-max", "708"])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, safe", [
+    (["classical", "simulate", "--lambda", "1", "--q0", "40", "--p0", "0", "--t-end", "1"], 354),
+    (["level", "simulate", "--lambda", "1", "--re", "30", "--t-end", "1"], 354),
+    (["wave", "simulate", "--lambda", "1", "--t-end", "1", "--amplitude", "60", "--n", "16"], 709),
+])
+def test_overflowing_flow_saturates(capsys, argv, safe):
+    """|lambda| I past 709 (past 709/2 for RK4, whose stages overshoot I)
+    is one SaturationError line, not an OverflowError traceback."""
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    payload = json.loads(err)
+    assert payload["error"] == "SaturationError"
+    assert payload["largest_safe_n"] == safe
+
+
+def test_diverging_rk4_is_a_solver_error(capsys):
+    """dt = 1e-3 against omega_q(12.5, 1) = 1.1e5: RK4 is unstable."""
+    code, _, err = run(capsys, ["classical", "simulate", "--lambda", "1", "--q0", "5",
+                                "--p0", "0", "--t-end", "1"])
+    assert code == 3
+    assert json.loads(err)["error"] == "SolverError"
 
 
 def test_solver_error_carries_residual(capsys, monkeypatch):
@@ -332,6 +356,28 @@ def test_run_experiment_rejects_unknown_params():
         experiments.run_experiment("thermo blueshift",
                                    {"lambda": 0.1, "n": 1.0, "bogus": 2.0})
     assert "bogus" in str(exc_info.value)
+
+
+def test_thermo_table_sums_a_long_spectrum(capsys):
+    """lambda = 1e-5 up to T = 1e6 needs 1.4e6 levels: the JSON summary says
+    how they were summed, and the rows match the mpmath oracle."""
+    argv = ["thermo", "table", "--lambda", "1e-5", "--t-min", "1e4", "--t-max", "1e6",
+            "--points", "3"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    for t, z, mean_n, c, _ in ([float(v) for v in row] for row in rows):
+        log_z, want_n, want_c = oracle(t, 1e-5, "sym")
+        assert abs(math.log(z) / log_z - 1.0) <= 1e-12
+        assert abs(mean_n / want_n - 1.0) <= 1e-12
+        assert abs(c / want_c - 1.0) <= 1e-12
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    summary = json.loads(out)
+    assert code == 0 and summary["tail"] == "direct"
+    assert summary["cutoff_used"] == 700781 and summary["terms"] == 1399582
+    closed = experiments.run_experiment(
+        "thermo table", {"lambda": 0.0, "t_min": 1.0, "t_max": 2.0, "points": 2})
+    assert (closed.summary["terms"], closed.summary["tail"]) == (0, "closed")
 
 
 def test_thermo_table_reports_law_dev_only_where_the_law_applies():

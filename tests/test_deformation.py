@@ -58,8 +58,8 @@ def test_q_number_even_in_lambda():
 
 
 def test_q_number_series_matches_sinh_across_switch():
-    """Just below and above |lambda| = 1e-6 (thermo's closed-form switch),
-    q_number is continuous and matches the sinh ratio for n*lambda up to 700."""
+    """Just below and above |lambda| = 1e-6, q_number is continuous and
+    matches the sinh ratio for n*lambda up to 700."""
     n = 5.0
     below = q_number(n, 9.9e-7)
     above = q_number(n, 1.01e-6)

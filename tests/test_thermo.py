@@ -1,5 +1,5 @@
-"""Deformed-oscillator thermodynamics: spectra, partition sums with
-adaptive cutoff, specific heat, the occupation formula and its printed
+"""Deformed-oscillator thermodynamics: spectra, partition sums with a
+closed-form cutoff, specific heat, the occupation formula and its printed
 small-lambda correction, convention identification, and the amplitude
 blue shift.
 
@@ -207,6 +207,17 @@ def test_planck_correction_large_x_stable():
     x = 30.0
     assert_allclose(thermo.planck_correction_coefficient(x),
                     -x * math.exp(-x), rtol=1e-10)
+
+
+def test_planck_correction_small_x_stable():
+    """At x -> 0 the coefficient runs like -6/x^3 up to -inf instead of
+    dividing by an underflowed (1 - e^-x)^4, so a table at T = 1e300 works."""
+    assert_allclose(thermo.planck_correction_coefficient(1e-100), -6e300, rtol=1e-12)
+    assert thermo.planck_correction_coefficient(1e-200) == -math.inf
+    table = thermo.thermo_table([1e100, 1e300], 0.1)
+    assert_allclose(table.planck_approx[0], 1e100 - 6e298, rtol=1e-12)
+    assert table.planck_approx[1] == -math.inf
+    assert all(math.isfinite(c) for c in table.c)
 
 
 def test_deformed_planck_approx():
