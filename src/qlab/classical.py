@@ -296,8 +296,14 @@ def integrate_eom(state0: ClassicalState, t_end: float, dt: float = 1e-3) -> Tra
 
     intensity = 0.5 * (q_arr * q_arr + p_arr * p_arr)
     alpha_sq_drift = float(np.max(np.abs(intensity - intensity[0])))
-    # hamiltonian_q over the samples: sinh(lam I)/sinh(lam), and I at lam = 0
-    hq = intensity if lam == 0 else np.sinh(lam * intensity) / math.sinh(lam)
+    # hamiltonian_q over the samples: sinh(lam I)/sinh(lam), I at lam = 0, and
+    # q_number's overflow-free form one sample at a time where sinh(lam) overflows
+    if lam == 0:
+        hq = intensity
+    elif abs(lam) > _SINH_MAX_ARG:
+        hq = np.array([q_number(i, lam) for i in intensity.tolist()])
+    else:
+        hq = np.sinh(lam * intensity) / math.sinh(lam)
     hq_drift = float(np.max(np.abs(hq - hq[0])))
     q_exact = _SQRT2 * exact_alpha(state0.alpha, lam, t_arr).real
     max_exact_dev = float(np.max(np.abs(q_arr - q_exact)))

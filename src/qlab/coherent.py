@@ -17,7 +17,7 @@ import numpy as np
 
 from . import deformation as dfm
 from .errors import CutoffError, ParameterError, SolverError
-from .fock import FockState, deformed_annihilation
+from .fock import FockState, _ladder
 
 # Last-level probability below which the truncated tail is negligible for
 # every residual this module promises (an eigenvalue residual scales like
@@ -118,8 +118,9 @@ def eigenvalue_residual(state: FCoherentState, dim: int | None = None) -> float:
         raise ParameterError("dim must be >= cutoff + 2")
     amps = np.zeros(dim, dtype=complex)
     amps[:state.coeffs.shape[0]] = state.coeffs
-    a = deformed_annihilation(dim, state.spec).entries
-    return float(np.linalg.norm(a @ amps - state.alpha * amps))
+    a_amps = np.zeros(dim, dtype=complex)
+    a_amps[:-1] = _ladder(dim, state.spec) * amps[1:]   # (A v)_n = s_n v_{n+1}
+    return float(np.linalg.norm(a_amps - state.alpha * amps))
 
 
 def as_fock_state(state: FCoherentState, dim: int | None = None) -> FockState:

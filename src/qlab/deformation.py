@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParameterError, SaturationError
 
@@ -30,12 +30,16 @@ class DeformationSpec:
     deformation (f == 1), or a user-supplied table of f(n) values.
 
     Use the module-level constructors :func:`q_deform`, :func:`identity` and
-    :func:`custom` rather than instantiating directly.
+    :func:`custom` rather than instantiating directly.  A custom spec also
+    carries ``nodes``, its table of F(n) = n f(n)^2, which big_f_inverse
+    bisects.
     """
 
     kind: str
     lam: float = 0.0
     table: tuple[float, ...] | None = None
+    nodes: tuple[float, ...] | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if self.kind not in (_Q, _IDENTITY, _CUSTOM):
@@ -47,9 +51,10 @@ class DeformationSpec:
                 raise ParameterError("custom deformation needs a nonempty f table")
             if any(not math.isfinite(v) or v <= 0.0 for v in self.table):
                 raise ParameterError("custom f table must be strictly positive and finite")
-            big = [n * v * v for n, v in enumerate(self.table)]
+            big = tuple(n * v * v for n, v in enumerate(self.table))
             if any(b >= a for a, b in zip(big[1:], big)):
                 raise ParameterError("custom f table gives a non-increasing F(n); not invertible")
+            object.__setattr__(self, "nodes", big)
 
 def q_deform(lam: float) -> DeformationSpec:
     return DeformationSpec(_Q, lam=float(lam))
@@ -69,20 +74,36 @@ def q_number(n: float, lam: float) -> float:
     Accepts nonnegative real ``n`` (continuous extension).  The plain ratio
     is accurate for every lam down to the subnormals, since sinh keeps its
     relative accuracy there; only where n*lam underflows the normal range
-    (lam = 0 included) is the limit n returned.  Even in lam.
+    (lam = 0 included) is the limit n returned.  Past |lam| = _SINH_MAX_ARG,
+    where sinh(lam) overflows and only n < 1 stays finite, it is the same
+    ratio written as e^{(n-1)|lam|} (1 - e^{-2n|lam|}) / (1 - e^{-2|lam|}).
+    Even in lam.
     """
     if n < 0:
         raise ParameterError("q_number requires n >= 0")
-    x = n * abs(lam)
+    a = abs(lam)
+    x = n * a
     if x < sys.float_info.min:
         return float(n)
     if x > _SINH_MAX_ARG:
         return math.inf
+    if a > _SINH_MAX_ARG:
+        return math.exp(x - a) * math.expm1(-2.0 * x) / math.expm1(-2.0 * a)
     return math.sinh(n * lam) / math.sinh(lam)
 
 
 def lambda_over_sinh(lam: float) -> float:
-    """lam/sinh(lam), and its limit 1 at lam = 0."""
+    """lam/sinh(lam), and its limit 1 at lam = 0.
+
+    Past |lam| = _SINH_MAX_ARG, where sinh overflows, it is the same value
+    written as 2|lam| e^{-|lam|} / (1 - e^{-2|lam|}); the denominator rounds
+    to 1 there, and e^{-|lam|} is taken as two halves so that only the
+    final product can leave the normal range.
+    """
+    a = abs(lam)
+    if a > _SINH_MAX_ARG:
+        half = math.exp(-0.5 * a)
+        return (a * half) * (2.0 * half)
     return 1.0 if lam == 0 else lam / math.sinh(lam)
 
 
@@ -142,7 +163,7 @@ def big_f_inverse(x: float, spec: DeformationSpec) -> float:
     if spec.kind == _IDENTITY:
         return float(x)
     if spec.kind == _CUSTOM:
-        nodes = [n * v * v for n, v in enumerate(spec.table)]
+        nodes = spec.nodes
         if x > nodes[-1]:
             raise ParameterError(
                 f"x = {x} above the custom table range (F max = {nodes[-1]})")

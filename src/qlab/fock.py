@@ -5,6 +5,10 @@ residual checks for the deformed commutation and reordering relations, the
 linearoid reconstruction a = A / f(F^{-1}(N)), alternative Hamiltonians,
 and quadrature uncertainty products.
 
+The checks are banded.  A = a f(N) has one superdiagonal, s_n = sqrt(F(n+1)),
+so A A† = diag(s^2, 0), A† A = diag(0, s^2), and A shifts a vector by one
+place: each check is O(dim).  Only spectrum_check is dense (eigvalsh of A† A).
+
 Identities that hold in infinite dimension necessarily fail at the
 truncation edge, so every check excludes the last basis state (the
 FockMatrix ``truncated`` marker records this contract).  All residuals are
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import deformation as dfm
-from .errors import ParameterError
+from .errors import ParameterError, SaturationError, SolverError
 
 
 @dataclass(frozen=True)
@@ -69,27 +73,29 @@ def _check_dim(dim: int, minimum: int = 2) -> None:
         raise ParameterError(f"dimension must be >= {minimum}, got {dim}")
 
 
+def _ladder(dim: int, spec: dfm.DeformationSpec, minimum: int = 2) -> np.ndarray:
+    """The superdiagonal of A: s_n = sqrt(F(n+1)) for n = 0..dim-2."""
+    _check_dim(dim, minimum)
+    s = np.empty(dim - 1)
+    for n in range(dim - 1):
+        val = dfm.big_f(n + 1, spec)
+        if not math.isfinite(val):
+            raise SaturationError(f"F({n + 1}) overflows double range; reduce dim or |lam|",
+                                  largest_safe_n=n)
+        s[n] = math.sqrt(val)
+    return s
+
+
 def annihilation(dim: int) -> FockMatrix:
     """Standard ladder matrix: entry (n, n+1) = sqrt(n+1)."""
-    _check_dim(dim)
-    m = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(dim - 1)
-    m[n, n + 1] = np.sqrt(n + 1.0)
-    return FockMatrix(dim, m)
+    return deformed_annihilation(dim, dfm.identity())
 
 
 def deformed_annihilation(dim: int, spec: dfm.DeformationSpec) -> FockMatrix:
     """Deformed ladder matrix A = a f(n): entry (n, n+1) = sqrt(F(n+1))."""
-    _check_dim(dim)
-    if spec.kind == "identity":
-        return annihilation(dim)
+    s = _ladder(dim, spec)
     m = np.zeros((dim, dim), dtype=complex)
-    for n in range(dim - 1):
-        val = dfm.big_f(n + 1, spec)
-        if not math.isfinite(val):
-            raise ParameterError(
-                f"F({n + 1}) overflows double range; reduce dim or |lam|")
-        m[n, n + 1] = math.sqrt(val)
+    m[np.arange(dim - 1), np.arange(1, dim)] = s
     return FockMatrix(dim, m)
 
 
@@ -104,6 +110,15 @@ def _scaled_max_residual(delta: np.ndarray, *terms: np.ndarray) -> float:
     return float(np.max(np.abs(delta) / scale))
 
 
+def _ordered_residual(dim: int, spec: dfm.DeformationSpec, q: float, target) -> float:
+    """Scale-relative residual of A A† - q A† A = diag(target) on the first
+    dim-1 states, where A A† = diag(s^2, 0) and A† A = diag(0, s^2)."""
+    s = _ladder(dim, spec, 3)
+    p1 = s * s
+    p2 = q * np.r_[0.0, p1[:-1]]
+    return _scaled_max_residual(p1 - p2 - target, p1, p2, target)
+
+
 def check_commutator(dim: int, spec: dfm.DeformationSpec) -> float:
     """Residual of A A† - A† A = diag(phi(n)) on the first dim-1 states.
 
@@ -111,29 +126,18 @@ def check_commutator(dim: int, spec: dfm.DeformationSpec) -> float:
     scale.  The excluded last diagonal entry is O(F(dim)) by construction —
     the structural truncation failure, not a defect.
     """
-    _check_dim(dim, 3)
-    a = deformed_annihilation(dim, spec).entries
-    ad = a.conj().T
-    p1 = a @ ad
-    p2 = ad @ a
-    target = np.diag([dfm.phi_of_z(n, spec) for n in range(dim)]).astype(complex)
-    k = dim - 1
-    return _scaled_max_residual((p1 - p2 - target)[:k, :k],
-                                p1[:k, :k], p2[:k, :k], target[:k, :k])
+    return _ordered_residual(dim, spec, 1.0,
+                             np.array([dfm.phi_of_z(n, spec) for n in range(dim - 1)]))
 
 
 def check_reordering(dim: int, lam: float) -> float:
     """Residual of A A† - e^lam A† A = diag(e^{-lam n}) on the first dim-1 states."""
-    _check_dim(dim, 3)
-    a = deformed_annihilation(dim, dfm.q_deform(lam)).entries
-    ad = a.conj().T
-    q = math.exp(lam)
-    p1 = a @ ad
-    p2 = q * (ad @ a)
-    target = np.diag(np.exp(-lam * np.arange(dim))).astype(complex)
-    k = dim - 1
-    return _scaled_max_residual((p1 - p2 - target)[:k, :k],
-                                p1[:k, :k], p2[:k, :k], target[:k, :k])
+    return _ordered_residual(dim, dfm.q_deform(lam), math.exp(lam),
+                             np.exp(-lam * np.arange(dim))[:-1])
+
+
+def _number_diagonal(s: np.ndarray) -> list[float]:
+    return [0.0] + (s * s).tolist()   # N = A† A = diag(0, s^2)
 
 
 def linearoid_roundtrip(dim: int, spec: dfm.DeformationSpec) -> float:
@@ -142,14 +146,11 @@ def linearoid_roundtrip(dim: int, spec: dfm.DeformationSpec) -> float:
     Returns the max absolute deviation from annihilation(dim) over the first
     dim-1 states (entries are O(sqrt(dim)), so absolute is meaningful here).
     """
-    _check_dim(dim)
-    a_mat = deformed_annihilation(dim, spec).entries
-    n_op = a_mat.conj().T @ a_mat
-    inv_f = np.array([1.0 / dfm.f_of_n(dfm.big_f_inverse(max(n_op[j, j].real, 0.0), spec), spec)
-                      for j in range(dim)])
-    recon = a_mat @ np.diag(inv_f)
-    k = dim - 1
-    return float(np.max(np.abs(recon - annihilation(dim).entries)[:k, :k]))
+    s = _ladder(dim, spec)
+    inv_f = np.array([1.0 / dfm.f_of_n(dfm.big_f_inverse(x, spec), spec)
+                      for x in _number_diagonal(s)])
+    recon = s * inv_f[1:]   # the superdiagonal of A diag(inv_f)
+    return float(np.max(np.abs(recon - np.sqrt(np.arange(1.0, dim)))[:-1], initial=0.0))
 
 
 def hamiltonian(dim: int, spec: dfm.DeformationSpec | None = None) -> FockMatrix:
@@ -160,11 +161,8 @@ def hamiltonian(dim: int, spec: dfm.DeformationSpec | None = None) -> FockMatrix
     A†A (which is diagonal in this basis); no general matrix functions.
     """
     _check_dim(dim)
-    if spec is None:
-        return FockMatrix(dim, np.diag(np.arange(dim) + 0.5).astype(complex))
-    a_mat = deformed_annihilation(dim, spec).entries
-    n_op = a_mat.conj().T @ a_mat
-    diag = [dfm.big_f_inverse(max(n_op[j, j].real, 0.0), spec) + 0.5 for j in range(dim)]
+    diag = (np.arange(dim) + 0.5 if spec is None else
+            [dfm.big_f_inverse(x, spec) + 0.5 for x in _number_diagonal(_ladder(dim, spec))])
     return FockMatrix(dim, np.diag(diag).astype(complex))
 
 
@@ -174,14 +172,10 @@ def heisenberg_residual(dim: int, spec: dfm.DeformationSpec) -> float:
     Vanishes for every deformation — the linearoid preserves the linear
     Heisenberg equation of motion.  Scale-relative, like the other checks.
     """
-    _check_dim(dim, 3)
-    a = deformed_annihilation(dim, spec).entries
-    h = hamiltonian(dim).entries
-    p1 = a @ h
-    p2 = h @ a
-    k = dim - 1
-    return _scaled_max_residual((p1 - p2 - a)[:k, :k],
-                                p1[:k, :k], p2[:k, :k], a[:k, :k])
+    s = _ladder(dim, spec, 3)[:-1]
+    p1 = s * np.arange(1.5, dim - 1)   # (A H)_{n,n+1} = s_n (n + 3/2)
+    p2 = np.arange(0.5, dim - 2) * s   # (H A)_{n,n+1} = (n + 1/2) s_n
+    return _scaled_max_residual(p1 - p2 - s, p1, p2, s)
 
 
 def evolution_residual(dim: int, spec: dfm.DeformationSpec, t: float) -> float:
@@ -190,18 +184,24 @@ def evolution_residual(dim: int, spec: dfm.DeformationSpec, t: float) -> float:
     The rotating-frame statement of the same deformation-independent
     dynamics; diagonal H, so the conjugation is exact phase multiplication.
     """
-    _check_dim(dim)
-    a = deformed_annihilation(dim, spec).entries
+    s = _ladder(dim, spec)
     phases = np.exp(1j * (np.arange(dim) + 0.5) * t)
-    rotated = phases[:, None] * a * phases.conj()[None, :]
-    return float(np.max(np.abs(rotated - np.exp(-1j * t) * a)))
+    rotated = phases[:-1] * s * phases[1:].conj()
+    return float(np.max(np.abs(rotated - np.exp(-1j * t) * s)))
 
 
 def spectrum_check(dim: int, spec: dfm.DeformationSpec) -> float:
-    """Max scale-relative deviation of eig(A†A) from {F(n), n = 0..dim-1}."""
-    _check_dim(dim)
-    a = deformed_annihilation(dim, spec).entries
-    eigs = np.linalg.eigvalsh(a.conj().T @ a)
+    """Max scale-relative deviation of eig(A†A) from {F(n), n = 0..dim-1}.
+
+    The one dense check: eigvalsh of the real matrix diag(0, s^2).  A dim
+    too large to allocate it raises SolverError.
+    """
+    s = _ladder(dim, spec)
+    try:
+        eigs = np.linalg.eigvalsh(np.diag(_number_diagonal(s)))
+    except MemoryError:   # bytes: the matrix and the solver's copy of it
+        raise SolverError(f"spectrum_check at dim {dim} needs {16 * dim * dim} bytes "
+                          "for its dense eigen-solve") from None
     target = np.array(sorted(dfm.big_f(n, spec) for n in range(dim)))
     return float(np.max(np.abs(eigs - target) / np.maximum(1.0, target)))
 
@@ -225,16 +225,15 @@ def quadrature_uncertainty(state: FockState, spec: dfm.DeformationSpec) -> Quadr
     if np.max(np.abs(state.amplitudes[-2:])) >= 1e-8:
         raise ParameterError("state has support at the truncation edge; "
                              "increase dim (amplitudes of top two levels must be < 1e-8)")
-    a = deformed_annihilation(state.dim, spec).entries
-    q_op = (a + a.conj().T) / math.sqrt(2.0)
-    p_op = (a - a.conj().T) / (1j * math.sqrt(2.0))
+    s = _ladder(state.dim, spec).astype(complex)
     v = state.amplitudes
 
-    def _var(op):
-        mean = np.vdot(v, op @ v).real
-        mean_sq = np.vdot(v, op @ (op @ v)).real
-        return mean_sq - mean * mean
+    def _sd(up, down):   # of the operator with superdiagonal up, subdiagonal down
+        def apply(x):
+            return np.r_[up * x[1:], 0.0] + np.r_[0.0, down * x[:-1]]
+        mean = np.vdot(v, apply(v)).real
+        return math.sqrt(max(np.vdot(v, apply(apply(v))).real - mean * mean, 0.0))
 
-    dq = math.sqrt(max(_var(q_op), 0.0))
-    dp = math.sqrt(max(_var(p_op), 0.0))
+    q_band, p_band = s / math.sqrt(2.0), s / (1j * math.sqrt(2.0))
+    dq, dp = _sd(q_band, q_band), _sd(p_band, -p_band)
     return QuadratureResult(dq, dp, dq * dp)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from thermo_oracle import oracle
 
-from qlab import cli, deformation, experiments
+from qlab import cli, deformation, experiments, fock
 from qlab.errors import SaturationError, SolverError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -131,6 +131,42 @@ def test_overflowing_flow_saturates(capsys, argv, safe):
     payload = json.loads(err)
     assert payload["error"] == "SaturationError"
     assert payload["largest_safe_n"] == safe
+
+
+def test_overflowing_ladder_saturates(capsys):
+    """F(237) = sinh(711)/sinh(3) is past the double range."""
+    code, out, err = run(capsys, ["operators", "check", "--lambda", "3", "--dim", "300"])
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "SaturationError"
+    assert payload["largest_safe_n"] == 236
+
+
+def test_dense_spectrum_allocation_failure_exits_three(capsys, monkeypatch):
+    """At dim 1e5 the banded checks run and the dense eigen-solve cannot be
+    allocated; the allocation is made to fail here rather than attempted."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(fock.np, "diag", no_memory)
+    code, out, err = run(capsys, ["operators", "check", "--lambda", "0.005",
+                                  "--dim", "100000"])
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "SolverError"
+    assert "dim 100000" in payload["message"]
+    assert "160000000000 bytes" in payload["message"]
+
+
+def test_flow_past_sinh_overflow_of_lambda(capsys):
+    """lam/sinh(lam) at lambda = 800 is 0 in double: the orbit stands still."""
+    code, out, err = run(capsys, ["classical", "simulate", "--lambda", "800", "--q0", "0.1",
+                                  "--p0", "0", "--t-end", "1"])
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert rows[-1].split(",")[:3] == ["1", "0.1", "0"]
 
 
 def test_diverging_rk4_is_a_solver_error(capsys):

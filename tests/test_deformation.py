@@ -177,6 +177,37 @@ def test_lambda_over_sinh():
     assert lambda_over_sinh(0.0) == 1.0
 
 
+# |lambda| on both sides of the sinh overflow (710.48) and of the switch
+# at 709, up to where lam/sinh(lam) underflows to 0.
+WIDE_LAMBDAS = (0.0, 5e-324, 1e-9, 0.5, 3.0, 40.0, 300.0, 700.0, 708.9, 709.0,
+                709.1, 710.0, 710.5, 720.0, 744.0, 745.5, 760.0, 800.0)
+# a few units of the subnormal spacing 2**-1074
+SUBNORMAL_ATOL = 2.0 ** -1070
+
+
+@pytest.mark.parametrize("lam", WIDE_LAMBDAS)
+def test_lambda_over_sinh_matches_oracle_past_sinh_overflow(lam):
+    with mpmath.workdps(40):
+        want = 1.0 if lam == 0 else float(mpmath.mpf(lam) / mpmath.sinh(mpmath.mpf(lam)))
+    for sign in (1.0, -1.0):
+        got = lambda_over_sinh(sign * lam)
+        assert abs(got - want) <= 4 * sys.float_info.epsilon * want + SUBNORMAL_ATOL, sign
+
+
+@pytest.mark.parametrize("lam", WIDE_LAMBDAS)
+def test_small_n_q_number_matches_oracle_past_sinh_overflow(lam):
+    """n < 1 keeps n |lambda| finite where sinh(lambda) is not.  Rounding
+    n*lambda moves the exponent by up to |lambda| eps, hence the tolerance."""
+    rtol = (abs(lam) + 4.0) * sys.float_info.epsilon
+    for n in (1e-3, 0.1, 0.5, 0.9, 0.999):
+        if n * lam > 709.0:
+            continue
+        want = oracle_q_number(n, lam) if lam else n
+        for sign in (1.0, -1.0):
+            got = q_number(n, sign * lam)
+            assert abs(got - want) <= rtol * want + SUBNORMAL_ATOL, (n, sign * lam)
+
+
 def test_f_of_n_frozen_value():
     assert_allclose(f_of_n(2.0, q_deform(1.0)), F_OF_2_LAM1, rtol=1e-15)
 
@@ -313,6 +344,15 @@ def test_custom_big_f_inverse_roundtrip():
     assert all(b >= a for a, b in zip(ys, ys[1:]))
     with pytest.raises(ParameterError):
         big_f_inverse(big_f(3.0, spec) + 1.0, spec)
+
+
+def test_custom_spec_keeps_its_f_nodes_out_of_equality():
+    spec = custom([1.0, 1.1, 1.3])
+    assert spec.nodes == (0.0, 1.1 * 1.1, 2 * 1.3 * 1.3)
+    twin = custom([1.0, 1.1, 1.3])
+    assert spec == twin and hash(spec) == hash(twin)
+    assert "nodes" not in repr(spec)
+    assert q_deform(0.5).nodes is None
 
 
 def test_load_f_table_with_header_and_crlf():
