@@ -5,6 +5,10 @@ amplitude-dependent frequency, exact closed-form solutions, the implicit
 momentum-velocity relation, and RK4 integration for cross-validation.
 
 Units: omega = m = 1; alpha = (q + ip)/sqrt(2), so |alpha|^2 = (q^2+p^2)/2.
+
+numpy is imported only by the functions that build arrays (exact_alpha,
+exact_q, the RK4 integrator), so the scalar maps, the bracket and the
+implicit momentum run without it.
 """
 
 from __future__ import annotations
@@ -13,13 +17,16 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .deformation import _SINH_MAX_ARG, lambda_over_sinh, q_number
 from .errors import ParameterError, SaturationError, SolverError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _SQRT2 = math.sqrt(2.0)
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -41,11 +48,21 @@ def deform_amplitude(alpha: complex, lam: float) -> complex:
     """alpha_q = sqrt(sinh(lam |alpha|^2)/(|alpha|^2 sinh lam)) * alpha.
 
     The scale factor is sqrt(I_q / I) with I = |alpha|^2 continued to real
-    argument; alpha = 0 maps to 0 (continuous limit).
+    argument; alpha = 0 maps to 0 (continuous limit).  Raises
+    SaturationError, as omega_q does, where |lam| I passes 709 and I_q
+    overflows.  Past |lam| = _SINH_MAX_ARG, where I_q/I underflows long
+    before its square root does, the scale is taken as
+    e^{(x - |lam|)/2} sqrt(|lam| (1 - e^{-2x})/x), x = |lam| I.
     """
     intensity = abs(alpha) ** 2
     if intensity == 0.0:
         return 0j
+    _check_saturation(intensity, lam, 1.0)
+    a = abs(lam)
+    if a > _SINH_MAX_ARG:
+        x = a * intensity
+        return (math.exp(0.5 * (x - a)) * math.sqrt(a * (-math.expm1(-2.0 * x) / x))
+                * alpha)
     return math.sqrt(q_number(intensity, lam) / intensity) * alpha
 
 
@@ -80,8 +97,8 @@ def poisson_bracket_check(alpha: complex, lam: float, h: float = 1e-4) -> float:
 
     The bracket d/dq(a_q) d/dp(a_q*) - d/dp(a_q) d/dq(a_q*) is evaluated by
     central differences with step h and compared with
-    -i (lam/sinh lam) sqrt(1 + |alpha_q|^4 sinh^2 lam); returns the absolute
-    deviation.
+    -i (lam/sinh lam) sqrt(1 + |alpha_q|^4 sinh^2 lam) (_bracket_frequency);
+    returns the absolute deviation.
     """
     if not 1e-6 <= h <= 1e-3:
         raise ParameterError("finite-difference step must lie in [1e-6, 1e-3]")
@@ -94,10 +111,25 @@ def poisson_bracket_check(alpha: complex, lam: float, h: float = 1e-4) -> float:
     da_dq = (a_q(q0 + h, p0) - a_q(q0 - h, p0)) / (2.0 * h)
     da_dp = (a_q(q0, p0 + h) - a_q(q0, p0 - h)) / (2.0 * h)
     bracket = da_dq * da_dp.conjugate() - da_dp * da_dq.conjugate()
-    aq4 = abs(deform_amplitude(alpha, lam)) ** 4
-    sh = math.sinh(lam)
-    target = -1j * lambda_over_sinh(lam) * math.sqrt(1.0 + aq4 * sh * sh)
+    aq = abs(deform_amplitude(alpha, lam))
+    aq4 = aq ** 4 if aq < 1e77 else math.inf  # past 1e77, ** raises OverflowError
+    target = -1j * _bracket_frequency(lam, aq * aq, aq4)
     return abs(bracket - target)
+
+
+def _bracket_frequency(lam: float, aq2: float, aq4: float) -> float:
+    """(lam/sinh lam) sqrt(1 + aq4 sinh^2 lam) with aq4 = aq2^2 = |alpha_q|^4.
+
+    Where sinh lam or the term under the root overflows (|lam| I past about
+    355 already), it is the same value written as hypot(lam/sinh lam,
+    aq2 lam).
+    """
+    if abs(lam) <= _SINH_MAX_ARG:
+        sh = math.sinh(lam)
+        under = 1.0 + aq4 * sh * sh
+        if under < math.inf:
+            return lambda_over_sinh(lam) * math.sqrt(under)
+    return math.hypot(lambda_over_sinh(lam), aq2 * lam)
 
 
 def exact_alpha(alpha0: complex, lam: float, t) -> complex | np.ndarray:
@@ -105,6 +137,8 @@ def exact_alpha(alpha0: complex, lam: float, t) -> complex | np.ndarray:
 
     ``t`` may be a scalar or an array.
     """
+    import numpy as np
+
     omega = omega_q(abs(alpha0) ** 2, lam)
     out = alpha0 * np.exp(-1j * np.asarray(t, dtype=float) * omega)
     return complex(out) if out.ndim == 0 else out
@@ -117,8 +151,7 @@ def exact_alpha_deformed(alpha_q0: complex, lam: float, t: float) -> complex:
     with exact_alpha through the amplitude map (sqrt(1+sinh^2) = cosh).
     """
     aq2 = abs(alpha_q0) ** 2
-    sh = math.sinh(lam)
-    freq = lambda_over_sinh(lam) * math.sqrt(1.0 + aq2 * aq2 * sh * sh)
+    freq = _bracket_frequency(lam, aq2, aq2 * aq2)
     return alpha_q0 * cmath.exp(-1j * t * freq)
 
 
@@ -128,9 +161,20 @@ def _sech(x: float) -> float:
     return 1.0 / math.cosh(x) if x < _SINH_MAX_ARG else 2.0 * math.exp(-x)
 
 
+def _log_cosh(x: float) -> float:
+    """ln cosh x for x >= 0, overflow-free."""
+    return x + math.log1p(math.exp(-2.0 * x)) - _LN2
+
+
+def _log_sinh_over(a: float) -> float:
+    """ln(sinh a / a) for a > 0, overflow-free: -ln lambda_over_sinh(a)."""
+    return a + math.log(-0.5 * math.expm1(-2.0 * a) / a)
+
+
 # Bisection alone closes any bracket of doubles in fewer steps than this.
 _MAX_BISECTIONS = 2200
 _ROOT_RTOL = 4.0 * sys.float_info.epsilon
+_LN_SMALLEST = math.log(5e-324)  # below this exponent a double is 0
 
 
 def _newton_bisect(fdf, lo: float, hi: float) -> float:
@@ -180,10 +224,16 @@ def momentum_from_velocity(q: float, qdot: float, lam: float) -> float:
     [0, c sech(lam q^2/2)], and since p e^{|lam| p^2/2} <= 2c it also lies
     below max(2, sqrt(2 ln(2c)/|lam|)), which keeps the bracket short for a
     huge qdot.  The residual rises with slope >= 1 and cannot overflow; an
-    underflowing root comes back as 0.
+    underflowing root comes back as 0.  Past |lam| = _SINH_MAX_ARG, where c
+    overflows although p need not, the root is found in logs
+    (_momentum_in_logs).
     """
     if lam == 0 or qdot == 0.0:
         return float(qdot)
+    if abs(lam) > _SINH_MAX_ARG:
+        if not math.isfinite(qdot):
+            raise ParameterError(f"velocity must be finite, got {qdot}")
+        return math.copysign(_momentum_in_logs(q, abs(qdot), abs(lam)), qdot)
     c = abs(qdot) / lambda_over_sinh(lam)
     if not math.isfinite(c):
         raise ParameterError(f"velocity {qdot} too large for lambda = {lam}")
@@ -199,6 +249,28 @@ def momentum_from_velocity(q: float, qdot: float, lam: float) -> float:
     return math.copysign(_newton_bisect(fdf, 0.0, hi), qdot)
 
 
+def _momentum_in_logs(q: float, v: float, a: float) -> float:
+    """The root p >= 0 of p cosh((a/2)(q^2 + p^2)) = c, c = (sinh a / a) v,
+    as u = ln p: u + ln cosh((a/2)(q^2 + e^{2u})) - ln c rises with slope
+    >= 1.  The bracket is momentum_from_velocity's [p_lo, p_hi] in logs, with
+    p_lo = c sech((a/2)(q^2 + p_hi^2)) <= p, since p <= p_hi.
+    """
+    ln_c = math.log(v) + _log_sinh_over(a)
+    a0 = 0.5 * a * q * q
+    p_hi = max(2.0, math.sqrt(2.0 * max(ln_c + _LN2, 0.0) / a))
+    u_hi = min(ln_c - _log_cosh(a0), math.log(p_hi))
+    if u_hi < _LN_SMALLEST:
+        return 0.0  # the root underflows
+
+    def gdg(u: float) -> tuple[float, float]:
+        p2 = math.exp(2.0 * u)
+        arg = a0 + 0.5 * a * p2
+        return u + _log_cosh(arg) - ln_c, 1.0 + a * p2 * math.tanh(arg)
+
+    u_lo = ln_c - _log_cosh(a0 + 0.5 * a * math.exp(2.0 * u_hi))
+    return math.exp(_newton_bisect(gdg, u_lo, u_hi))
+
+
 def approx_momentum(q: float, qdot: float, lam: float) -> float:
     """Small-lam expansion qdot [1 + lam^2/6 - (lam^2/8)(q^2 + qdot^2)]."""
     l2 = lam * lam
@@ -212,6 +284,8 @@ def exact_q(q0: float, qdot0: float, lam: float, t) -> float | np.ndarray:
     sqrt(2) Re exact_alpha((q0 + i p0)/sqrt 2): the resummed form of the
     four-exponential solution.  ``t`` may be a scalar or an array.
     """
+    import numpy as np
+
     p0 = momentum_from_velocity(q0, qdot0, lam)
     out = _SQRT2 * np.real(exact_alpha(complex(q0, p0) / _SQRT2, lam, t))
     return float(out) if np.ndim(out) == 0 else out
@@ -248,6 +322,8 @@ def _rk4(q: float, p: float, lam: float, dt: float,
     1.25 I; the check leaves a margin of 2.  A step too long for the orbit
     frequency makes RK4 diverge instead, which ends in a SolverError.
     """
+    import numpy as np
+
     intensity = 0.5 * (q * q + p * p)
     _check_saturation(intensity, lam, 2.0)
     c1 = lambda_over_sinh(lam)
@@ -289,6 +365,8 @@ def integrate_eom(state0: ClassicalState, t_end: float, dt: float = 1e-3) -> Tra
     Reports the max drift of the conserved |alpha|^2 and of the deformed
     Hamiltonian, plus the max deviation from the closed-form q(t).
     """
+    import numpy as np
+
     lam = state0.lam
     dt, n_steps = _step_grid(t_end, dt)
     t_arr = np.arange(n_steps + 1) * dt

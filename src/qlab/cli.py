@@ -5,6 +5,13 @@ Grammar: qlab <module> <verb> [--key value]... with global flags --out,
 failures exit 3, and every error is a single JSON line on stderr.  Output
 numbers are capped at 15 significant digits so identical invocations give
 byte-identical files.
+
+A run builds the parser of the one verb (or of ``suite``) that argv names,
+and the verb's runner imports only the modules it uses; help and typos get
+the full tree.  So ``deform table``, ``classical momentum``,
+``classical momentum-scaling``, ``classical bracket``, ``level map`` and
+``thermo blueshift``, whose runners compute scalar closed forms or scalar
+roots, never import numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 
 from . import experiments
 from .errors import ParameterError, QlabError, SolverError
@@ -30,20 +36,25 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The full parser tree, or with ``command`` (a COMMANDS key or "suite")
+    only the branch that parses that command: the same leaf, so the same
+    --help text and the same Namespace."""
     parser = _Parser(prog="qlab",
                      description="numerical laboratory for deformed oscillators")
     top = parser.add_subparsers(dest="command", required=True, metavar="<module>")
 
     groups: dict[str, argparse._SubParsersAction] = {}
-    for key, command in experiments.COMMANDS.items():
+    for key, entry in experiments.COMMANDS.items():
+        if command not in (None, key):
+            continue
         module, verb = key.split(" ", 1)
         if module not in groups:
             module_parser = top.add_parser(module, help=f"{module} operations")
             groups[module] = module_parser.add_subparsers(
                 dest="verb", required=True, metavar="<verb>")
-        leaf = groups[module].add_parser(verb, help=command.help)
-        for par in command.params:
+        leaf = groups[module].add_parser(verb, help=entry.help)
+        for par in entry.params:
             if par.name == "seed":
                 continue  # provided by the global --seed flag
             kwargs = {"help": par.help or par.name.replace("_", " ")}
@@ -53,10 +64,23 @@ def build_parser() -> _Parser:
             leaf.add_argument(_flag(par.name), dest=par.name, **kwargs)
         _add_globals(leaf)
 
-    suite_parser = top.add_parser("suite", help="run an experiment suite file")
-    suite_parser.add_argument("config", help="INI suite file")
-    _add_globals(suite_parser)
+    if command in (None, "suite"):
+        suite_parser = top.add_parser("suite", help="run an experiment suite file")
+        suite_parser.add_argument("config", help="INI suite file")
+        _add_globals(suite_parser)
     return parser
+
+
+def _command_named(argv: list[str]) -> str | None:
+    """The COMMANDS key or "suite" that argv starts with; None for anything
+    else (help, a typo), which the full tree parses and reports."""
+    if argv[:1] == ["suite"]:
+        return "suite"
+    if len(argv) >= 2 and " " not in argv[0]:
+        key = f"{argv[0]} {argv[1]}"
+        if key in experiments.COMMANDS:
+            return key
+    return None
 
 
 def _add_globals(leaf) -> None:
@@ -107,6 +131,8 @@ def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".qlab-")
@@ -150,8 +176,9 @@ def _dispatch(ns: argparse.Namespace) -> int:
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = build_parser().parse_args(argv)
+        ns = build_parser(_command_named(argv)).parse_args(argv)
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     except ParameterError as exc:

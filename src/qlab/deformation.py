@@ -74,17 +74,17 @@ def q_number(n: float, lam: float) -> float:
     Accepts nonnegative real ``n`` (continuous extension).  The plain ratio
     is accurate for every lam down to the subnormals, since sinh keeps its
     relative accuracy there; only where n*lam underflows the normal range
-    (lam = 0 included) is the limit n returned.  Past |lam| = _SINH_MAX_ARG,
-    where sinh(lam) overflows and only n < 1 stays finite, it is the same
-    ratio written as e^{(n-1)|lam|} (1 - e^{-2n|lam|}) / (1 - e^{-2|lam|}).
-    Even in lam.
+    (lam = 0 included) is the limit n lam/sinh(lam) returned.  Past
+    |lam| = _SINH_MAX_ARG, where sinh(lam) overflows and only n < 1 stays
+    finite, it is the same ratio written as
+    e^{(n-1)|lam|} (1 - e^{-2n|lam|}) / (1 - e^{-2|lam|}).  Even in lam.
     """
     if n < 0:
         raise ParameterError("q_number requires n >= 0")
     a = abs(lam)
     x = n * a
     if x < sys.float_info.min:
-        return float(n)
+        return n * lambda_over_sinh(lam)
     if x > _SINH_MAX_ARG:
         return math.inf
     if a > _SINH_MAX_ARG:
@@ -154,9 +154,11 @@ def big_f_inverse(x: float, spec: DeformationSpec) -> float:
 
     F is strictly increasing for every valid spec.  In the q case the
     continuous extension F(y) = sinh(y*lam)/sinh(lam) inverts in closed
-    form, y = asinh(x sinh|lam|)/|lam|, and y = x where x*|lam| underflows
-    the normal range.  In the custom case the piecewise-linear extension of
-    the table is inverted.
+    form, y = asinh(x sinh|lam|)/|lam|, and y = x sinh|lam|/|lam| where
+    x sinh|lam| underflows the normal range.  Past |lam| = _SINH_MAX_ARG,
+    where sinh(lam) overflows, asinh(x sinh|lam|) is taken as ln x + |lam|.
+    Like q_number, it saturates where y|lam| passes _SINH_MAX_ARG.  In the
+    custom case the piecewise-linear extension of the table is inverted.
     """
     if x < 0:
         raise ParameterError("big_f_inverse requires x >= 0")
@@ -173,9 +175,21 @@ def big_f_inverse(x: float, spec: DeformationSpec) -> float:
         lo, hi = nodes[i - 1], nodes[i]
         return (i - 1) + (x - lo) / (hi - lo)
     lam = abs(spec.lam)
-    if x * lam < sys.float_info.min:
-        return float(x)
-    y_lam = math.asinh(x * math.sinh(lam))
+    if lam > _SINH_MAX_ARG:
+        if x == 0.0:
+            return 0.0
+        # sinh(lam) = e^lam/2 in double here, so asinh(x sinh lam) is
+        # ln(2 x sinh lam) = ln x + lam to within e^-40 once that passes 20;
+        # below that, x >= 5e-324 keeps lam < 765 and e^(lam/2) finite
+        y_lam = math.log(x) + lam
+        if y_lam <= 20.0:
+            half = math.exp(0.5 * lam)
+            y_lam = math.asinh((x * half) * (0.5 * half))
+    else:
+        z = x * math.sinh(lam)
+        if z < sys.float_info.min:  # asinh(z) = z, which keeps no digits here
+            return x / lambda_over_sinh(lam)
+        y_lam = math.asinh(z)
     if y_lam > _SINH_MAX_ARG:
         raise SaturationError("F value beyond double range; cannot invert",
                               largest_safe_n=_SINH_MAX_ARG / lam)

@@ -4,22 +4,22 @@ Each subcommand is a pure function from a validated parameter dict to an
 ExperimentResult carrying tabular rows (CSV), a summary dict (JSON), and a
 flat numeric metrics dict that suite files can bound with
 check.<metric>.max / check.<metric>.min lines.
+
+Each runner imports the modules it uses, so a cold verb loads only its own
+module (and numpy only if that module's arrays need it), not the whole
+package.
 """
 
 from __future__ import annotations
 
 import cmath
-import configparser
 import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
-from . import classical, coherent, deformation, fock, level, thermo, wave
+from . import deformation
 from .errors import ParameterError, QlabError, SaturationError
-from .fock import FockState
 
 _REQUIRED = object()
 
@@ -137,6 +137,8 @@ def _run_deform_table(p: dict) -> ExperimentResult:
 # ---------------------------------------------------------------- fock checks
 
 def _run_operators_check(p: dict) -> ExperimentResult:
+    from . import fock
+
     spec = _make_spec(p)
     dim = p["dim"]
     metrics = {
@@ -150,7 +152,7 @@ def _run_operators_check(p: dict) -> ExperimentResult:
         metrics["reordering"] = fock.check_reordering(dim, p["lambda"])
     elif spec.kind == "identity":
         metrics["reordering"] = fock.check_reordering(dim, 0.0)
-    quad = fock.quadrature_uncertainty(FockState.basis(dim, 1), spec)
+    quad = fock.quadrature_uncertainty(fock.FockState.basis(dim, 1), spec)
     metrics["uncertainty_product"] = quad.product
     rows = [{"metric": k, "value": v} for k, v in metrics.items()]
     return ExperimentResult(rows, dict(metrics), metrics)
@@ -159,6 +161,10 @@ def _run_operators_check(p: dict) -> ExperimentResult:
 # ------------------------------------------------------------------ classical
 
 def _run_classical_simulate(p: dict) -> ExperimentResult:
+    import numpy as np
+
+    from . import classical
+
     lam = p["lambda"]
     state0 = classical.ClassicalState(p["q0"], p["p0"], lam)
     traj = classical.integrate_eom(state0, p["t_end"], p["dt"])
@@ -184,6 +190,8 @@ def _run_classical_simulate(p: dict) -> ExperimentResult:
 
 
 def _run_classical_bracket(p: dict) -> ExperimentResult:
+    from . import classical
+
     alpha = complex(p["alpha_re"], p["alpha_im"])
     lam = p["lambda"]
     residual = classical.poisson_bracket_check(alpha, lam, p["h"])
@@ -196,6 +204,10 @@ def _run_classical_bracket(p: dict) -> ExperimentResult:
 
 
 def _run_classical_bracket_grid(p: dict) -> ExperimentResult:
+    import numpy as np
+
+    from . import classical
+
     mags = np.linspace(p["alpha_min"], p["alpha_max"], p["points"])
     lams = np.linspace(p["lam_min"], p["lam_max"], p["points"])
     rows = []
@@ -212,6 +224,8 @@ def _run_classical_bracket_grid(p: dict) -> ExperimentResult:
 
 
 def _run_classical_momentum(p: dict) -> ExperimentResult:
+    from . import classical
+
     lam = p["lambda"]
     exact = classical.momentum_from_velocity(p["q"], p["qdot"], lam)
     approx = classical.approx_momentum(p["q"], p["qdot"], lam)
@@ -222,6 +236,8 @@ def _run_classical_momentum(p: dict) -> ExperimentResult:
 
 
 def _run_classical_momentum_scaling(p: dict) -> ExperimentResult:
+    from . import classical
+
     lam_coarse, lam_fine = p["lam_coarse"], p["lam_fine"]
     if not (0 < lam_fine < lam_coarse):
         raise ParameterError("need 0 < lam_fine < lam_coarse")
@@ -245,6 +261,8 @@ def _run_classical_momentum_scaling(p: dict) -> ExperimentResult:
 
 
 def _run_classical_alpha(p: dict) -> ExperimentResult:
+    from . import classical
+
     lam = p["lambda"]
     state = classical.ClassicalState(p["q0"], p["p0"], lam)
     alpha_t = classical.exact_alpha(state.alpha, lam, p["t"])
@@ -263,6 +281,8 @@ def _run_classical_alpha(p: dict) -> ExperimentResult:
 # ----------------------------------------------------------------------- wave
 
 def _read_ic_file(path: str):
+    import numpy as np
+
     rows = deformation._read_csv_rows(path, "initial-condition")
     for line_no, r in rows:
         if len(r) != 3:
@@ -279,6 +299,10 @@ def _read_ic_file(path: str):
 
 
 def _run_wave_simulate(p: dict) -> ExperimentResult:
+    import numpy as np
+
+    from . import wave
+
     lam = p["lambda"]
     t_end = p["t_end"]
     direction = p["soliton"]
@@ -323,6 +347,10 @@ def _run_wave_simulate(p: dict) -> ExperimentResult:
 # ---------------------------------------------------------------------- level
 
 def _run_level_simulate(p: dict) -> ExperimentResult:
+    import numpy as np
+
+    from . import level
+
     evo = level.evolve_one_level(complex(p["re"], p["im"]), p["lambda"],
                                  p["t_end"], p["dt"])
     n = evo.t.shape[0]
@@ -340,6 +368,8 @@ def _run_level_simulate(p: dict) -> ExperimentResult:
 
 
 def _run_level_map(p: dict) -> ExperimentResult:
+    from . import level
+
     psi = complex(p["re"], p["im"])
     q, mom = level.psi_to_phase_space(psi, p["omega"])
     roundtrip = abs(level.phase_space_to_psi(q, mom, p["omega"]) - psi)
@@ -351,6 +381,10 @@ def _run_level_map(p: dict) -> ExperimentResult:
 # ------------------------------------------------------------------- coherent
 
 def _run_coherent_build(p: dict) -> ExperimentResult:
+    import numpy as np
+
+    from . import coherent
+
     spec = _make_spec(p)
     alpha = complex(p["alpha_re"], p["alpha_im"])
     state = coherent.build_f_coherent(alpha, spec, p["cutoff"] or None)
@@ -365,6 +399,8 @@ def _run_coherent_build(p: dict) -> ExperimentResult:
 
 
 def _run_coherent_overlap(p: dict) -> ExperimentResult:
+    from . import coherent
+
     spec = _make_spec(p)
     a = complex(p["a_re"], p["a_im"])
     b = complex(p["b_re"], p["b_im"])
@@ -382,6 +418,10 @@ def _run_coherent_overlap(p: dict) -> ExperimentResult:
 
 
 def _run_coherent_recover(p: dict) -> ExperimentResult:
+    import numpy as np
+
+    from . import coherent
+
     if p["coeffs"]:
         csv_rows = deformation._read_csv_rows(p["coeffs"], "coefficient")
         values = [r[-1] for _, r in csv_rows]  # the last column holds C_n
@@ -410,6 +450,10 @@ def _run_coherent_recover(p: dict) -> ExperimentResult:
 # --------------------------------------------------------------------- thermo
 
 def _run_thermo_table(p: dict) -> ExperimentResult:
+    import numpy as np
+
+    from . import thermo
+
     if p["points"] < 2:
         raise ParameterError("points must be >= 2")
     if not p["t_min"] < p["t_max"]:
@@ -442,6 +486,8 @@ def _run_thermo_table(p: dict) -> ExperimentResult:
 
 
 def _run_thermo_levels(p: dict) -> ExperimentResult:
+    from . import thermo
+
     energies = thermo.energy_levels(p["n_max"], p["lambda"], p["convention"])
     rows = [{"n": n, "energy": e} for n, e in enumerate(energies)]
     summary = {"n_max": p["n_max"], "convention": p["convention"]}
@@ -449,6 +495,8 @@ def _run_thermo_levels(p: dict) -> ExperimentResult:
 
 
 def _run_thermo_planck_check(p: dict) -> ExperimentResult:
+    from . import thermo
+
     try:
         grid = [float(s) for s in p["lambdas"].split(",")]
     except ValueError:
@@ -479,6 +527,8 @@ def _run_thermo_planck_check(p: dict) -> ExperimentResult:
 
 
 def _run_thermo_blueshift(p: dict) -> ExperimentResult:
+    from . import thermo
+
     exact, approx = thermo.blue_shift(p["n"], p["lambda"])
     summary = {"exact": exact, "approx": approx,
                "ratio": exact / approx if approx else None}
@@ -545,7 +595,7 @@ COMMANDS: dict[str, Command] = {
         Param("lambda", float, _REQUIRED),
         Param("t_end", float, _REQUIRED),
         Param("n", int, 256, "grid points (power of two)"),
-        Param("length", float, wave.TWO_PI, "domain length"),
+        Param("length", float, 2.0 * math.pi, "domain length"),
         Param("ic", str, "", "CSV initial-condition file (x, phi, pi)"),
         Param("profile", str, "cos", "built-in profile when no ic file"),
         Param("mode", int, 1, "mode index of the built-in profile"),
@@ -691,6 +741,8 @@ class SuiteEntry:
 
 def load_suite(path: str) -> list[SuiteEntry]:
     """Parse and fully validate a flat INI suite file before any run."""
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as handle:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .classical import _SQRT2, _rk4, _step_grid, exact_alpha, omega_q
 from .errors import ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,8 @@ def evolve_one_level(psi0: complex, lam: float, t_end: float,
     Reports their max deviation and the norm drift of the integrated track
     (|psi| is conserved by the flow).
     """
+    import numpy as np
+
     psi0 = complex(psi0)
     dt, n_steps = _step_grid(t_end, dt)
     t_arr = np.arange(n_steps + 1) * dt

@@ -12,7 +12,9 @@ is decided empirically by planck_coefficient_check, not assumed.
 
 ln Z, <n> and C = beta^2 Var E all come from one pass over the spectrum,
 _moments: a closed-form cutoff, a centred variance, and past _DIRECT_CAP
-levels an Euler-Maclaurin tail.
+levels an Euler-Maclaurin tail.  numpy is imported only by that pass and
+by energy_levels; the closed forms (the blue shift, the Planck formula, the
+1/ln T law) run without it.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParameterError, SaturationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CONVENTIONS = ("sym", "num")
 
@@ -41,8 +44,8 @@ _DIRECT_CAP = 1 << 20  # levels summed one by one before _em_tail takes over
 _LN_U_STEP = 0.125
 # Gregory's end correction, sum_{k>=0} f(m+k) = int_m^inf f + sum_k
 # _GREGORY[k] f(m+k): Euler-Maclaurin with forward differences up to the 6th.
-_GREGORY = np.array([12023 / 17280, -6961 / 15120, 66109 / 120960, -33 / 70,
-                     31523 / 120960, -1247 / 15120, 275 / 24192])
+_GREGORY = (12023 / 17280, -6961 / 15120, 66109 / 120960, -33 / 70,
+            31523 / 120960, -1247 / 15120, 275 / 24192)
 
 
 def _check_convention(convention: str) -> None:
@@ -70,11 +73,15 @@ class _Spectrum(NamedTuple):
     scale: float
 
     def energy(self, n: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         arg = self.a * (n + self.shift)
         return np.where(arg < _TINY, n + self.shift, np.sinh(arg) / self.scale)
 
     def index(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The inverse n(E) of energy() and its slope dn/dE."""
+        import numpy as np
+
         y = self.scale * e
         linear = y < _TINY
         n = np.where(linear, e, np.arcsinh(y) / self.a) - self.shift
@@ -99,6 +106,8 @@ class _Moments(NamedTuple):
 def _block_moments(n: np.ndarray, x: np.ndarray, w: np.ndarray):
     """(sum w, mean n, mean x, sum w (x - mean x)^2) of levels weighted w;
     all zeros where every weight underflows (a cold level 1)."""
+    import numpy as np
+
     total = float(np.sum(w))
     if total == 0.0:
         return 0.0, 0.0, 0.0, 0.0
@@ -129,6 +138,8 @@ def _em_tail(m: int, beta: float, spec: _Spectrum):
     1e-18 of the integral lies.  Gregory's correction at n = m .. m+6 turns
     the integral into the sum.
     """
+    import numpy as np
+
     e_m = float(spec.energy(np.float64(m)))
     ln_rho = math.log(min(beta * math.hypot(e_m, 1.0 / spec.scale), 1.0))
     u = np.exp(np.arange(math.floor(ln_rho) - 42.0, math.log(45.0 - ln_rho), _LN_U_STEP))
@@ -138,7 +149,7 @@ def _em_tail(m: int, beta: float, spec: _Spectrum):
     x_g = beta * (spec.energy(n_g) - spec.shift)
     return (np.concatenate((n_u, n_g)), np.concatenate((x_m + u, x_g)),
             np.concatenate((_LN_U_STEP * (u / beta) * slope * np.exp(-(x_m + u)),
-                            _GREGORY * np.exp(-x_g))))
+                            np.array(_GREGORY) * np.exp(-x_g))))
 
 
 def _moments(beta: float, lam: float, convention: str) -> _Moments:
@@ -152,6 +163,8 @@ def _moments(beta: float, lam: float, convention: str) -> _Moments:
     Chan-Golub-LeVeque update, so C is a centred variance.  lam = 0 has
     closed forms.
     """
+    import numpy as np
+
     a = _check_lam(lam)
     if a == 0.0:
         em = -math.expm1(-beta)
@@ -192,6 +205,8 @@ def energy_levels(n_max: int, lam: float, convention: str = "sym",
     Raises SaturationError with the largest safe index when lam*n_max
     overflows the double range of sinh.
     """
+    import numpy as np
+
     _check_convention(convention)
     a = _check_lam(lam)
     if n_max < 1:

@@ -18,13 +18,14 @@ k = 0, so the invariant is undefined for data with a nonzero mean.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import _newton_bisect, _sech, omega_q
-from .deformation import lambda_over_sinh
-from .errors import ParameterError, SolverError
+from .classical import _log_cosh, _log_sinh_over, _newton_bisect, _sech, omega_q
+from .deformation import _SINH_MAX_ARG, lambda_over_sinh
+from .errors import ParameterError, SaturationError, SolverError
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,7 +78,9 @@ def solve_mu(phi, pi, lam: float) -> tuple[float, float]:
     The right side is continuous and strictly decreasing in mu (f_q grows
     with mu), so the fixed point is unique and bracketed by [0, RHS(0)];
     solved by safeguarded Newton on RHS(mu) - mu, written with sech so that
-    it cannot overflow.  Returns (mu, f_q(mu)).
+    it cannot overflow.  Where (lam/sinh lam)^2 leaves the normal range
+    (|lam| past about 361) the pi term is taken in logs (_solve_mu_in_logs).
+    Returns (mu, f_q(mu)).
     """
     phi = np.asarray(phi, dtype=float)
     pi = np.asarray(pi, dtype=float)
@@ -89,7 +92,10 @@ def solve_mu(phi, pi, lam: float) -> tuple[float, float]:
     pi_hat = fourier_modes(pi)[nz]
     s_phi = float(np.sum(0.5 * ak * np.abs(phi_hat) ** 2))
     s_pi = float(np.sum(0.5 / ak * np.abs(pi_hat) ** 2))
-    s_pi_scaled = s_pi / lambda_over_sinh(lam) ** 2
+    l2 = lambda_over_sinh(lam) ** 2
+    if s_pi and not (l2 >= sys.float_info.min and s_pi / l2 < math.inf):
+        return _solve_mu_in_logs(s_phi, s_pi, abs(lam))
+    s_pi_scaled = s_pi / l2 if s_pi else 0.0
 
     def fdf(mu: float) -> tuple[float, float]:
         # RHS(mu) = s_phi + s_pi / f_q(mu)^2, f_q = (lam/sinh lam) cosh(lam mu)
@@ -98,6 +104,26 @@ def solve_mu(phi, pi, lam: float) -> tuple[float, float]:
 
     mu = _newton_bisect(fdf, 0.0, s_phi + s_pi_scaled)
     return mu, omega_q(mu, lam)
+
+
+def _solve_mu_in_logs(s_phi: float, s_pi: float, a: float) -> tuple[float, float]:
+    """solve_mu's fixed point with s_pi/f_q(mu)^2 = e^{ln s_pi - 2 ln f_q(mu)},
+    on [0, _SINH_MAX_ARG/a], the intensities omega_q accepts.  A root past
+    that bound raises the SaturationError that omega_q would."""
+    ln_s = math.log(s_pi) + 2.0 * _log_sinh_over(a)
+    mu_max = _SINH_MAX_ARG / a
+
+    def fdf(mu: float) -> tuple[float, float]:
+        e = ln_s - 2.0 * _log_cosh(a * mu)
+        s = math.exp(e) if e < _SINH_MAX_ARG else math.inf
+        return s_phi + s - mu, -2.0 * a * s * math.tanh(a * mu) - 1.0
+
+    if fdf(mu_max)[0] > 0.0:
+        safe = int(mu_max)
+        raise SaturationError(f"the wave invariant mu at lambda = {a!r} is past the "
+                              f"largest safe intensity {safe}", largest_safe_n=safe)
+    mu = _newton_bisect(fdf, 0.0, mu_max)
+    return mu, omega_q(mu, a)
 
 
 def make_field(phi, pi, lam: float, length: float = TWO_PI) -> WaveField:
@@ -233,6 +259,7 @@ def energy(field: WaveField) -> float:
     nz = k != 0
     phi_hat = fourier_modes(field.phi)[nz]
     pi_hat = fourier_modes(field.pi)[nz]
-    c2 = field.speed ** 2
-    return float(np.sum(0.5 * (k[nz] ** 2 * np.abs(phi_hat) ** 2
-                               + np.abs(pi_hat) ** 2 / c2)))
+    p2 = np.abs(pi_hat) ** 2
+    with np.errstate(divide="ignore"):  # a speed that underflows to 0 leaves pi = 0 at 0
+        pi_term = np.divide(p2, field.speed ** 2, out=np.zeros_like(p2), where=p2 > 0)
+    return float(np.sum(0.5 * (k[nz] ** 2 * np.abs(phi_hat) ** 2 + pi_term)))

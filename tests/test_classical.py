@@ -8,6 +8,7 @@ so the production code and the oracle share no path.
 
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -144,6 +145,48 @@ def test_momentum_at_huge_velocity_matches_mpmath(q, qdot, lam, guess):
     assert_allclose(classical.momentum_from_velocity(q, -qdot, lam), -expected, rtol=1e-12)
 
 
+def oracle_momentum_in_logs(q, qdot, lam):
+    """oracle_momentum for u = ln p, by bisection on [-800, 10], which reaches
+    roots far below 1 (down to the subnormals)."""
+    with mpmath.workdps(60):
+        lam = abs(mpmath.mpf(lam))
+        log_c = mpmath.log(mpmath.sinh(lam) / lam * abs(qdot))
+        lo, hi = mpmath.mpf(-800), mpmath.mpf(10)
+        for _ in range(240):
+            u = (lo + hi) / 2
+            g = u + mpmath.log(mpmath.cosh(lam / 2 * (q * q + mpmath.exp(2 * u)))) - log_c
+            lo, hi = (lo, u) if g > 0 else (u, hi)
+        return float(mpmath.exp(lo))
+
+
+def rtol_past_overflow(lam):
+    """(|lambda| + 4) eps: one rounding of lambda moves e^{-|lambda|}, which
+    these values carry, by |lambda| eps."""
+    return (abs(lam) + 4.0) * sys.float_info.epsilon
+
+
+@pytest.mark.parametrize("lam", [709.5, 745.5, 800.0, 1000.0, 1e4])
+@pytest.mark.parametrize("q,qdot", [(0.1, 0.1), (0.0, 1.0), (1.0, 1.0), (0.5, 1e-3),
+                                    (0.01, 1e300), (1.2, 5e-324), (0.3, 1e-300)])
+def test_momentum_past_sinh_overflow_matches_mpmath(q, qdot, lam):
+    """(sinh lambda/lambda) qdot overflows past |lambda| = 709, so the root is
+    taken in logs.  Measured within 1.1 eps where p is of order 1, and within
+    310 eps where it is far below 1 and carries e^{-|lambda|}."""
+    expected = oracle_momentum_in_logs(q, qdot, lam)
+    for sign in (1.0, -1.0):
+        got = classical.momentum_from_velocity(q, sign * qdot, sign * lam)
+        assert abs(got - sign * expected) <= rtol_past_overflow(lam) * expected, sign
+
+
+def test_momentum_past_sinh_overflow_underflows_to_zero_and_rejects_inf():
+    assert classical.momentum_from_velocity(2.0, 3.0, 800.0) == 0.0
+    assert classical.momentum_from_velocity(2.0, 3.0, 709.5) == pytest.approx(
+        oracle_momentum_in_logs(2.0, 3.0, 709.5), rel=rtol_past_overflow(709.5))
+    for qdot in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            classical.momentum_from_velocity(0.1, qdot, 800.0)
+
+
 def test_momentum_underflowing_root_is_zero():
     """At q = 40, lambda = 1 the root is about 8.6e-348, below every double."""
     assert classical.momentum_from_velocity(40.0, 1.0, 1.0) == 0.0
@@ -227,6 +270,56 @@ def test_deform_amplitude_intensity_identity():
             aq = classical.deform_amplitude(alpha, lam)
             assert_allclose(abs(aq) ** 2, q_number(abs(alpha) ** 2, lam), rtol=1e-13)
     assert classical.deform_amplitude(0j, 1.0) == 0j
+
+
+@pytest.mark.parametrize("lam", [709.5, 800.0, 1400.0])
+def test_deform_amplitude_past_sinh_overflow_matches_mpmath(lam):
+    """sinh(lam I)/(I sinh lam) underflows long before its square root does.
+    Measured within 252 eps (at lambda = 1400, where the result carries
+    e^{-700})."""
+    for alpha in (0.1 + 0j, 0.3 + 0.4j, 1e-5j, 0.5 - 0.5j):
+        with mpmath.workdps(50):
+            i = abs(mpmath.mpc(alpha)) ** 2
+            big = mpmath.mpf(lam)
+            want = complex(mpmath.sqrt(mpmath.sinh(big * i) / (i * mpmath.sinh(big)))
+                           * alpha)
+        for sign in (1.0, -1.0):
+            got = classical.deform_amplitude(alpha, sign * lam)
+            assert abs(got - want) <= rtol_past_overflow(lam) * abs(want), (alpha, sign)
+
+
+def test_deform_amplitude_saturates_with_omega_q():
+    """I_q overflows past |lambda| I = 709, as cosh does in omega_q."""
+    for alpha, lam, safe in ((30.0 + 0j, 1.0, 709), (0.95 + 0j, 800.0, 0)):
+        with pytest.raises(SaturationError) as exc_info:
+            classical.deform_amplitude(alpha, lam)
+        assert exc_info.value.largest_safe_n == safe
+
+
+def test_amplitude_map_commutes_with_time_evolution_past_sinh_overflow():
+    """The hypot form of the deformed frequency keeps the two exact
+    propagators in step where sinh(lambda) overflows."""
+    lam, t = 710.0, 3.0
+    for alpha0 in (0.5 + 0j, 0.6 + 0.6j):
+        via_plain = classical.deform_amplitude(classical.exact_alpha(alpha0, lam, t), lam)
+        via_deformed = classical.exact_alpha_deformed(
+            classical.deform_amplitude(alpha0, lam), lam, t)
+        assert abs(via_plain - via_deformed) <= 1e-12 * abs(via_plain)
+        assert abs(via_plain) > 0.0
+
+
+@pytest.mark.parametrize("alpha,lam", [(0.99, 700.0), (0.99, 708.9), (0.99, 709.1),
+                                       (0.99, 720.0), (20.0, 1.0)])
+def test_poisson_bracket_where_sinh_squared_overflows(alpha, lam):
+    """|alpha_q|^4 sinh^2 lam = sinh^2(lam I) overflows once lam I passes
+    about 355, with sinh lam itself from 709 on; the closed form is then
+    taken as hypot(lam/sinh lam, |alpha_q|^2 lam), and the finite
+    difference still meets it (to 5e-8 relative at h = 1e-6: the bracket
+    has curvature ~ (lam q/2)^2)."""
+    residual = classical.poisson_bracket_check(alpha + 0j, lam, h=1e-6)
+    aq = abs(classical.deform_amplitude(alpha + 0j, lam))
+    scale = aq * aq * lam  # |target|: lam/sinh lam is far smaller here
+    assert residual <= 1e-7 * scale, residual / scale
 
 
 def test_exact_alpha_frozen_value():

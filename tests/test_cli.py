@@ -3,6 +3,7 @@ formats, atomic writes, seeding, suite execution, and the guarantee that
 every library operation is reachable from some subcommand.
 """
 
+import argparse
 import importlib
 import json
 import math
@@ -11,11 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 from thermo_oracle import oracle
 
 from qlab import cli, deformation, experiments, fock
-from qlab.errors import SaturationError, SolverError
+from qlab.errors import ParameterError, SaturationError, SolverError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -167,6 +169,106 @@ def test_flow_past_sinh_overflow_of_lambda(capsys):
     assert (code, err) == (0, "")
     rows = out.splitlines()
     assert rows[-1].split(",")[:3] == ["1", "0.1", "0"]
+
+
+# Past |lambda| = 709, where sinh(lambda) overflows: every verb gives the
+# oracle's number or a typed error, never a traceback.  The oracle values
+# allow (|lambda| + 4) eps, the relative change one rounding of lambda makes
+# in e^{-|lambda|}; the CLI's 15 digits are well inside that.
+def close_to(got, want, lam):
+    tol = (abs(lam) + 4.0) * sys.float_info.epsilon * abs(want) + 2.0 ** -1070
+    return abs(got - float(want)) <= tol
+
+
+def oracle_deform_amplitude(alpha, lam):
+    intensity = abs(mpmath.mpc(alpha)) ** 2
+    lam = mpmath.mpf(lam)
+    return mpmath.sqrt(mpmath.sinh(lam * intensity) / (intensity * mpmath.sinh(lam))) * alpha
+
+
+def test_deform_table_past_sinh_overflow_saturates(capsys):
+    """F(1) at lambda = 800 is past the range q_number covers (n |lambda| <= 709)."""
+    code, out, err = run(capsys, ["deform", "table", "--lambda", "800", "--n-max", "2"])
+    assert (code, out) == (3, "")
+    payload = json.loads(err)
+    assert payload["error"] == "SaturationError"
+    assert payload["largest_safe_n"] == 709.0 / 800.0
+
+
+def test_bracket_past_sinh_overflow(capsys):
+    code, out, err = run(capsys, ["classical", "bracket", "--lambda", "800",
+                                  "--alpha-re", "0.1"])
+    assert code == 0, err
+    summary = json.loads(out)
+    with mpmath.workdps(50):
+        want = oracle_deform_amplitude(mpmath.mpf("0.1"), 800)
+    assert close_to(summary["alpha_q_re"], want.real, 800)
+    assert summary["alpha_q_im"] == 0.0
+    # both sides of the bracket are ~1e-341, below every double
+    assert summary["residual"] == 0.0
+
+
+def test_bracket_past_the_safe_intensity_saturates(capsys):
+    """|alpha|^2 = 900 at lambda = 1: I_q overflows, which used to reach the
+    JSON writer as inf and end in a traceback."""
+    code, out, err = run(capsys, ["classical", "bracket", "--lambda", "1",
+                                  "--alpha-re", "30"])
+    assert (code, out) == (3, "")
+    payload = json.loads(err)
+    assert (payload["error"], payload["largest_safe_n"]) == ("SaturationError", 709)
+
+
+def test_alpha_past_sinh_overflow(capsys):
+    code, out, err = run(capsys, ["classical", "alpha", "--lambda", "800", "--q0", "0.1",
+                                  "--p0", "0"])
+    assert code == 0, err
+    summary = json.loads(out)
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(800)
+        alpha0 = mpmath.mpf("0.1") / mpmath.sqrt(2)
+        omega = lam / mpmath.sinh(lam) * mpmath.cosh(lam * alpha0 ** 2)
+        alpha_t = alpha0 * mpmath.exp(-1j * omega)
+        alpha_q0 = oracle_deform_amplitude(alpha0, lam)
+        freq = lam / mpmath.sinh(lam) * mpmath.sqrt(
+            1 + abs(alpha_q0) ** 4 * mpmath.sinh(lam) ** 2)
+        alpha_q_t = alpha_q0 * mpmath.exp(-1j * freq)
+    for key, want in (("alpha_re", alpha_t.real), ("alpha_im", alpha_t.imag),
+                      ("alpha_q_re", alpha_q_t.real), ("alpha_q_im", alpha_q_t.imag)):
+        assert close_to(summary[key], want, 800), key
+    assert summary["consistency"] == 0.0
+
+
+def test_momentum_past_sinh_overflow(capsys):
+    """(sinh lambda/lambda) qdot overflows at lambda = 800; p does not."""
+    code, out, err = run(capsys, ["classical", "momentum", "--lambda", "800", "--q", "0.1",
+                                  "--qdot", "0.1"])
+    assert code == 0, err
+    summary = json.loads(out)
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(800)
+        q, qdot = mpmath.mpf("0.1"), mpmath.mpf("0.1")
+        log_c = mpmath.log(mpmath.sinh(lam) / lam * qdot)
+        want = mpmath.findroot(lambda p: mpmath.log(p) + mpmath.log(
+            mpmath.cosh(lam / 2 * (q * q + p * p))) - log_c, 1.4)
+        approx = qdot * (1 + lam ** 2 / 6 - lam ** 2 / 8 * (q * q + qdot * qdot))
+    assert close_to(summary["p"], want, 800)
+    assert close_to(summary["p_approx"], approx, 800)
+
+
+@pytest.mark.parametrize("lam", [400.0, 800.0])
+def test_wave_past_underflow_of_lambda_over_sinh_squared(capsys, lam):
+    """(lambda/sinh lambda)^2 underflows from |lambda| ~ 361 on, and at 800
+    lambda/sinh lambda itself: with pi = 0 the invariant is the phi term."""
+    code, out, err = run(capsys, ["wave", "simulate", "--lambda", str(lam), "--t-end", "1",
+                                  "--amplitude", "0.01", "--n", "16"])
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    with mpmath.workdps(50):
+        mu = mpmath.mpf("0.01") ** 2 / 4  # sum over k = +-1 of |k| |phi_k|^2 / 2
+        speed = lam / mpmath.sinh(lam) * mpmath.cosh(lam * mu)
+    assert close_to(summary["mu"], mu, lam)
+    assert close_to(summary["speed"], speed, lam)
+    assert summary["mu_drift"] < 1e-18
 
 
 def test_diverging_rk4_is_a_solver_error(capsys):
@@ -347,16 +449,115 @@ check.max_err.max = 1e-12
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_import_loads_no_third_party_package_but_numpy():
-    """A cold `import qlab` is most of every verb's wait; only numpy may add
-    to it.  Run in a fresh interpreter so that no test's imports count."""
-    probe = ("import sys; before = set(sys.modules); import qlab; "
-             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
-             "print(sorted(new - set(sys.stdlib_module_names)))")
+def fresh_python(code: str) -> str:
+    """Standard output of `code` run in a fresh interpreter on this tree, so
+    that no test's imports count."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "['numpy', 'qlab']"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_third_party_package():
+    """A cold `import qlab` resolves its names lazily: it loads no
+    submodule, so no third-party package, numpy included."""
+    out = fresh_python("import sys; before = set(sys.modules); import qlab; "
+                       "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+                       "print(sorted(new - set(sys.stdlib_module_names)))")
+    assert out.strip() == "['qlab']"
+
+
+# The verbs whose runners compute scalar closed forms or scalar roots only,
+# with the exit code each gives; the lambda = 800 cases are past the point
+# where sinh(lambda) overflows.
+NUMPY_FREE_VERBS = [
+    (["deform", "table", "--lambda", "0.3", "--n-max", "24"], 0),
+    (["deform", "table", "--lambda", "800", "--n-max", "2"], 3),
+    (["classical", "momentum", "--lambda", "0.5", "--q", "0.3", "--qdot", "0.7"], 0),
+    (["classical", "momentum", "--lambda", "800", "--q", "0.1", "--qdot", "0.1"], 0),
+    (["classical", "momentum-scaling"], 0),
+    (["classical", "bracket", "--lambda", "0.5", "--alpha-re", "0.6"], 0),
+    (["classical", "bracket", "--lambda", "800", "--alpha-re", "0.1"], 0),
+    (["level", "map", "--re", "0.3", "--im", "0.2"], 0),
+    (["thermo", "blueshift", "--lambda", "0.1", "--n", "5"], 0),
+    (["thermo", "blueshift", "--lambda", "abc", "--n", "5"], 2),
+]
+
+
+def test_scalar_verbs_never_load_numpy():
+    """Each verb above runs through cli.run, in one fresh interpreter, and
+    numpy is still not loaded at the end."""
+    out = fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from qlab import cli\n"
+        f"verbs = {[argv for argv, _ in NUMPY_FREE_VERBS]!r}\n"
+        "codes = []\n"
+        "for argv in verbs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(cli.run(argv))\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
+    codes, numpy_loaded = json.loads(out)
+    assert codes == [code for _, code in NUMPY_FREE_VERBS]
+    assert numpy_loaded is False
+
+
+def sample_argv(key: str) -> list[str]:
+    """argv for a command, with every parameter given and the global flags."""
+    if key == "suite":
+        return ["suite", "some.suite", "--out", "r.json", "--seed", "4"]
+    argv = key.split(" ")
+    values = {int: "3", float: "0.25", str: "text"}
+    for par in experiments.COMMANDS[key].params:
+        if par.name != "seed":
+            argv += [cli._flag(par.name), values[par.kind]]
+    return argv + ["--format", "json", "--seed", "4"]
+
+
+def subcommands(parser) -> dict:
+    """The parsers of a parser's subcommands, by name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("key", [*experiments.COMMANDS, "suite"])
+def test_one_leaf_parser_matches_the_full_tree(capsys, key):
+    """The parser cli.run builds for one command holds that one leaf, and
+    gives the full tree's --help text and Namespace."""
+    argv = sample_argv(key)
+    assert cli._command_named(argv) == key
+    narrow, full = cli.build_parser(key), cli.build_parser()
+    assert list(subcommands(narrow)) == [argv[0]]
+    if key != "suite":
+        assert list(subcommands(subcommands(narrow)[argv[0]])) == [argv[1]]
+    assert narrow.parse_args(argv) == full.parse_args(argv)
+    helps = []
+    for parser in (narrow, full):
+        with pytest.raises(SystemExit) as exc_info:
+            parser.parse_args(argv[:1 if key == "suite" else 2] + ["--help"])
+        assert exc_info.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith(f"usage: qlab {key} ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus", "table"],
+    ["deform", "bogus"],
+    ["deform table", "--lambda", "1"],
+    ["deform", "table", "--bogus", "1"],
+    ["deform", "table", "--n-max"],
+    ["suite"],
+    ["suite", "a.suite", "b.suite"],
+    ["--bogus"],
+])
+def test_parse_errors_match_the_full_tree(capsys, argv):
+    """A typo still exits 2 with exactly one JSON line, and the message is
+    the one the full tree gives."""
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    with pytest.raises(ParameterError) as exc_info:
+        cli.build_parser().parse_args(argv)
+    assert json.loads(err)["message"] == str(exc_info.value)
 
 
 def test_momentum_at_huge_velocity_exits_zero(capsys):

@@ -147,6 +147,42 @@ def test_big_f_inverse_saturates_just_past_the_edge(lam):
         assert exc_info.value.largest_safe_n == _SATURATION_N_LAMBDA / lam
 
 
+# past |lambda| = 709, where sinh(lambda) overflows; 1400 keeps a normal edge
+HUGE_INVERSE_LAMBDAS = [709.01, 709.5, 720.0, 745.5, 764.0, 800.0, 1000.0, 1400.0]
+
+
+@pytest.mark.parametrize("lam", HUGE_INVERSE_LAMBDAS)
+def test_big_f_inverse_past_sinh_overflow_matches_mpmath(lam):
+    """ln x + |lambda| and its asinh form below e^20; measured within 10.4 eps
+    of the 50-digit oracle, from the subnormals up to the saturation edge,
+    both signs of lambda."""
+    top = saturation_edge(lam) * (1.0 - 1e-12)
+    xs = [5e-324, 1e-315] + [float(x) for x in np.geomspace(1e-310, top, 80)] + [top]
+    for x in xs:
+        expected = oracle_big_f_inverse(x, lam)
+        for sign in (1.0, -1.0):
+            got = big_f_inverse(x, q_deform(sign * lam))
+            assert abs(got - expected) <= 16 * sys.float_info.epsilon * expected, (x, lam)
+    with pytest.raises(SaturationError) as exc_info:
+        big_f_inverse(saturation_edge(lam) * (1.0 + 1e-12), q_deform(lam))
+    assert exc_info.value.largest_safe_n == _SATURATION_N_LAMBDA / lam
+    with pytest.raises(SaturationError):
+        big_f_inverse(math.inf, q_deform(lam))
+
+
+@pytest.mark.parametrize("lam", [0.5, 5.0, 40.0, 700.0])
+def test_underflowing_arguments_keep_the_factor_lambda_over_sinh(lam):
+    """Where n lambda (or x sinh lambda) underflows, F(n) = n lambda/sinh lambda
+    and F^-1(x) = x sinh lambda/lambda, not n and x: at lambda = 700 these
+    differ by a factor 1e301."""
+    for v in (5e-324, 1e-315, 1e-310, sys.float_info.min / lam / 2):
+        with mpmath.workdps(50):
+            ratio = mpmath.mpf(lam) / mpmath.sinh(mpmath.mpf(lam))
+        want_f, want_inv = float(v * ratio), oracle_big_f_inverse(v, lam)
+        assert abs(q_number(v, lam) - want_f) <= 4e-16 * want_f + 2.0 ** -1073, v
+        assert abs(big_f_inverse(v, q_deform(lam)) - want_inv) <= 4e-16 * want_inv, v
+
+
 _lambdas = st.sampled_from([s * v for v in INVERSE_LAMBDAS for s in (1.0, -1.0)])
 _xs = st.floats(min_value=1e-300, max_value=1e300)
 

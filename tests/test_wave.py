@@ -5,13 +5,14 @@ traveling-wave (shape-preserving) data, and the undeformed limit.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from qlab import wave
 from qlab.classical import omega_q
-from qlab.errors import ParameterError
+from qlab.errors import ParameterError, SaturationError
 
 SPEED_MU025_LAM1 = 0.8776481043910428  # cosh(0.25)/sinh(1), 40-digit arithmetic
 
@@ -185,3 +186,57 @@ def test_fourier_modes_normalization():
     assert_allclose(modes[1], 0.5, atol=1e-12)
     assert_allclose(modes[-1], 0.5, atol=1e-12)
     assert abs(modes[0]) < 1e-12
+
+
+def oracle_mu(s_phi, s_pi, lam):
+    """solve_mu's fixed point at 60 digits, by bisection on [0, 709/lambda]."""
+    with mpmath.workdps(60):
+        big = mpmath.mpf(lam)
+
+        def rhs_minus_mu(mu):
+            return s_phi + s_pi * (mpmath.sinh(big) / (big * mpmath.cosh(big * mu))) ** 2 - mu
+
+        lo, hi = mpmath.mpf(0), 709 / big
+        for _ in range(220):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if rhs_minus_mu(mid) > 0 else (lo, mid)
+        return lo, big / mpmath.sinh(big) * mpmath.cosh(big * lo)
+
+
+@pytest.mark.parametrize("lam,pi_amplitude", [(350.0, 5e-74), (365.0, 1e-76),
+                                              (400.0, 1e-84), (400.0, 1e-80),
+                                              (720.0, 1e-150), (720.0, 1e-160)])
+def test_solve_mu_past_underflow_of_lambda_over_sinh_squared(lam, pi_amplitude):
+    """(lam/sinh lam)^2 leaves the normal range at |lam| ~ 361, past which
+    s_pi/f_q^2 is taken in logs; 350 is the last case on the other side.
+    Measured: mu within 0.6 eps of the oracle, the speed (condition number
+    lam mu) within 260 eps."""
+    theta = grid(16)
+    phi, pi = 0.5 * np.cos(theta), pi_amplitude * np.sin(theta)
+    k = wave._mode_numbers(16)
+    nz = k != 0
+    s_phi = float(np.sum(0.5 * np.abs(k[nz]) * np.abs(wave.fourier_modes(phi)[nz]) ** 2))
+    s_pi = float(np.sum(0.5 / np.abs(k[nz]) * np.abs(wave.fourier_modes(pi)[nz]) ** 2))
+    mu_want, speed_want = oracle_mu(s_phi, s_pi, lam)
+    for sign in (1.0, -1.0):
+        mu, speed = wave.solve_mu(phi, pi, sign * lam)
+        assert abs(mu - float(mu_want)) <= 2 * np.finfo(float).eps * mu
+        assert abs(speed - float(speed_want)) <= (lam + 4) * np.finfo(float).eps * speed
+
+
+def test_solve_mu_in_logs_saturates_past_the_safe_intensity():
+    """pi of order 1e-3 at lambda = 800 needs cosh(lambda mu) ~ e^800: mu
+    passes 709/800, where omega_q overflows."""
+    theta = grid(16)
+    with pytest.raises(SaturationError) as exc_info:
+        wave.solve_mu(0.01 * np.cos(theta), 1e-3 * np.sin(theta), 800.0)
+    assert exc_info.value.largest_safe_n == 0
+
+
+def test_energy_of_a_still_field_whose_speed_underflows():
+    """At lambda = 800 the speed is 0 in double; a field with pi = 0 keeps
+    the phi term alone, not 0/0."""
+    field = wave.make_field(0.01 * np.cos(grid(16)), np.zeros(16), 800.0)
+    assert field.speed == 0.0
+    with np.errstate(all="raise"):
+        assert wave.energy(field) == pytest.approx(0.01 ** 2 / 4, rel=1e-12)
