@@ -33,7 +33,7 @@ _EXPORTS = {
              "deformed_annihilation", "evolution_residual", "hamiltonian",
              "heisenberg_residual", "linearoid_roundtrip",
              "quadrature_uncertainty", "spectrum_check"),
-    "level": ("LevelEvolution", "LevelState", "evolve_one_level",
+    "level": ("LevelEvolution", "evolve_one_level",
               "phase_space_to_psi", "psi_to_phase_space"),
     "thermo": ("PlanckCheckReport", "ThermoTable", "blue_shift", "bose_einstein",
                "deformed_planck_approx", "energy_levels", "mean_occupation",

@@ -54,7 +54,7 @@ def deform_amplitude(alpha: complex, lam: float) -> complex:
     before its square root does, the scale is taken as
     e^{(x - |lam|)/2} sqrt(|lam| (1 - e^{-2x})/x), x = |lam| I.
     """
-    intensity = abs(alpha) ** 2
+    intensity = _intensity(alpha)
     if intensity == 0.0:
         return 0j
     _check_saturation(intensity, lam, 1.0)
@@ -79,12 +79,22 @@ def omega_q(intensity: float, lam: float) -> float:
 
 
 def _check_saturation(intensity: float, lam: float, margin: float) -> None:
-    """SaturationError unless margin * |lam| * intensity <= _SINH_MAX_ARG,
-    the point past which cosh(lam * intensity) overflows."""
-    if margin * abs(lam) * intensity > _SINH_MAX_ARG:
-        safe = int(_SINH_MAX_ARG / (margin * abs(lam)))
+    """SaturationError unless margin * |lam| * intensity <= _SINH_MAX_ARG, past
+    which cosh(lam * intensity) overflows; an infinite intensity at lam = 0 too."""
+    scale = margin * abs(lam)
+    if not scale * intensity <= _SINH_MAX_ARG:
+        safe = _SINH_MAX_ARG / scale if scale else math.inf  # lam = 0: the double range
+        safe = int(safe) if safe < sys.float_info.max else sys.float_info.max
         raise SaturationError(f"intensity {intensity!r} at lambda = {lam!r} is past "
-                              f"the largest safe intensity {safe}", largest_safe_n=safe)
+                              f"the largest safe intensity {safe:.6g}", largest_safe_n=safe)
+
+
+def _intensity(alpha: complex) -> float:
+    """|alpha|^2, and inf where it overflows rather than an OverflowError."""
+    try:
+        return abs(alpha) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def hamiltonian_q(intensity: float, lam: float) -> float:
@@ -139,7 +149,7 @@ def exact_alpha(alpha0: complex, lam: float, t) -> complex | np.ndarray:
     """
     import numpy as np
 
-    omega = omega_q(abs(alpha0) ** 2, lam)
+    omega = omega_q(_intensity(alpha0), lam)
     out = alpha0 * np.exp(-1j * np.asarray(t, dtype=float) * omega)
     return complex(out) if out.ndim == 0 else out
 
@@ -257,7 +267,7 @@ def _momentum_in_logs(q: float, v: float, a: float) -> float:
     """
     ln_c = math.log(v) + _log_sinh_over(a)
     a0 = 0.5 * a * q * q
-    p_hi = max(2.0, math.sqrt(2.0 * max(ln_c + _LN2, 0.0) / a))
+    p_hi = max(2.0, math.sqrt(max(ln_c + _LN2, 0.0) / a * 2.0))  # 2 ln_c may overflow
     u_hi = min(ln_c - _log_cosh(a0), math.log(p_hi))
     if u_hi < _LN_SMALLEST:
         return 0.0  # the root underflows
@@ -301,12 +311,19 @@ class Trajectory:
     max_exact_dev: float
 
 
-def _step_grid(t_end: float, dt: float) -> tuple[float, int]:
-    """(dt, n_steps) with dt snapped so the grid lands exactly on t_end."""
+def _step_grid(t_end: float, dt: float) -> tuple[np.ndarray, float, int]:
+    """(t, dt, n_steps): the time grid, dt snapped to land on t_end.  A step
+    count that is not finite, or a grid too long to allocate, is a ParameterError."""
+    import numpy as np
+
     if dt <= 0:
         raise ParameterError("dt must be positive")
-    n_steps = max(1, round(t_end / dt))
-    return t_end / n_steps, n_steps
+    try:
+        n_steps = max(1, round(t_end / dt))
+        dt = t_end / n_steps
+        return np.arange(n_steps + 1) * dt, dt, n_steps
+    except (OverflowError, MemoryError, ValueError):
+        raise ParameterError(f"t_end / dt = {t_end / dt:.6g} steps cannot be taken") from None
 
 
 def _rk4(q: float, p: float, lam: float, dt: float,
@@ -368,8 +385,7 @@ def integrate_eom(state0: ClassicalState, t_end: float, dt: float = 1e-3) -> Tra
     import numpy as np
 
     lam = state0.lam
-    dt, n_steps = _step_grid(t_end, dt)
-    t_arr = np.arange(n_steps + 1) * dt
+    t_arr, dt, n_steps = _step_grid(t_end, dt)
     q_arr, p_arr = _rk4(float(state0.q), float(state0.p), lam, dt, n_steps)
 
     intensity = 0.5 * (q_arr * q_arr + p_arr * p_arr)

@@ -20,11 +20,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
 from . import experiments
-from .errors import ParameterError, QlabError, SolverError
+from .errors import ParameterError, QlabError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,10 +149,12 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _emit_error(exc: Exception) -> None:
-    """One JSON line: the type, the message and the error's public fields."""
+    """One strict JSON line: the type, the message and the error's public
+    fields, a nan or an inf field written as the string "nan" or "inf"."""
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    payload.update((k, v) for k, v in vars(exc).items() if not k.startswith("_"))
-    sys.stderr.write(json.dumps(payload) + "\n")
+    payload.update((k, str(v) if isinstance(v, float) and not math.isfinite(v) else v)
+                   for k, v in vars(exc).items() if not k.startswith("_"))
+    sys.stderr.write(json.dumps(payload, allow_nan=False) + "\n")
 
 
 def _dispatch(ns: argparse.Namespace) -> int:
@@ -162,9 +165,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
     key = f"{ns.command} {ns.verb}"
     command = experiments.COMMANDS[key]
     declared = {par.name for par in command.params}
-    given = {k: v for k, v in vars(ns).items() if k in declared}
-    if "seed" in declared:
-        given["seed"] = ns.seed
+    given = {k: v for k, v in vars(ns).items() if k in declared}  # --seed included
     result = experiments.run_experiment(key, given)
     fmt = ns.format or command.default_format
     if fmt == "csv":
@@ -189,9 +190,6 @@ def run(argv=None) -> int:
     except ParameterError as exc:
         _emit_error(exc)
         return 2
-    except SolverError as exc:
-        _emit_error(exc)
-        return 3
     except QlabError as exc:
         _emit_error(exc)
         return 3

@@ -31,8 +31,8 @@ class DeformationSpec:
 
     Use the module-level constructors :func:`q_deform`, :func:`identity` and
     :func:`custom` rather than instantiating directly.  A custom spec also
-    carries ``nodes``, its table of F(n) = n f(n)^2, which big_f_inverse
-    bisects.
+    carries ``nodes``, its table of F(n) = n f(n)^2, which big_f joins
+    linearly and big_f_inverse bisects.
     """
 
     kind: str
@@ -107,14 +107,14 @@ def lambda_over_sinh(lam: float) -> float:
     return 1.0 if lam == 0 else lam / math.sinh(lam)
 
 
-def _custom_f(n: float, table) -> float:
+def _custom_value(n: float, table) -> float:
+    """table[n] of a custom spec's table (f or F), linear between integers."""
     n_max = len(table) - 1
     if n < 0 or n > n_max:
         raise ParameterError(f"custom f table covers n = 0..{n_max}, got {n}")
     i = int(n)
     if i == n:
         return table[i]
-    # linear interpolation at non-integer arguments (continuous extension)
     frac = n - i
     return table[i] * (1.0 - frac) + table[i + 1] * frac
 
@@ -131,22 +131,22 @@ def f_of_n(n: float, spec: DeformationSpec) -> float:
     if spec.kind == _IDENTITY:
         return 1.0
     if spec.kind == _CUSTOM:
-        return _custom_f(n, spec.table)
+        return _custom_value(n, spec.table)
     if n == 0:
         return lambda_over_sinh(spec.lam)
     return math.sqrt(q_number(n, spec.lam) / n)
 
 
 def big_f(n: float, spec: DeformationSpec) -> float:
-    """F(n) = n*f^2(n), the spectrum of the deformed number operator."""
+    """F(n) = n*f^2(n), the spectrum of the deformed number operator; for a
+    custom spec its nodes joined linearly, the F that big_f_inverse inverts."""
     if n < 0:
         raise ParameterError("big_f requires n >= 0")
     if spec.kind == _IDENTITY:
         return float(n)
     if spec.kind == _Q:
         return q_number(n, spec.lam)
-    v = _custom_f(n, spec.table)
-    return n * v * v
+    return _custom_value(n, spec.nodes)
 
 
 def big_f_inverse(x: float, spec: DeformationSpec) -> float:

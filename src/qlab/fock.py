@@ -10,11 +10,10 @@ so A A† = diag(s^2, 0), A† A = diag(0, s^2), and A shifts a vector by one
 place: each check is O(dim).  Only spectrum_check is dense (eigvalsh of A† A).
 
 Identities that hold in infinite dimension necessarily fail at the
-truncation edge, so every check excludes the last basis state (the
-FockMatrix ``truncated`` marker records this contract).  All residuals are
-measured relative to the local operator scale, max(1, |entries involved|):
-q-numbers grow like e^{lam*n}, so an eps-level relative error is the honest
-floating-point statement of "the identity holds".
+truncation edge, so every check excludes the last basis state.  All
+residuals are measured relative to the local operator scale, max(1,
+|entries involved|): q-numbers grow like e^{lam*n}, so an eps-level
+relative error is the honest floating-point statement of "the identity holds".
 """
 
 from __future__ import annotations
@@ -31,15 +30,13 @@ from .errors import ParameterError, SaturationError, SolverError
 
 @dataclass(frozen=True)
 class FockMatrix:
-    """Dense operator in the truncated number basis.
-
-    ``truncated`` marks that identities involving products of two ladder
-    operators are only exact on the first dim-1 basis states.
+    """Dense operator in the truncated number basis: identities involving
+    products of two ladder operators are only exact on the first dim-1
+    basis states.
     """
 
     dim: int
     entries: np.ndarray
-    truncated: bool = True
 
     def to_json(self) -> str:
         pairs = [[z.real, z.imag] for z in self.entries.ravel()]  # row-major
@@ -100,7 +97,7 @@ def deformed_annihilation(dim: int, spec: dfm.DeformationSpec) -> FockMatrix:
 
 
 def dagger(m: FockMatrix) -> FockMatrix:
-    return FockMatrix(m.dim, m.entries.conj().T.copy(), m.truncated)
+    return FockMatrix(m.dim, m.entries.conj().T.copy())
 
 
 def _scaled_max_residual(delta: np.ndarray, *terms: np.ndarray) -> float:

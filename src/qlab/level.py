@@ -20,13 +20,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class LevelState:
-    psi: complex
-    lam: float
-    omega: float = 1.0
-
-
 def psi_to_phase_space(psi: complex, omega: float = 1.0) -> tuple[float, float]:
     """(q, p) with q = sqrt(2) Re(psi)/omega, p = sqrt(2) Im(psi)."""
     if omega <= 0:
@@ -64,8 +57,7 @@ def evolve_one_level(psi0: complex, lam: float, t_end: float,
     import numpy as np
 
     psi0 = complex(psi0)
-    dt, n_steps = _step_grid(t_end, dt)
-    t_arr = np.arange(n_steps + 1) * dt
+    t_arr, dt, n_steps = _step_grid(t_end, dt)
     q, p = _rk4(_SQRT2 * psi0.real, _SQRT2 * psi0.imag, lam, dt, n_steps)
     rk4 = (q + 1j * p) / _SQRT2
     exact = exact_alpha(psi0, lam, t_arr)

@@ -198,8 +198,7 @@ def _moments(beta: float, lam: float, convention: str) -> _Moments:
                     n_end - 1, direct, tail)
 
 
-def energy_levels(n_max: int, lam: float, convention: str = "sym",
-                  hbar_omega: float = 1.0) -> list[float]:
+def energy_levels(n_max: int, lam: float, convention: str = "sym") -> list[float]:
     """E_0..E_n_max for the chosen spectrum convention.
 
     Raises SaturationError with the largest safe index when lam*n_max
@@ -216,8 +215,8 @@ def energy_levels(n_max: int, lam: float, convention: str = "sym",
                               largest_safe_n=int(_SINH_MAX_ARG / a) - 1)
     n = np.arange(n_max + 1, dtype=float)
     if a == 0.0:
-        return (hbar_omega * (n + 0.5 if convention == "sym" else n)).tolist()
-    return (hbar_omega * _spectrum(a, convention).energy(n)).tolist()
+        return (n + 0.5 if convention == "sym" else n).tolist()
+    return _spectrum(a, convention).energy(n).tolist()
 
 
 def _check_temperature(t: float) -> None:
@@ -254,8 +253,8 @@ def specific_heat(t: float, lam: float, convention: str = "sym") -> float:
 
 
 def _log_sinh(x: float) -> float:
-    """ln sinh x for x > 0, overflow-free."""
-    return x + math.log(-0.5 * math.expm1(-2.0 * x))
+    """ln sinh x for x >= 0, overflow-free; -inf at 0, where lam/2 underflows."""
+    return x + math.log(-0.5 * math.expm1(-2.0 * x)) if x else -math.inf
 
 
 def specific_heat_law(t: float, lam: float, convention: str = "sym") -> float:
@@ -342,11 +341,11 @@ def planck_correction_coefficient(x: float) -> float:
     return -x / d * (em + 4.0 * em * em + em * em * em) / d / d / d
 
 
-def deformed_planck_approx(t: float, lam: float, hbar_omega: float = 1.0) -> float:
-    """Small-lam occupation 1/(e^x - 1) + lam^2 * correction, x = hbar_omega/T."""
+def deformed_planck_approx(t: float, lam: float) -> float:
+    """Small-lam occupation 1/(e^x - 1) + lam^2 * correction, x = 1/T."""
     _check_temperature(t)
     _check_lam(lam)
-    x = hbar_omega / t
+    x = 1.0 / t
     return bose_einstein(x) + lam * lam * planck_correction_coefficient(x)
 
 
@@ -364,12 +363,12 @@ class PlanckCheckReport:
     matched_scale: float
     residual_ratios: list[float]
 
-    def converged(self, sig_digits: int = 3) -> bool:
-        """Last two extrapolants agree when rounded to sig_digits digits."""
+    def converged(self) -> bool:
+        """Last two extrapolants agree when rounded to 3 significant digits."""
         if len(self.extrapolated) < 2:
             return False
         a, b = self.extrapolated[-2], self.extrapolated[-1]
-        return f"{a:.{sig_digits}g}" == f"{b:.{sig_digits}g}"
+        return f"{a:.3g}" == f"{b:.3g}"
 
 
 def _raw_coefficient(x: float, lam: float, convention: str) -> float:
@@ -390,16 +389,16 @@ def planck_coefficient_check(lam_grid, x: float, convention: str = "sym") -> Pla
     grid = sorted((float(v) for v in lam_grid), reverse=True)
     if len(grid) < 2 or grid[-1] <= 0 or grid[0] > 0.1:
         raise ParameterError("lam grid must contain >= 2 values in (0, 0.1]")
-    if x <= 0:
-        raise ParameterError("x must be positive")
 
+    printed = planck_correction_coefficient(x)  # ParameterError unless x > 0
+    if printed == 0.0:
+        raise ParameterError(f"x = {x!r}: the printed coefficient underflows to 0")
     raw = [_raw_coefficient(x, lam, convention) for lam in grid]
     extrapolated = []
     for (l1, k1), (l2, k2) in zip(zip(grid, raw), zip(grid[1:], raw[1:])):
         r = (l1 / l2) ** 2
         extrapolated.append((r * k2 - k1) / (r - 1.0))
     limit = extrapolated[-1] if extrapolated else raw[-1]
-    printed = planck_correction_coefficient(x)
 
     # identify the x-independent convention on a fixed probe set: two
     # Richardson levels remove the lam^2 and lam^4 error of the raw ratio
@@ -442,6 +441,9 @@ def blue_shift(n: float, lam: float) -> tuple[float, float]:
     """
     if n < 0:
         raise ParameterError("n must be >= 0")
+    if not abs(lam * n) <= _SINH_MAX_ARG:
+        raise SaturationError(f"cosh(lam n) overflows past lam n = {_SINH_MAX_ARG:g}",
+                              largest_safe_n=int(_SINH_MAX_ARG / abs(lam)))
     half = 0.5 * lam * n
     exact = 2.0 * math.sinh(half) ** 2  # cosh(lam n) - 1 without cancellation
     approx = 0.5 * (lam * n) ** 2

@@ -58,7 +58,7 @@ def _validate_grid(phi: np.ndarray, pi: np.ndarray) -> None:
     if pi.shape != phi.shape:
         raise ParameterError("phi and pi must have the same length")
     scale = max(float(np.max(np.abs(phi))), float(np.max(np.abs(pi))), 1.0)
-    if abs(float(np.mean(phi))) > 1e-12 * scale or abs(float(np.mean(pi))) > 1e-12 * scale:
+    if abs(float(np.mean(phi / scale))) > 1e-12 or abs(float(np.mean(pi / scale))) > 1e-12:
         raise ParameterError("Cauchy data must have zero mean (k = 0 mode excluded)")
 
 
@@ -88,10 +88,13 @@ def solve_mu(phi, pi, lam: float) -> tuple[float, float]:
     k = _mode_numbers(phi.shape[0])
     nz = k != 0
     ak = np.abs(k[nz])
-    phi_hat = fourier_modes(phi)[nz]
-    pi_hat = fourier_modes(pi)[nz]
-    s_phi = float(np.sum(0.5 * ak * np.abs(phi_hat) ** 2))
-    s_pi = float(np.sum(0.5 / ak * np.abs(pi_hat) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # too large data fail below
+        phi_hat = fourier_modes(phi)[nz]
+        pi_hat = fourier_modes(pi)[nz]
+        s_phi = float(np.sum(0.5 * ak * np.abs(phi_hat) ** 2))
+        s_pi = float(np.sum(0.5 / ak * np.abs(pi_hat) ** 2))
+    if not s_phi + s_pi < math.inf:
+        raise ParameterError("Cauchy data too large: the invariant mu overflows")
     l2 = lambda_over_sinh(lam) ** 2
     if s_pi and not (l2 >= sys.float_info.min and s_pi / l2 < math.inf):
         return _solve_mu_in_logs(s_phi, s_pi, abs(lam))
@@ -159,6 +162,8 @@ def _evolve_spectral(field: WaveField, t_end: float) -> WaveField:
     n = field.n
     k = _mode_numbers(n)
     omega = np.abs(k) * field.speed
+    if not abs(t_end) * field.speed * (n // 2) < math.inf:  # the largest phase |k| speed t
+        raise ParameterError(f"t_end = {t_end!r} takes the mode phases past the double range")
     phi_hat = np.fft.fft(field.phi) / n
     pi_hat = np.fft.fft(field.pi) / n
     cos = np.cos(omega * t_end)
@@ -226,11 +231,12 @@ def traveling_field(profile, direction: int, lam: float,
     if direction not in (-1, 1):
         raise ParameterError("direction must be +1 or -1")
     profile = np.array(profile, dtype=float)
-    _band_limit_check(profile)
-    k = _mode_numbers(profile.shape[0])
-    phi_hat = np.fft.fft(profile)
-    s_phi = float(np.sum(0.5 * np.abs(k) * np.abs(phi_hat / profile.shape[0]) ** 2))
-    mu = 2.0 * s_phi
+    _validate_grid(profile, np.zeros_like(profile))  # the grid, before any FFT of it
+    with np.errstate(over="ignore", invalid="ignore"):  # too large a mu saturates below
+        _band_limit_check(profile)
+        k = _mode_numbers(profile.shape[0])
+        phi_hat = np.fft.fft(profile)
+        mu = 2.0 * float(np.sum(0.5 * np.abs(k) * np.abs(phi_hat / profile.shape[0]) ** 2))
     speed = omega_q(mu, lam)
     dprofile = np.fft.ifft(1j * k * phi_hat).real
     pi = -direction * speed * dprofile

@@ -1,21 +1,25 @@
 """Command-line harness: grammar, exit codes, error channel, output
-formats, atomic writes, seeding, suite execution, and the guarantee that
-every library operation is reachable from some subcommand.
+formats, atomic writes, seeding, suite execution, the measured fact that
+every public function but the library-only ones is reached by some verb,
+and one strict-JSON error line for edge inputs.
 """
 
 import argparse
 import importlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
 import pytest
 from thermo_oracle import oracle
 
+import qlab
 from qlab import cli, deformation, experiments, fock
 from qlab.errors import ParameterError, SaturationError, SolverError
 
@@ -28,25 +32,75 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-# ---------------------------------------------------------------- registry
+# ---------------------------------------------------------------- coverage
 
-def test_registry_values_are_commands():
-    for op, command_key in experiments.REGISTRY.items():
-        assert command_key in experiments.COMMANDS, f"{op} -> {command_key}"
+# The public functions that no verb runs: library entry points (the dense
+# ladder matrices, a closed-form q(t), a state embedding, a factorial and two
+# scalar thermo readers) whose values the verbs carry in other forms.  Every
+# other public function is reached by some verb, which the test below
+# measures rather than declares.
+LIBRARY_ONLY = {
+    "classical.exact_q", "coherent.as_fock_state", "deformation.f_factorial",
+    "fock.annihilation", "fock.dagger", "fock.deformed_annihilation", "fock.hamiltonian",
+    "thermo.partition_function", "thermo.specific_heat",
+}
 
 
-def test_registry_ops_exist():
-    for op in experiments.REGISTRY:
-        module_name, attr = op.split(".")
-        module = importlib.import_module(f"qlab.{module_name}")
-        assert callable(getattr(module, attr)), op
+def small_verb_argvs(tmp_path) -> list[list[str]]:
+    """One small valid argv per COMMANDS key, between them using every spec kind."""
+    table = tmp_path / "f.csv"
+    table.write_text("".join(f"{n},{1 + n / 100}\n" for n in range(65)), encoding="utf-8")
+    flags = {
+        "deform table": ["--lambda", "0.3", "--n-max", "4"],
+        "operators check": ["--kind", "identity", "--dim", "8"],
+        "classical simulate": ["--lambda", "0.5", "--q0", "1", "--p0", "0",
+                               "--t-end", "0.1", "--dt", "0.01"],
+        "classical bracket": ["--lambda", "0.5", "--alpha-re", "0.5"],
+        "classical bracket-grid": ["--points", "2"],
+        "classical momentum": ["--lambda", "0.5", "--q", "0.5", "--qdot", "0.5"],
+        "classical momentum-scaling": ["--points", "2"],
+        "classical alpha": ["--lambda", "0.5", "--q0", "1", "--p0", "0"],
+        "wave simulate": ["--lambda", "0.3", "--t-end", "0.5", "--n", "16",
+                          "--soliton", "1"],
+        "level simulate": ["--lambda", "0.5", "--re", "0.5", "--t-end", "0.1",
+                           "--dt", "0.01"],
+        "level map": ["--re", "0.5"],
+        "coherent build": ["--kind", "custom", "--f-table", str(table), "--alpha-re", "0.5"],
+        "coherent overlap": ["--kind", "identity", "--a-re", "0.5", "--b-re", "0.3"],
+        "coherent recover": ["--count", "4"],
+        "thermo table": ["--lambda", "0.1", "--t-min", "10", "--t-max", "100",
+                         "--points", "2"],
+        "thermo levels": ["--lambda", "0.3", "--n-max", "4"],
+        "thermo planck-check": ["--x", "1"],
+        "thermo blueshift": ["--lambda", "0.1", "--n", "2"],
+    }
+    assert list(flags) == list(experiments.COMMANDS)
+    return [key.split(" ") + argv for key, argv in flags.items()]
 
 
-def test_registry_covers_public_modules():
-    """Every computational module contributes operations to the registry."""
-    prefixes = {op.split(".")[0] for op in experiments.REGISTRY}
-    assert prefixes == {"deformation", "fock", "classical", "wave",
-                        "level", "coherent", "thermo"}
+def test_every_public_function_is_reached_by_a_verb(capsys, tmp_path):
+    """Run every verb once under sys.setprofile: the public functions never
+    called are exactly LIBRARY_ONLY."""
+    reached = set()  # code objects of the qlab functions called
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("qlab."):
+            reached.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        codes = [cli.run(argv) for argv in small_verb_argvs(tmp_path)]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * len(codes), capsys.readouterr().err
+    unreached = set()
+    for module, names in qlab._EXPORTS.items():
+        for name in names:
+            obj = getattr(importlib.import_module(f"qlab.{module}"), name)
+            if inspect.isfunction(obj) and obj.__code__ not in reached:
+                unreached.add(f"{module}.{name}")
+    assert unreached == LIBRARY_ONLY
 
 
 # --------------------------------------------------------------- exit codes
@@ -289,6 +343,63 @@ def test_solver_error_carries_residual(capsys, monkeypatch):
     assert code == 3
     assert json.loads(err) == {"error": "SolverError", "message": "no convergence",
                                "residual": 2.5e-3}
+
+
+@pytest.mark.parametrize("residual, written", [(math.inf, "inf"), (math.nan, "nan")])
+def test_non_finite_error_field_is_strict_json(capsys, monkeypatch, residual, written):
+    def fail(key, given):
+        raise SolverError("no convergence", residual=residual)
+
+    monkeypatch.setattr(experiments, "run_experiment", fail)
+    code, _, err = run(capsys, ["level", "map", "--re", "1"])
+    assert code == 3
+    assert json.loads(err, parse_constant=reject_constant)["residual"] == written
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+# One argv per kind of input that used to end in a traceback or in a stderr
+# that was not one strict-JSON line, with the exit code and error type each
+# gives now.
+EDGE_ARGVS = [
+    # a nan or inf parameter, rejected where parameters are coerced
+    ("classical alpha --lambda 0.5 --q0 1 --p0 0 --t inf", 2, "ParameterError"),
+    ("level map --re nan", 2, "ParameterError"),
+    # a non-finite result: -inf for p_approx = qdot (1 + ... - qdot^2 ...)
+    ("classical momentum --lambda 1 --q 1 --qdot 1e300", 3, "SolverError"),
+    ("level map --re 1 --omega 5e-324", 3, "SolverError"),
+    ("classical momentum --lambda 1e308 --q 0.5 --qdot 0.5", 3, "SolverError"),
+    ("classical momentum-scaling --lam-fine 5e-324", 3, "SolverError"),
+    # |alpha|^2 past the double range, at lambda = 0 too
+    ("classical alpha --lambda 0.5 --q0 1e200 --p0 0", 3, "SaturationError"),
+    ("classical bracket --lambda 0 --alpha-re 1e200", 3, "SaturationError"),
+    ("classical bracket-grid --alpha-max 1e308", 3, "SaturationError"),
+    # a step count that is not finite or cannot be allocated
+    ("classical simulate --lambda 0.5 --q0 1 --p0 0 --t-end 1e200", 2, "ParameterError"),
+    ("level simulate --lambda 0.5 --re 0.5 --t-end 0.1 --dt 5e-324", 2, "ParameterError"),
+    # the rest
+    ("classical bracket-grid --points -1", 2, "ParameterError"),
+    ("wave simulate --lambda 0.3 --t-end 1e308 --n 16", 2, "ParameterError"),
+    ("wave simulate --lambda 0.3 --t-end 0.5 --n -1", 2, "ParameterError"),
+    ("wave simulate --lambda 0.3 --t-end 0.5 --n 16 --amplitude 1e308", 2, "ParameterError"),
+    ("coherent recover --seed -1", 2, "ParameterError"),
+    ("thermo planck-check --x 800", 2, "ParameterError"),
+    ("thermo blueshift --lambda 800 --n 2", 3, "SaturationError"),
+    ("thermo blueshift --lambda 0.1 --n 1e308", 3, "SaturationError"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, error", EDGE_ARGVS)
+def test_edge_inputs_give_one_strict_json_error_line(capsys, argv, exit_code, error):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv.split())
+    assert [str(w.message) for w in caught] == []  # a CLI run would print each on stderr
+    assert (code, out) == (exit_code, "")
+    (line,) = err.splitlines()
+    assert json.loads(line, parse_constant=reject_constant)["error"] == error
 
 
 def test_no_arguments_exits_two(capsys):
@@ -627,6 +738,10 @@ def test_thermo_table_reports_law_dev_only_where_the_law_applies():
     below_range = experiments.run_experiment(
         "thermo table", {"lambda": 0.1, "t_min": 2.0, "t_max": 3.0, "points": 2})
     assert "law_dev" not in below_range.metrics
+    # lambda/2 underflows to 0: L = ln(4T sinh(lambda/2)) - gamma is far below 1
+    smallest = experiments.run_experiment(
+        "thermo table", {"lambda": 5e-324, "t_min": 10.0, "t_max": 100.0, "points": 3})
+    assert "law_dev" not in smallest.metrics and "product_variation" in smallest.metrics
 
 
 # ------------------------------------------------------------- input files

@@ -367,9 +367,8 @@ def test_custom_spec_validation():
 
 
 def test_custom_big_f_inverse_roundtrip():
-    """Node-exact only: between integers big_f interpolates f and squares,
-    while the inverse works on the piecewise-linear extension of F itself,
-    so the two continuous extensions agree just at the table nodes."""
+    """The inverse returns the table's integers at its nodes and rises
+    between them."""
     spec = custom([1.0, 1.1, 1.3, 1.4])
     for y in (0.0, 1.0, 2.0, 3.0):
         x = big_f(y, spec)
@@ -380,6 +379,20 @@ def test_custom_big_f_inverse_roundtrip():
     assert all(b >= a for a, b in zip(ys, ys[1:]))
     with pytest.raises(ParameterError):
         big_f_inverse(big_f(3.0, spec) + 1.0, spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.floats(1.0, 2.0), min_size=1, max_size=30),
+       share=st.floats(1e-300, 1.0))
+def test_custom_big_f_inverts_big_f_inverse(steps, share):
+    """big_f and big_f_inverse use one F, the nodes joined linearly, so
+    F(F^-1(x)) = x between nodes too.  With F(0) = 0 and node steps in
+    [1, 2], F' y <= 2 F: rounding y = F^-1(x) to a double moves F by at
+    most F eps, well inside 1e-15 relative."""
+    nodes = np.cumsum([0.0, *steps])
+    spec = custom([1.0, *np.sqrt(nodes[1:] / np.arange(1, len(nodes)))])
+    x = share * spec.nodes[-1]
+    assert abs(big_f(big_f_inverse(x, spec), spec) - x) <= 1e-15 * x
 
 
 def test_custom_spec_keeps_its_f_nodes_out_of_equality():

@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC = [
     'ClassicalState', 'CutoffError', 'DeformationSpec', 'FCoherentState', 'FockMatrix',
-    'FockState', 'LevelEvolution', 'LevelState', 'ParameterError', 'PlanckCheckReport',
+    'FockState', 'LevelEvolution', 'ParameterError', 'PlanckCheckReport',
     'QlabError', 'QuadratureResult', 'SaturationError', 'SolverError', 'ThermoTable',
     'Trajectory', 'WaveField', 'annihilation', 'approx_momentum', 'as_fock_state', 'big_f',
     'big_f_inverse', 'blue_shift', 'bose_einstein', 'build_f_coherent', 'check_commutator',
