@@ -150,7 +150,9 @@ def exact_alpha(alpha0: complex, lam: float, t) -> complex | np.ndarray:
     import numpy as np
 
     omega = omega_q(_intensity(alpha0), lam)
-    out = alpha0 * np.exp(-1j * np.asarray(t, dtype=float) * omega)
+    t = np.asarray(t, dtype=float)
+    _check_phase(float(np.max(np.abs(t), initial=0.0)), omega)
+    out = alpha0 * np.exp(-1j * t * omega)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -162,7 +164,13 @@ def exact_alpha_deformed(alpha_q0: complex, lam: float, t: float) -> complex:
     """
     aq2 = abs(alpha_q0) ** 2
     freq = _bracket_frequency(lam, aq2, aq2 * aq2)
+    _check_phase(abs(t), freq)
     return alpha_q0 * cmath.exp(-1j * t * freq)
+
+
+def _check_phase(t_max: float, omega: float) -> None:
+    if not t_max * omega < math.inf:
+        raise ParameterError(f"t = {t_max!r} takes the orbit phase past the double range")
 
 
 def _sech(x: float) -> float:
@@ -312,14 +320,15 @@ class Trajectory:
 
 
 def _step_grid(t_end: float, dt: float) -> tuple[np.ndarray, float, int]:
-    """(t, dt, n_steps): the time grid, dt snapped to land on t_end.  A step
-    count that is not finite, or a grid too long to allocate, is a ParameterError."""
+    """(t, dt, n_steps): the time grid, dt snapped to land on t_end, stepping
+    backward to a negative t_end.  A step count that is not finite, or a grid
+    too long to allocate, is a ParameterError."""
     import numpy as np
 
     if dt <= 0:
         raise ParameterError("dt must be positive")
     try:
-        n_steps = max(1, round(t_end / dt))
+        n_steps = max(1, round(abs(t_end) / dt))
         dt = t_end / n_steps
         return np.arange(n_steps + 1) * dt, dt, n_steps
     except (OverflowError, MemoryError, ValueError):
@@ -337,7 +346,8 @@ def _rk4(q: float, p: float, lam: float, dt: float,
     The flow conserves the intensity I, so it is checked once, up front.
     With w frozen, a step with dt w <= 1 takes the RK4 stages to at most
     1.25 I; the check leaves a margin of 2.  A step too long for the orbit
-    frequency makes RK4 diverge instead, which ends in a SolverError.
+    frequency makes RK4 diverge instead, which ends in a SolverError once
+    the last intensity is past that margin or not finite.
     """
     import numpy as np
 
@@ -368,7 +378,7 @@ def _rk4(q: float, p: float, lam: float, dt: float,
             p_arr[i] = p
     except OverflowError:
         q = math.inf
-    if not math.isfinite(q + p):
+    if not 0.5 * (q * q + p * p) <= 2.0 * intensity:
         raise SolverError(f"RK4 diverged: dt * omega_q = "
                           f"{dt * omega_q(intensity, lam):.3g} is too long a step "
                           "for this orbit", residual=None)

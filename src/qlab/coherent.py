@@ -9,7 +9,6 @@ product series, and recovery of f from an arbitrary coefficient sequence.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -99,7 +98,7 @@ def build_f_coherent(alpha: complex, spec: dfm.DeformationSpec,
     peak = two_logs.max()
     lse = peak + math.log(np.exp(two_logs - peak).sum())
     norm_factor = math.exp(-0.5 * lse)
-    phase = cmath.phase(alpha)
+    phase = math.atan2(alpha.imag, alpha.real)   # cmath.phase raises on a subnormal result
     phases = np.exp(1j * phase * np.arange(m + 1))
     coeffs = np.exp(logs - 0.5 * lse) * phases
     tail = float(abs(coeffs[-1]) ** 2)

@@ -210,6 +210,9 @@ def _run_classical_bracket_grid(p: dict) -> ExperimentResult:
 
     if p["points"] < 1:
         raise ParameterError("points must be >= 1")
+    for lo, hi in (("alpha_min", "alpha_max"), ("lam_min", "lam_max")):
+        if not abs(p[hi] - p[lo]) < math.inf:
+            raise ParameterError(f"{lo} to {hi} is wider than the double range")
     mags = np.linspace(p["alpha_min"], p["alpha_max"], p["points"])
     lams = np.linspace(p["lam_min"], p["lam_max"], p["points"])
     rows = []
@@ -471,7 +474,8 @@ def _run_thermo_table(p: dict) -> ExperimentResult:
              "planck_approx": table.planck_approx[i]}
             for i in range(len(table.temperatures))]
     c = table.c
-    metrics = {"c_first": c[0], "c_last": c[-1], "fall": c[0] / c[-1]}
+    fall = c[0] / c[-1] if c[-1] else math.inf  # run_experiment rejects it
+    metrics = {"c_first": c[0], "c_last": c[-1], "fall": fall}
     if p["t_min"] > 1.0:
         products = [ci * math.log(ti) for ci, ti in zip(c, table.temperatures)]
         metrics["product_variation"] = (max(products) - min(products)) / max(products)

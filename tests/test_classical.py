@@ -391,6 +391,24 @@ def test_integrate_eom_rejects_bad_steps():
         classical.integrate_eom(state0, t_end=1.0, dt=0.0)
 
 
+def test_integrate_eom_steps_backward_to_a_negative_t_end():
+    traj = classical.integrate_eom(classical.ClassicalState(1.0, 0.0, 0.5),
+                                   t_end=-3.0, dt=1e-3)
+    assert traj.t.shape == (3001,)
+    assert traj.t[-1] == -3.0
+    assert traj.max_exact_dev <= 1e-8
+
+
+def test_orbit_phase_past_the_double_range_is_a_parameter_error():
+    alpha0 = complex(-3.3, -3.75) / math.sqrt(2.0)
+    with pytest.raises(ParameterError, match="orbit phase"):
+        classical.exact_alpha(alpha0, 2.5, 1e308)
+    with pytest.raises(ParameterError, match="orbit phase"):
+        classical.exact_alpha(alpha0, 2.5, np.array([0.0, -1e308]))
+    with pytest.raises(ParameterError, match="orbit phase"):
+        classical.exact_alpha_deformed(classical.deform_amplitude(alpha0, 2.5), 2.5, 1e308)
+
+
 def test_undeformed_period_returns_home():
     traj = classical.integrate_eom(classical.ClassicalState(1.0, 0.0, 0.0),
                                    t_end=2.0 * math.pi, dt=1e-3)

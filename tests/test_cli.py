@@ -1,12 +1,14 @@
 """Command-line harness: grammar, exit codes, error channel, output
 formats, atomic writes, seeding, suite execution, the measured fact that
 every public function but the library-only ones is reached by some verb,
-and one strict-JSON error line for edge inputs.
+and one strict-JSON error line for edge inputs and for fuzzed argvs.
 """
 
 import argparse
+import contextlib
 import importlib
 import inspect
+import io
 import json
 import math
 import os
@@ -17,10 +19,12 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from thermo_oracle import oracle
 
 import qlab
-from qlab import cli, deformation, experiments, fock
+from qlab import cli, deformation, experiments
 from qlab.errors import ParameterError, SaturationError, SolverError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -199,21 +203,15 @@ def test_overflowing_ladder_saturates(capsys):
     assert payload["largest_safe_n"] == 236
 
 
-def test_dense_spectrum_allocation_failure_exits_three(capsys, monkeypatch):
-    """At dim 1e5 the banded checks run and the dense eigen-solve cannot be
-    allocated; the allocation is made to fail here rather than attempted."""
-    def no_memory(*args, **kwargs):
-        raise MemoryError
-
-    monkeypatch.setattr(fock.np, "diag", no_memory)
+def test_operators_check_at_dim_100000(capsys):
+    """No check is dense, so dim 1e5 runs: every residual within 1e-10."""
     code, out, err = run(capsys, ["operators", "check", "--lambda", "0.005",
-                                  "--dim", "100000"])
-    assert (code, out) == (3, "")
-    assert len(err.splitlines()) == 1
-    payload = json.loads(err)
-    assert payload["error"] == "SolverError"
-    assert "dim 100000" in payload["message"]
-    assert "160000000000 bytes" in payload["message"]
+                                  "--dim", "100000", "--format", "json"])
+    assert (code, err) == (0, "")
+    metrics = json.loads(out)
+    assert metrics.pop("uncertainty_product") > 0.5
+    assert len(metrics) == 6
+    assert all(value <= 1e-10 for value in metrics.values()), metrics
 
 
 def test_flow_past_sinh_overflow_of_lambda(capsys):
@@ -379,8 +377,17 @@ EDGE_ARGVS = [
     # a step count that is not finite or cannot be allocated
     ("classical simulate --lambda 0.5 --q0 1 --p0 0 --t-end 1e200", 2, "ParameterError"),
     ("level simulate --lambda 0.5 --re 0.5 --t-end 0.1 --dt 5e-324", 2, "ParameterError"),
+    ("wave simulate --lambda 0.3 --t-end 1e200 --n 16 --method leapfrog --dt 0.01",
+     2, "ParameterError"),
+    ("wave simulate --lambda 0.3 --t-end 1 --n 16 --method leapfrog --dt 5e-324",
+     2, "ParameterError"),
     # the rest
     ("classical bracket-grid --points -1", 2, "ParameterError"),
+    ("classical bracket-grid --lam-min=1e308 --lam-max=-1e308", 2, "ParameterError"),
+    ("classical alpha --lambda 2.5 --q0 -3.3 --p0 -3.75 --t 1e308", 2, "ParameterError"),
+    ("thermo table --lambda 3.7 --t-min 1.5e-181 --t-max 4e-150", 3, "SolverError"),
+    ("classical simulate --lambda -0.33 --q0 0 --p0 1.65 --t-end 2.23 --dt 3.02",
+     3, "SolverError"),
     ("wave simulate --lambda 0.3 --t-end 1e308 --n 16", 2, "ParameterError"),
     ("wave simulate --lambda 0.3 --t-end 0.5 --n -1", 2, "ParameterError"),
     ("wave simulate --lambda 0.3 --t-end 0.5 --n 16 --amplitude 1e308", 2, "ParameterError"),
@@ -400,6 +407,57 @@ def test_edge_inputs_give_one_strict_json_error_line(capsys, argv, exit_code, er
     assert (code, out) == (exit_code, "")
     (line,) = err.splitlines()
     assert json.loads(line, parse_constant=reject_constant)["error"] == error
+
+
+# Values for the fuzz below: the edge floats, and moderate ones.  A float dt
+# is at least 0.01 in size unless it is an edge value, and every int is at
+# most 64, so no example takes more than a few hundred steps or a dim past 64.
+EDGE_FLOATS = [0.0, -0.0, 1e308, -1e308, 5e-324, math.nan, math.inf, -math.inf]
+STR_CHOICES = {"kind": ["q", "identity", "custom"], "method": ["spectral", "leapfrog"],
+               "convention": ["sym", "num"]}
+
+
+def fuzz_value(par):
+    if par.kind is float:
+        moderate = st.floats(-4.0, 4.0)
+        if par.name == "dt":
+            moderate = moderate.filter(lambda x: abs(x) >= 0.01)
+        return st.sampled_from(EDGE_FLOATS) | moderate
+    if par.kind is int:
+        return st.integers(-2, 64)
+    return st.sampled_from(STR_CHOICES.get(par.name, [par.default]))
+
+
+@st.composite
+def fuzz_argv(draw):
+    key = draw(st.sampled_from(sorted(experiments.COMMANDS)))
+    argv = key.split(" ")
+    for par in experiments.COMMANDS[key].params:
+        if par.required or draw(st.booleans()):
+            argv.append(f"{cli._flag(par.name)}={draw(fuzz_value(par))}")
+    fmt = draw(st.sampled_from([None, "csv", "json"]))
+    return argv + ([f"--format={fmt}"] if fmt else [])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(argv=fuzz_argv())
+def test_fuzzed_argvs_exit_cleanly(argv):
+    """Any verb with any values: exit 0 with a quiet stderr, or exit 2 or 3
+    with nothing on stdout and one strict-JSON line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.run(argv)
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert err.getvalue() == ""
+        return
+    assert code in (2, 3)
+    assert out.getvalue() == ""
+    (line,) = err.getvalue().splitlines()
+    assert "error" in json.loads(line, parse_constant=reject_constant)
 
 
 def test_no_arguments_exits_two(capsys):

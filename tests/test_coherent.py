@@ -100,6 +100,15 @@ def test_explicit_cutoff_respected_or_rejected():
         coherent.build_f_coherent(1.0, spec, cutoff=0)
 
 
+def test_subnormal_phase_builds():
+    """cmath.phase(3.36 + 5e-324j) raises OverflowError for its subnormal
+    result; the build takes the phase as an atan2 of the parts."""
+    spec = dfm.identity()
+    tilted = coherent.build_f_coherent(complex(3.36, 5e-324), spec)
+    plain = coherent.build_f_coherent(3.36, spec)
+    assert np.array_equal(tilted.coeffs, plain.coeffs)
+
+
 def test_as_fock_state_embedding():
     state = coherent.build_f_coherent(1.0, dfm.q_deform(1.0))
     fk = coherent.as_fock_state(state)

@@ -149,6 +149,55 @@ def test_leapfrog_cross_checks_spectral():
     assert np.max(np.abs(lf.phi - sp.phi)) > 1e-12  # genuinely distinct routes
 
 
+def roll_leapfrog(field, t_end, dt):
+    """The leapfrog body as first written, with np.roll and a fresh array per
+    operation: the bit-for-bit reference of the in-place stepper."""
+    n = field.n
+    dx = 2.0 * math.pi / n
+    c2 = field.speed ** 2
+    steps = max(1, round(t_end / dt))
+    dt = t_end / steps
+
+    def lap(u):
+        return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (dx * dx)
+
+    phi = field.phi.copy()
+    pi = field.pi.copy()
+    acc = c2 * lap(phi)
+    for _ in range(steps):
+        pi_half = pi + 0.5 * dt * acc
+        phi = phi + dt * pi_half
+        acc = c2 * lap(phi)
+        pi = pi_half + 0.5 * dt * acc
+    return phi, pi
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 512])
+@pytest.mark.parametrize("lam, t_end, dt_fraction", [
+    (0.1, 0.5, 0.9), (0.5, 2.0, 0.5), (1.0, 7.3, 0.99), (0.5, 0.0, 0.5)])
+def test_leapfrog_matches_roll_reference_bit_for_bit(n, lam, t_end, dt_fraction):
+    theta = grid(n)
+    phi = np.cos(theta) + (0.3 * np.cos(3 * theta) if n > 4 else 0.0)
+    field = wave.make_field(phi, 0.2 * np.sin(theta), lam)
+    dt = dt_fraction * (2.0 * math.pi / n) / (math.pi * field.speed)
+    evolved = wave.evolve(field, t_end, dt, method="leapfrog")
+    phi_ref, pi_ref = roll_leapfrog(field, t_end, dt)
+    assert evolved.phi.tobytes() == phi_ref.tobytes()
+    assert evolved.pi.tobytes() == pi_ref.tobytes()
+    assert evolved.mu == wave.solve_mu(phi_ref, pi_ref, lam)[0]
+
+
+def test_leapfrog_steps_backward_to_a_negative_t_end():
+    """A negative t_end takes |t_end|/dt steps of -dt, not one step of t_end."""
+    theta = grid(64)
+    field = wave.make_field(np.cos(theta), 0.3 * np.sin(theta), 0.5)
+    dt = 0.5 * (2.0 * math.pi / 64) / (math.pi * field.speed)
+    back = wave.evolve(field, -3.0, dt, method="leapfrog")
+    assert back.time == -3.0
+    assert np.max(np.abs(back.phi - wave.evolve(field, -3.0).phi)) < 1e-2
+    assert abs(back.mu - field.mu) < 1e-3
+
+
 def test_leapfrog_guards():
     theta = grid(64)
     field = wave.make_field(np.cos(theta), np.zeros(64), 0.5)
@@ -158,6 +207,10 @@ def test_leapfrog_guards():
         wave.evolve(field, 1.0, dt=1.0, method="leapfrog")  # unstable step
     with pytest.raises(ParameterError):
         wave.evolve(field, 1.0, method="verlet")
+    with pytest.raises(ParameterError, match="past the limit of 1000000"):
+        wave.evolve(field, 1e200, dt=0.01, method="leapfrog")  # would never end
+    with pytest.raises(ParameterError, match="inf leapfrog steps"):
+        wave.evolve(field, 1.0, dt=5e-324, method="leapfrog")
 
 
 def test_band_limit_guard():
