@@ -19,14 +19,14 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .deformation import _SINH_MAX_ARG, lambda_over_sinh, q_number
+from .deformation import (_LN2, _SINH_MAX_ARG, _log_cosh, _log_sinh, _sech,
+                          lambda_over_sinh, q_number)
 from .errors import ParameterError, SaturationError, SolverError
 
 if TYPE_CHECKING:
     import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -173,22 +173,6 @@ def _check_phase(t_max: float, omega: float) -> None:
         raise ParameterError(f"t = {t_max!r} takes the orbit phase past the double range")
 
 
-def _sech(x: float) -> float:
-    """1/cosh(x), going to 0 where cosh would overflow instead of raising."""
-    x = abs(x)
-    return 1.0 / math.cosh(x) if x < _SINH_MAX_ARG else 2.0 * math.exp(-x)
-
-
-def _log_cosh(x: float) -> float:
-    """ln cosh x for x >= 0, overflow-free."""
-    return x + math.log1p(math.exp(-2.0 * x)) - _LN2
-
-
-def _log_sinh_over(a: float) -> float:
-    """ln(sinh a / a) for a > 0, overflow-free: -ln lambda_over_sinh(a)."""
-    return a + math.log(-0.5 * math.expm1(-2.0 * a) / a)
-
-
 # Bisection alone closes any bracket of doubles in fewer steps than this.
 _MAX_BISECTIONS = 2200
 _ROOT_RTOL = 4.0 * sys.float_info.epsilon
@@ -202,8 +186,12 @@ def _newton_bisect(fdf, lo: float, hi: float) -> float:
     differ in sign, every Newton step must land strictly inside the
     shrinking sign-change bracket and at most halve the step before last,
     and any other step (an inf or NaN one included) bisects.  A root at an
-    endpoint is returned as is.  Stops once a step is within 4 eps |x|.
+    endpoint is returned as is, and so is a bracket that is one point (the
+    callers' brackets are proven, so the root is there to rounding).  Stops
+    once a step is within 4 eps |x|.
     """
+    if lo == hi:
+        return lo
     f_lo, f_hi = fdf(lo)[0], fdf(hi)[0]
     if f_lo == 0.0 or f_hi == 0.0:
         return lo if f_lo == 0.0 else hi
@@ -273,7 +261,7 @@ def _momentum_in_logs(q: float, v: float, a: float) -> float:
     >= 1.  The bracket is momentum_from_velocity's [p_lo, p_hi] in logs, with
     p_lo = c sech((a/2)(q^2 + p_hi^2)) <= p, since p <= p_hi.
     """
-    ln_c = math.log(v) + _log_sinh_over(a)
+    ln_c = math.log(v) + _log_sinh(a) - math.log(a)
     a0 = 0.5 * a * q * q
     p_hi = max(2.0, math.sqrt(max(ln_c + _LN2, 0.0) / a * 2.0))  # 2 ln_c may overflow
     u_hi = min(ln_c - _log_cosh(a0), math.log(p_hi))
@@ -400,14 +388,7 @@ def integrate_eom(state0: ClassicalState, t_end: float, dt: float = 1e-3) -> Tra
 
     intensity = 0.5 * (q_arr * q_arr + p_arr * p_arr)
     alpha_sq_drift = float(np.max(np.abs(intensity - intensity[0])))
-    # hamiltonian_q over the samples: sinh(lam I)/sinh(lam), I at lam = 0, and
-    # q_number's overflow-free form one sample at a time where sinh(lam) overflows
-    if lam == 0:
-        hq = intensity
-    elif abs(lam) > _SINH_MAX_ARG:
-        hq = np.array([q_number(i, lam) for i in intensity.tolist()])
-    else:
-        hq = np.sinh(lam * intensity) / math.sinh(lam)
+    hq = q_number(intensity, lam)  # hamiltonian_q over the samples
     hq_drift = float(np.max(np.abs(hq - hq[0])))
     q_exact = _SQRT2 * exact_alpha(state0.alpha, lam, t_arr).real
     max_exact_dev = float(np.max(np.abs(q_arr - q_exact)))

@@ -2,9 +2,9 @@
 
 Normalized eigenvectors of the deformed annihilation operator A with
 eigenvalue alpha, built from the recurrence
-c_{n+1} = c_n * alpha / (sqrt(n+1) f(n+1)) in the log-magnitude domain so
-that cutoffs beyond 150 levels cannot overflow.  Includes the scalar
-product series, and recovery of f from an arbitrary coefficient sequence.
+c_{n+1} = c_n * alpha / sqrt(F(n+1)) as one cumsum of logs, so that cutoffs
+beyond 150 levels cannot overflow.  Includes the scalar product series,
+also in logs, and recovery of f from an arbitrary coefficient sequence.
 """
 
 from __future__ import annotations
@@ -37,70 +37,61 @@ class FCoherentState:
 
 
 def _log_magnitudes(alpha: complex, spec: dfm.DeformationSpec, cutoff: int) -> np.ndarray:
-    """ln |c_n| for the unnormalized recurrence, c_0 = 1."""
-    log_abs_alpha = math.log(abs(alpha))
-    out = np.empty(cutoff + 1)
-    out[0] = 0.0
-    acc = 0.0
-    for n in range(1, cutoff + 1):
-        acc += log_abs_alpha - 0.5 * math.log(n) - math.log(dfm.f_of_n(n, spec))
-        out[n] = acc
-    return out
+    """ln |c_n|, n = 0..cutoff, of the unnormalized recurrence c_0 = 1 over
+    the ladder s_n = sqrt(F(n+1)), whose SaturationError it raises."""
+    log_abs_alpha = math.log(abs(alpha)) if alpha else -math.inf
+    return np.r_[0.0, np.cumsum(log_abs_alpha - np.log(_ladder(cutoff + 1, spec)))]
+
+
+def _log_sum_exp(x: np.ndarray) -> float:
+    peak = x.max()
+    return peak + math.log(np.exp(x - peak).sum())
+
+
+def _decaying_cutoff(alpha: complex, spec: dfm.DeformationSpec,
+                     m: int) -> tuple[int, np.ndarray]:
+    """The first of m, 2m, ... (to _MAX_CUTOFF), and its ln |c_n|, whose last
+    level weighs below TAIL_PROBABILITY of the largest and still decays."""
+    while True:
+        logs = _log_magnitudes(alpha, spec, m)
+        if (2.0 * (logs[-1] - logs.max()) < math.log(TAIL_PROBABILITY)
+                and logs[-1] < logs[-2]):
+            return m, logs
+        if m >= _MAX_CUTOFF:
+            raise SolverError("coefficient series shows no geometric decay "
+                              f"below cutoff {m}")
+        m = min(2 * m, _MAX_CUTOFF)
 
 
 def build_f_coherent(alpha: complex, spec: dfm.DeformationSpec,
                      cutoff: int | None = None) -> FCoherentState:
     """Construct the truncated f-coherent state |alpha, f>.
 
-    With cutoff=None the truncation level doubles until the last-level
-    probability drops below TAIL_PROBABILITY and the terms decay
-    geometrically.  An explicit cutoff is validated against the same tail
-    estimate and rejected if too small to meet the module's residual
-    contracts.
+    With cutoff=None the truncation level doubles from 32 until it meets
+    the tail rule (_decaying_cutoff).  An explicit cutoff must meet the same
+    rule, else it is a CutoffError whose required_cutoff is the first of its
+    doublings that does.  Where none up to _MAX_CUTOFF does, either way ends
+    in one SolverError naming that cap; where F overflows below the cutoff,
+    in the ladder's SaturationError.
     """
     alpha = complex(alpha)
     if alpha == 0:
         coeffs = np.zeros(2, dtype=complex)
         coeffs[0] = 1.0
         return FCoherentState(alpha, spec, 1, coeffs, 1.0, 0.0)
-
-    if cutoff is None:
-        m = 32
-        while True:
-            logs = _log_magnitudes(alpha, spec, m)
-            if 2.0 * (logs[-1] - logs.max()) < math.log(TAIL_PROBABILITY) \
-                    and logs[-1] < logs[-2]:
-                break
-            if m >= _MAX_CUTOFF:
-                raise SolverError("coefficient series shows no geometric decay "
-                                  f"below cutoff {m}")
-            m *= 2
-    else:
-        m = int(cutoff)
-        if m < 1:
-            raise ParameterError("cutoff must be >= 1")
-        logs = _log_magnitudes(alpha, spec, m)
-        if 2.0 * (logs[-1] - logs.max()) >= math.log(1e-10) or logs[-1] >= logs[-2]:
-            # estimate the requirement by the same doubling rule
-            need = m
-            while need < _MAX_CUTOFF:
-                need *= 2
-                trial = _log_magnitudes(alpha, spec, need)
-                if 2.0 * (trial[-1] - trial.max()) < math.log(TAIL_PROBABILITY) \
-                        and trial[-1] < trial[-2]:
-                    break
-            raise CutoffError(f"cutoff {m} leaves a non-negligible tail",
-                              required_cutoff=need)
+    start = 32 if cutoff is None else int(cutoff)
+    if start < 1:
+        raise ParameterError("cutoff must be >= 1")
+    m, logs = _decaying_cutoff(alpha, spec, start)
+    if cutoff is not None and m != start:
+        raise CutoffError(f"cutoff {start} leaves a non-negligible tail", required_cutoff=m)
 
     # normalize via log-sum-exp; the normalization factor is the series
     # value N = (sum |alpha|^{2n}/(n! [f]!^2))^{-1/2} = 1/sqrt(sum |c_n|^2)
-    two_logs = 2.0 * logs
-    peak = two_logs.max()
-    lse = peak + math.log(np.exp(two_logs - peak).sum())
+    lse = _log_sum_exp(2.0 * logs)
     norm_factor = math.exp(-0.5 * lse)
     phase = math.atan2(alpha.imag, alpha.real)   # cmath.phase raises on a subnormal result
-    phases = np.exp(1j * phase * np.arange(m + 1))
-    coeffs = np.exp(logs - 0.5 * lse) * phases
+    coeffs = np.exp(logs - 0.5 * lse) * np.exp(1j * phase * np.arange(m + 1))
     tail = float(abs(coeffs[-1]) ** 2)
     return FCoherentState(alpha, spec, m, coeffs, norm_factor, tail)
 
@@ -111,20 +102,17 @@ def eigenvalue_residual(state: FCoherentState, dim: int | None = None) -> float:
     dim defaults to cutoff + 2 and must be at least that, so the state's
     support sits strictly inside the truncated space.
     """
-    if dim is None:
-        dim = state.cutoff + 2
+    dim = state.cutoff + 2 if dim is None else dim
     if dim < state.cutoff + 2:
         raise ParameterError("dim must be >= cutoff + 2")
     amps = np.zeros(dim, dtype=complex)
     amps[:state.coeffs.shape[0]] = state.coeffs
-    a_amps = np.zeros(dim, dtype=complex)
-    a_amps[:-1] = _ladder(dim, state.spec) * amps[1:]   # (A v)_n = s_n v_{n+1}
+    a_amps = np.r_[_ladder(dim, state.spec) * amps[1:], 0.0]   # (A v)_n = s_n v_{n+1}
     return float(np.linalg.norm(a_amps - state.alpha * amps))
 
 
 def as_fock_state(state: FCoherentState, dim: int | None = None) -> FockState:
-    if dim is None:
-        dim = state.cutoff + 2
+    dim = state.cutoff + 2 if dim is None else dim
     amps = np.zeros(dim, dtype=complex)
     amps[:state.coeffs.shape[0]] = state.coeffs
     return FockState(dim, amps)
@@ -135,18 +123,19 @@ def scalar_product(state_a: FCoherentState, state_b: FCoherentState) -> complex:
 
     N_a N_b sum_n (conj(alpha) beta)^n / (n! [f(n)]!^2), summed to the
     common cutoff; equals the coefficient inner product to tail tolerance.
+    Terms and normalizations are taken in logs, summed as a shifted
+    log-sum-exp with the phases applied after, so that no term overflows
+    and no N underflows (N does past |alpha| of about 38).
     """
     if state_a.spec != state_b.spec:
         raise ParameterError("scalar_product needs states of the same deformation")
     m = min(state_a.cutoff, state_b.cutoff)
+    la, lb = (_log_magnitudes(s.alpha, s.spec, s.cutoff) for s in (state_a, state_b))
+    logs = la[:m + 1] + lb[:m + 1] - 0.5 * (_log_sum_exp(2.0 * la) + _log_sum_exp(2.0 * lb))
     z = state_a.alpha.conjugate() * state_b.alpha
-    term = 1.0 + 0j
-    total = term
-    for n in range(1, m + 1):
-        f = dfm.f_of_n(n, state_a.spec)
-        term *= z / (n * f * f)
-        total += term
-    return state_a.norm_factor * state_b.norm_factor * total
+    phases = np.exp(1j * math.atan2(z.imag, z.real) * np.arange(m + 1))
+    peak = logs.max()
+    return complex(math.exp(peak) * np.sum(np.exp(logs - peak) * phases))
 
 
 def f_from_coefficients(c_values) -> np.ndarray:

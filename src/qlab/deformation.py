@@ -1,8 +1,11 @@
-"""Scalar deformation calculus.
+"""Deformation calculus, the one home of F(n) and its overflow-free forms.
 
 q-numbers, the deformation function f(n), the operator spectrum
-F(n) = n f^2(n), its increments phi(n), deformed factorials, and the
-inverse of F.  Everything here is a pure function of its arguments.
+F(n) = n f^2(n), its increments phi(n), deformed factorials, the inverse
+of F, and the overflow-free sech, ln cosh and ln sinh.  All are pure
+functions; q_number, f_of_n, big_f, big_f_inverse (so phi_of_z too) also
+answer a whole float64 array by the same formulas and switch points as
+masks, importing numpy on that branch only.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .errors import ParameterError, SaturationError
 
 # sinh overflows double just above this argument.
 _SINH_MAX_ARG = 709.0
+_LN2 = math.log(2.0)
 
 _Q = "q"
 _IDENTITY = "identity"
@@ -32,7 +36,7 @@ class DeformationSpec:
     Use the module-level constructors :func:`q_deform`, :func:`identity` and
     :func:`custom` rather than instantiating directly.  A custom spec also
     carries ``nodes``, its table of F(n) = n f(n)^2, which big_f joins
-    linearly and big_f_inverse bisects.
+    linearly and big_f_inverse inverts.
     """
 
     kind: str
@@ -68,20 +72,56 @@ def custom(f_values) -> DeformationSpec:
     return DeformationSpec(_CUSTOM, table=tuple(float(v) for v in f_values))
 
 
-def q_number(n: float, lam: float) -> float:
+def _is_array(x) -> bool:
+    """True for an ndarray of one or more dimensions, asked without numpy."""
+    return getattr(x, "ndim", 0) > 0
+
+
+def _check_nonnegative(x, message: str) -> None:
+    if (x < 0).any() if _is_array(x) else x < 0:
+        raise ParameterError(message)
+
+
+def _sech(x: float) -> float:
+    """1/cosh(x), going to 0 where cosh would overflow instead of raising."""
+    x = abs(x)
+    return 1.0 / math.cosh(x) if x < _SINH_MAX_ARG else 2.0 * math.exp(-x)
+
+
+def _log_cosh(x: float) -> float:
+    """ln cosh x for x >= 0, overflow-free."""
+    return x + math.log1p(math.exp(-2.0 * x)) - _LN2
+
+
+def _log_sinh(x: float) -> float:
+    """ln sinh x for x >= 0, overflow-free; -inf at 0 (an argument that underflowed)."""
+    return x + math.log(-0.5 * math.expm1(-2.0 * x)) if x else -math.inf
+
+
+def q_number(n, lam: float):
     """The q-integer n_q = sinh(n*lam)/sinh(lam), q = e^lam.
 
-    Accepts nonnegative real ``n`` (continuous extension).  The plain ratio
-    is accurate for every lam down to the subnormals, since sinh keeps its
-    relative accuracy there; only where n*lam underflows the normal range
-    (lam = 0 included) is the limit n lam/sinh(lam) returned.  Past
-    |lam| = _SINH_MAX_ARG, where sinh(lam) overflows and only n < 1 stays
-    finite, it is the same ratio written as
+    Accepts nonnegative real ``n`` (continuous extension), or an array of
+    them.  The plain ratio is accurate for every lam down to the
+    subnormals, since sinh keeps its relative accuracy there; only where
+    n*lam underflows the normal range (lam = 0 included) is the limit
+    n lam/sinh(lam) returned.  Past |lam| = _SINH_MAX_ARG, where sinh(lam)
+    overflows and only n < 1 stays finite, it is the same ratio written as
     e^{(n-1)|lam|} (1 - e^{-2n|lam|}) / (1 - e^{-2|lam|}).  Even in lam.
     """
-    if n < 0:
-        raise ParameterError("q_number requires n >= 0")
+    _check_nonnegative(n, "q_number requires n >= 0")
     a = abs(lam)
+    if _is_array(n):
+        import numpy as np
+
+        with np.errstate(all="ignore"):  # the ratio runs everywhere, kept where it applies
+            x = n * a
+            out = (np.exp(x - a) * np.expm1(-2.0 * x) / math.expm1(-2.0 * a)
+                   if a > _SINH_MAX_ARG else np.sinh(n * lam) / math.sinh(lam))
+        small = x < sys.float_info.min
+        out[small] = n[small] * lambda_over_sinh(lam)
+        out[x > _SINH_MAX_ARG] = math.inf
+        return out
     x = n * a
     if x < sys.float_info.min:
         return n * lambda_over_sinh(lam)
@@ -107,50 +147,61 @@ def lambda_over_sinh(lam: float) -> float:
     return 1.0 if lam == 0 else lam / math.sinh(lam)
 
 
-def _custom_value(n: float, table) -> float:
-    """table[n] of a custom spec's table (f or F), linear between integers."""
-    n_max = len(table) - 1
-    if n < 0 or n > n_max:
-        raise ParameterError(f"custom f table covers n = 0..{n_max}, got {n}")
-    i = int(n)
-    if i == n:
-        return table[i]
-    frac = n - i
-    return table[i] * (1.0 - frac) + table[i + 1] * frac
+def _interp(x, xp, fp, what: str):
+    """np.interp(x, xp, fp) for x in [xp[0], xp[-1]], else a ParameterError; a
+    scalar x in np.interp's arithmetic, so that the two agree bit for bit."""
+    inside = (xp[0] <= x) & (x <= xp[-1])
+    if not (inside.all() if _is_array(x) else inside):
+        bad = x[~inside][0] if _is_array(x) else x
+        raise ParameterError(f"{what} = {bad} outside the custom table range "
+                             f"[{xp[0]}, {xp[-1]}]")
+    if _is_array(x):
+        import numpy as np
+
+        return np.interp(x, xp, fp)
+    j = bisect.bisect_right(xp, x) - 1
+    if xp[j] == x:
+        return float(fp[j])
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
 
 
-def f_of_n(n: float, spec: DeformationSpec) -> float:
-    """Deformation function f(n) >= 0; accepts real n >= 0.
+def f_of_n(n, spec: DeformationSpec):
+    """Deformation function f(n) >= 0; accepts real n >= 0, or an array.
 
     Identity -> 1.  q-deform -> sqrt(n_q/n) for n > 0, and the pinned
     convention lam/sinh(lam) at n = 0.  Custom -> table lookup (linear
     interpolation at non-integer n).
     """
-    if n < 0:
-        raise ParameterError("f_of_n requires n >= 0")
+    _check_nonnegative(n, "f_of_n requires n >= 0")
+    if spec.kind == _CUSTOM:
+        return _interp(n, range(len(spec.table)), spec.table, "n")
+    if _is_array(n):
+        import numpy as np
+
+        if spec.kind == _IDENTITY:
+            return np.ones_like(n, dtype=float)
+        with np.errstate(all="ignore"):  # 0/0 at n = 0 is replaced
+            return np.where(n == 0, lambda_over_sinh(spec.lam),
+                            np.sqrt(q_number(n, spec.lam) / n))
     if spec.kind == _IDENTITY:
         return 1.0
-    if spec.kind == _CUSTOM:
-        return _custom_value(n, spec.table)
-    if n == 0:
-        return lambda_over_sinh(spec.lam)
-    return math.sqrt(q_number(n, spec.lam) / n)
+    return math.sqrt(q_number(n, spec.lam) / n) if n else lambda_over_sinh(spec.lam)
 
 
-def big_f(n: float, spec: DeformationSpec) -> float:
+def big_f(n, spec: DeformationSpec):
     """F(n) = n*f^2(n), the spectrum of the deformed number operator; for a
-    custom spec its nodes joined linearly, the F that big_f_inverse inverts."""
-    if n < 0:
-        raise ParameterError("big_f requires n >= 0")
-    if spec.kind == _IDENTITY:
-        return float(n)
+    custom spec its nodes joined linearly, the F that big_f_inverse inverts.
+    Accepts real n >= 0, or an array."""
+    _check_nonnegative(n, "big_f requires n >= 0")
     if spec.kind == _Q:
         return q_number(n, spec.lam)
-    return _custom_value(n, spec.nodes)
+    if spec.kind == _CUSTOM:
+        return _interp(n, range(len(spec.nodes)), spec.nodes, "n")
+    return n.astype(float) if _is_array(n) else float(n)
 
 
-def big_f_inverse(x: float, spec: DeformationSpec) -> float:
-    """Solve F(y) = x for y >= 0.
+def big_f_inverse(x, spec: DeformationSpec):
+    """Solve F(y) = x for y >= 0; accepts an array of x too.
 
     F is strictly increasing for every valid spec.  In the q case the
     continuous extension F(y) = sinh(y*lam)/sinh(lam) inverts in closed
@@ -160,21 +211,28 @@ def big_f_inverse(x: float, spec: DeformationSpec) -> float:
     Like q_number, it saturates where y|lam| passes _SINH_MAX_ARG.  In the
     custom case the piecewise-linear extension of the table is inverted.
     """
-    if x < 0:
-        raise ParameterError("big_f_inverse requires x >= 0")
-    if spec.kind == _IDENTITY:
-        return float(x)
+    _check_nonnegative(x, "big_f_inverse requires x >= 0")
     if spec.kind == _CUSTOM:
-        nodes = spec.nodes
-        if x > nodes[-1]:
-            raise ParameterError(
-                f"x = {x} above the custom table range (F max = {nodes[-1]})")
-        i = bisect.bisect_left(nodes, x)
-        if i == 0:
-            return 0.0
-        lo, hi = nodes[i - 1], nodes[i]
-        return (i - 1) + (x - lo) / (hi - lo)
+        return _interp(x, spec.nodes, range(len(spec.nodes)), "x")
+    if spec.kind == _IDENTITY:
+        return x.astype(float) if _is_array(x) else float(x)
     lam = abs(spec.lam)
+    if _is_array(x):
+        import numpy as np
+
+        with np.errstate(all="ignore"):  # every branch runs everywhere, kept where it applies
+            if lam > _SINH_MAX_ARG:
+                half = math.exp(0.5 * min(lam, 765.0))  # past 765 only x = 0 is below 20
+                y_lam = np.log(x) + lam
+                y_lam = np.where(y_lam <= 20.0, np.arcsinh((x * half) * (0.5 * half)), y_lam)
+                linear = False
+            else:
+                z = x * math.sinh(lam)
+                y_lam, linear = np.arcsinh(z), z < sys.float_info.min
+            if np.any(y_lam > _SINH_MAX_ARG):
+                raise SaturationError("F value beyond double range; cannot invert",
+                                      largest_safe_n=_SINH_MAX_ARG / lam)
+            return np.where(linear, x / lambda_over_sinh(lam), y_lam / lam)
     if lam > _SINH_MAX_ARG:
         if x == 0.0:
             return 0.0
@@ -221,11 +279,7 @@ def f_factorial(n: int, spec: DeformationSpec, convention: str = "f") -> float:
         raise ParameterError("q-convention factorial needs a q-type or identity spec")
     out = 1.0
     for k in range(1, int(n) + 1):
-        if convention == "q":
-            lam = spec.lam if spec.kind == _Q else 0.0
-            out *= q_number(k, lam)
-        else:
-            out *= f_of_n(k, spec)
+        out *= q_number(k, spec.lam) if convention == "q" else f_of_n(k, spec)
         if math.isinf(out):
             raise SaturationError(
                 f"deformed factorial overflows at n = {k}", largest_safe_n=k - 1)

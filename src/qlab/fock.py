@@ -8,8 +8,9 @@ and quadrature uncertainty products.
 The checks are banded.  A = a f(N) has one superdiagonal, s_n = sqrt(F(n+1)),
 so A A† = diag(s^2, 0), A† A = diag(0, s^2), and A shifts a vector by one
 place: each check is O(dim), and none builds a dense matrix or solves an
-eigenproblem.  deformed_annihilation, dagger and hamiltonian are the dense
-constructors, for callers that want the matrices themselves.
+eigenproblem; F, phi and F^{-1} come from array calls into ``deformation``.
+deformed_annihilation, dagger and hamiltonian are the dense constructors,
+for callers that want the matrices themselves.
 
 Identities that hold in infinite dimension necessarily fail at the
 truncation edge, so every check excludes the last basis state.  All
@@ -75,14 +76,12 @@ def _check_dim(dim: int, minimum: int = 2) -> None:
 def _ladder(dim: int, spec: dfm.DeformationSpec, minimum: int = 2) -> np.ndarray:
     """The superdiagonal of A: s_n = sqrt(F(n+1)) for n = 0..dim-2."""
     _check_dim(dim, minimum)
-    s = np.empty(dim - 1)
-    for n in range(dim - 1):
-        val = dfm.big_f(n + 1, spec)
-        if not math.isfinite(val):
-            raise SaturationError(f"F({n + 1}) overflows double range; reduce dim or |lam|",
-                                  largest_safe_n=n)
-        s[n] = math.sqrt(val)
-    return s
+    big = dfm.big_f(np.arange(1.0, dim), spec)
+    if not np.isfinite(big).all():
+        n = int(np.isfinite(big).argmin())
+        raise SaturationError(f"F({n + 1}) overflows double range; reduce dim or |lam|",
+                              largest_safe_n=n)
+    return np.sqrt(big)
 
 
 def annihilation(dim: int) -> FockMatrix:
@@ -109,10 +108,11 @@ def _scaled_max_residual(delta: np.ndarray, *terms: np.ndarray) -> float:
     return float(np.max(np.abs(delta) / scale))
 
 
-def _ordered_residual(dim: int, spec: dfm.DeformationSpec, q: float, target) -> float:
+def _ordered_residual(s: np.ndarray, q: float, target: np.ndarray) -> float:
     """Scale-relative residual of A A† - q A† A = diag(target) on the first
-    dim-1 states, where A A† = diag(s^2, 0) and A† A = diag(0, s^2)."""
-    s = _ladder(dim, spec, 3)
+    dim-1 states, where A A† = diag(s^2, 0) and A† A = diag(0, s^2).  The
+    callers build the ladder s first, so that an F past the double range is
+    a SaturationError before the target is evaluated."""
     p1 = s * s
     p2 = q * np.r_[0.0, p1[:-1]]
     return _scaled_max_residual(p1 - p2 - target, p1, p2, target)
@@ -125,18 +125,18 @@ def check_commutator(dim: int, spec: dfm.DeformationSpec) -> float:
     scale.  The excluded last diagonal entry is O(F(dim)) by construction —
     the structural truncation failure, not a defect.
     """
-    return _ordered_residual(dim, spec, 1.0,
-                             np.array([dfm.phi_of_z(n, spec) for n in range(dim - 1)]))
+    s = _ladder(dim, spec, 3)
+    return _ordered_residual(s, 1.0, dfm.phi_of_z(np.arange(dim - 1.0), spec))
 
 
 def check_reordering(dim: int, lam: float) -> float:
     """Residual of A A† - e^lam A† A = diag(e^{-lam n}) on the first dim-1 states."""
-    return _ordered_residual(dim, dfm.q_deform(lam), math.exp(lam),
-                             np.exp(-lam * np.arange(dim))[:-1])
+    s = _ladder(dim, dfm.q_deform(lam), 3)
+    return _ordered_residual(s, math.exp(lam), np.exp(-lam * np.arange(dim))[:-1])
 
 
-def _number_diagonal(s: np.ndarray) -> list[float]:
-    return [0.0] + (s * s).tolist()   # N = A† A = diag(0, s^2)
+def _number_diagonal(s: np.ndarray) -> np.ndarray:
+    return np.r_[0.0, s * s]   # N = A† A = diag(0, s^2)
 
 
 def linearoid_roundtrip(dim: int, spec: dfm.DeformationSpec) -> float:
@@ -146,8 +146,7 @@ def linearoid_roundtrip(dim: int, spec: dfm.DeformationSpec) -> float:
     dim-1 states (entries are O(sqrt(dim)), so absolute is meaningful here).
     """
     s = _ladder(dim, spec)
-    inv_f = np.array([1.0 / dfm.f_of_n(dfm.big_f_inverse(x, spec), spec)
-                      for x in _number_diagonal(s)])
+    inv_f = 1.0 / dfm.f_of_n(dfm.big_f_inverse(_number_diagonal(s), spec), spec)
     recon = s * inv_f[1:]   # the superdiagonal of A diag(inv_f)
     return float(np.max(np.abs(recon - np.sqrt(np.arange(1.0, dim)))[:-1], initial=0.0))
 
@@ -161,7 +160,7 @@ def hamiltonian(dim: int, spec: dfm.DeformationSpec | None = None) -> FockMatrix
     """
     _check_dim(dim)
     diag = (np.arange(dim) + 0.5 if spec is None else
-            [dfm.big_f_inverse(x, spec) + 0.5 for x in _number_diagonal(_ladder(dim, spec))])
+            dfm.big_f_inverse(_number_diagonal(_ladder(dim, spec)), spec) + 0.5)
     return FockMatrix(dim, np.diag(diag).astype(complex))
 
 
@@ -196,7 +195,7 @@ def spectrum_check(dim: int, spec: dfm.DeformationSpec) -> float:
     sorted: the values a dense eigvalsh returns for a diagonal matrix.
     """
     eigs = np.sort(_number_diagonal(_ladder(dim, spec)))
-    target = np.array(sorted(dfm.big_f(n, spec) for n in range(dim)))
+    target = np.sort(dfm.big_f(np.arange(float(dim)), spec))
     return float(np.max(np.abs(eigs - target) / np.maximum(1.0, target)))
 
 

@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
+from .deformation import _SINH_MAX_ARG, _log_sinh
 from .errors import ParameterError, SaturationError
 
 if TYPE_CHECKING:
@@ -31,7 +32,6 @@ if TYPE_CHECKING:
 
 CONVENTIONS = ("sym", "num")
 
-_SINH_MAX_ARG = 709.0
 _EULER_GAMMA = 0.5772156649015329
 _TINY = sys.float_info.min
 _T_MIN, _T_MAX = 1e-300, 1e300  # keeps 1/T and the tail's energies ~1e3 T finite
@@ -250,11 +250,6 @@ def mean_occupation(t: float, lam: float, convention: str = "sym") -> float:
 def specific_heat(t: float, lam: float, convention: str = "sym") -> float:
     """C = beta^2 Var E = beta^2 d^2 ln Z/d beta^2, as a centred variance."""
     return _read(t, lam, convention).heat
-
-
-def _log_sinh(x: float) -> float:
-    """ln sinh x for x >= 0, overflow-free; -inf at 0, where lam/2 underflows."""
-    return x + math.log(-0.5 * math.expm1(-2.0 * x)) if x else -math.inf
 
 
 def specific_heat_law(t: float, lam: float, convention: str = "sym") -> float:

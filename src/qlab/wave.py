@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import _log_cosh, _log_sinh_over, _newton_bisect, _sech, omega_q
-from .deformation import _SINH_MAX_ARG, lambda_over_sinh
+from .classical import _newton_bisect, omega_q
+from .deformation import _SINH_MAX_ARG, _log_cosh, _log_sinh, _sech, lambda_over_sinh
 from .errors import ParameterError, SaturationError, SolverError
 
 TWO_PI = 2.0 * math.pi
@@ -86,6 +86,11 @@ def solve_mu(phi, pi, lam: float) -> tuple[float, float]:
     phi = np.asarray(phi, dtype=float)
     pi = np.asarray(pi, dtype=float)
     _validate_grid(phi, pi)
+    return _invariant(phi, pi, lam)
+
+
+def _invariant(phi: np.ndarray, pi: np.ndarray, lam: float) -> tuple[float, float]:
+    """solve_mu unchecked, for evolve's output, whose mean rounding moves off 0."""
     k = _mode_numbers(phi.shape[0])
     nz = k != 0
     ak = np.abs(k[nz])
@@ -114,7 +119,7 @@ def _solve_mu_in_logs(s_phi: float, s_pi: float, a: float) -> tuple[float, float
     """solve_mu's fixed point with s_pi/f_q(mu)^2 = e^{ln s_pi - 2 ln f_q(mu)},
     on [0, _SINH_MAX_ARG/a], the intensities omega_q accepts.  A root past
     that bound raises the SaturationError that omega_q would."""
-    ln_s = math.log(s_pi) + 2.0 * _log_sinh_over(a)
+    ln_s = math.log(s_pi) + 2.0 * (_log_sinh(a) - math.log(a))
     mu_max = _SINH_MAX_ARG / a
 
     def fdf(mu: float) -> tuple[float, float]:
@@ -181,7 +186,7 @@ def _evolve_spectral(field: WaveField, t_end: float) -> WaveField:
     pi_new = pi_hat * cos - phi_hat * omega * sin
     phi_t = np.fft.ifft(phi_new * n).real
     pi_t = np.fft.ifft(pi_new * n).real
-    mu, _ = solve_mu(phi_t, pi_t, field.lam)
+    mu, _ = _invariant(phi_t, pi_t, field.lam)
     return replace(field, phi=phi_t, pi=pi_t, time=field.time + t_end, mu=mu)
 
 
@@ -218,7 +223,7 @@ def _evolve_leapfrog(field: WaveField, t_end: float, steps: int) -> WaveField:
         accelerate()
         pi += np.multiply(acc, half_dt, out=kick)
     phi = phi.copy()
-    mu, _ = solve_mu(phi, pi, field.lam)
+    mu, _ = _invariant(phi, pi, field.lam)
     return replace(field, phi=phi, pi=pi, time=field.time + t_end, mu=mu)
 
 

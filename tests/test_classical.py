@@ -178,6 +178,16 @@ def test_momentum_past_sinh_overflow_matches_mpmath(q, qdot, lam):
         assert abs(got - sign * expected) <= rtol_past_overflow(lam) * expected, sign
 
 
+@pytest.mark.parametrize("q", [0.52, 0.56, 0.57, 1.2])
+def test_momentum_in_logs_where_the_bracket_is_one_point(q):
+    """At qdot = 5e-324 the root u = ln p is so far below 0 that both ends
+    of its bracket round to one double: that point is the root, not an
+    unbracketed interval (q = 0.52 raised a SolverError before)."""
+    expected = oracle_momentum_in_logs(q, 5e-324, 709.5)
+    got = classical.momentum_from_velocity(q, 5e-324, 709.5)
+    assert abs(got - expected) <= rtol_past_overflow(709.5) * expected
+
+
 def test_momentum_past_sinh_overflow_underflows_to_zero_and_rejects_inf():
     assert classical.momentum_from_velocity(2.0, 3.0, 800.0) == 0.0
     assert classical.momentum_from_velocity(2.0, 3.0, 709.5) == pytest.approx(

@@ -194,8 +194,12 @@ def test_overflowing_flow_saturates(capsys, argv, safe):
 
 
 def test_overflowing_ladder_saturates(capsys):
-    """F(237) = sinh(711)/sinh(3) is past the double range."""
-    code, out, err = run(capsys, ["operators", "check", "--lambda", "3", "--dim", "300"])
+    """F(237) = sinh(711)/sinh(3) is past the double range; the error line
+    is all that reaches stderr, with no numpy warning before it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["operators", "check", "--lambda", "3", "--dim", "300"])
+    assert [str(w.message) for w in caught] == []
     assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1
     payload = json.loads(err)
@@ -392,6 +396,12 @@ EDGE_ARGVS = [
     ("wave simulate --lambda 0.3 --t-end 0.5 --n -1", 2, "ParameterError"),
     ("wave simulate --lambda 0.3 --t-end 0.5 --n 16 --amplitude 1e308", 2, "ParameterError"),
     ("coherent recover --seed -1", 2, "ParameterError"),
+    # no cutoff up to the cap meets the tail rule, explicit or automatic
+    ("coherent build --alpha-re 1000 --cutoff 4", 3, "SolverError"),
+    ("coherent build --alpha-re 1000 --cutoff 32768", 3, "SolverError"),
+    # F overflows below the cutoff
+    ("coherent build --lambda 1 --alpha-re 1 --cutoff 720", 3, "SaturationError"),
+    ("coherent build --lambda 30 --alpha-re 1", 3, "SaturationError"),
     ("thermo planck-check --x 800", 2, "ParameterError"),
     ("thermo blueshift --lambda 800 --n 2", 3, "SaturationError"),
     ("thermo blueshift --lambda 0.1 --n 1e308", 3, "SaturationError"),

@@ -7,13 +7,14 @@ deformation profile from expansion coefficients.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from qlab import coherent
 from qlab import deformation as dfm
-from qlab.errors import CutoffError, ParameterError
+from qlab.errors import CutoffError, ParameterError, SaturationError, SolverError
 
 EXP_MINUS_2 = 0.13533528323661270
 
@@ -98,6 +99,94 @@ def test_explicit_cutoff_respected_or_rejected():
     assert exc_info.value.required_cutoff > 4
     with pytest.raises(ParameterError):
         coherent.build_f_coherent(1.0, spec, cutoff=0)
+
+
+@pytest.mark.parametrize("a, b", [(27, 27), (38 + 5j, 37.5 + 4.2j), (-60j, 0.4 - 59.3j),
+                                  (45 - 20j, 44 - 21j), (150, 149.5 + 0.3j), (100j, 101j),
+                                  (0, 1.5 - 0.5j), (2j, 0)])
+def test_identity_overlap_in_logs_matches_closed_form(a, b):
+    """Every term is taken in logs, so no term overflows and no N underflows
+    (it does past |alpha| of about 38): 1e-12 to |alpha| = 60, 1e-10 beyond."""
+    sa = coherent.build_f_coherent(a, dfm.identity())
+    sb = coherent.build_f_coherent(b, dfm.identity())
+    got = coherent.scalar_product(sa, sb)
+    want = cmath.exp(a.conjugate() * b - (abs(a) ** 2 + abs(b) ** 2) / 2.0)
+    assert abs(got - want) <= (1e-12 if max(abs(a), abs(b)) <= 60 else 1e-10)
+
+
+def oracle_overlap(sa, sb):
+    """N_a N_b sum_n (conj(a) b)^n / F(1)...F(n) at 30 digits, each series
+    to its state's cutoff and the product to the common one."""
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(sa.spec.lam)
+
+        def series(z, m):
+            term = total = mpmath.mpc(1)
+            for n in range(1, m + 1):
+                term *= z * mpmath.sinh(lam) / mpmath.sinh(n * lam)
+                total += term
+            return total
+
+        a, b = mpmath.mpc(sa.alpha), mpmath.mpc(sb.alpha)
+        norm = mpmath.sqrt(series(abs(a) ** 2, sa.cutoff) * series(abs(b) ** 2, sb.cutoff))
+        return complex(series(mpmath.conj(a) * b, min(sa.cutoff, sb.cutoff)) / norm)
+
+
+@pytest.mark.parametrize("lam, a, b", [(0.02, 15 + 3j, 14.2 + 3.5j), (0.3, 3 - 1j, 2.5 - 0.4j),
+                                       (1.0, 2j, -0.5 + 1.5j), (-0.6, 1.1, 0.9 + 0.2j)])
+def test_q_overlap_matches_mpmath_series(lam, a, b):
+    spec = dfm.q_deform(lam)
+    sa, sb = coherent.build_f_coherent(a, spec), coherent.build_f_coherent(b, spec)
+    assert abs(coherent.scalar_product(sa, sb) - oracle_overlap(sa, sb)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, spec", [(3.0, dfm.identity()), (2j, dfm.q_deform(1.0)),
+                                         (6.0 - 2j, dfm.q_deform(0.05))])
+@pytest.mark.parametrize("cutoff", [1, 4, 20, 33])
+def test_required_cutoff_suffices(alpha, spec, cutoff):
+    try:
+        coherent.build_f_coherent(alpha, spec, cutoff)
+    except CutoffError as exc:
+        state = coherent.build_f_coherent(alpha, spec, exc.required_cutoff)
+        assert state.cutoff == exc.required_cutoff > cutoff
+        assert state.tail_bound <= coherent.TAIL_PROBABILITY
+
+
+@pytest.mark.parametrize("cutoff", [36, 40, 47])
+def test_explicit_cutoff_meets_the_residual_promise(cutoff):
+    """One tail rule for explicit and automatic cutoffs: at alpha = 3 a
+    cutoff of 36 to 47 leaves a last-level probability between 1e-19 and
+    1e-11, and an eigenvalue residual between 1.7e-9 and 8.2e-6, past the
+    1e-9 that the module promises."""
+    with pytest.raises(CutoffError) as info:
+        coherent.build_f_coherent(3.0, dfm.identity(), cutoff)
+    state = coherent.build_f_coherent(3.0, dfm.identity(), info.value.required_cutoff)
+    assert coherent.eigenvalue_residual(state) <= 1e-9
+
+
+def test_no_cutoff_up_to_the_cap_is_one_error_naming_it():
+    """|alpha| = 1000 needs about 10^6 levels: an explicit cutoff below the
+    cap, the cap itself and the automatic rule end alike."""
+    messages = set()
+    for cutoff in (4, coherent._MAX_CUTOFF, None):
+        with pytest.raises(SolverError) as info:
+            coherent.build_f_coherent(1000.0, dfm.identity(), cutoff)
+        assert type(info.value) is SolverError
+        messages.add(str(info.value))
+    (message,) = messages
+    assert str(coherent._MAX_CUTOFF) in message
+
+
+def test_ladder_overflow_below_the_cutoff_saturates():
+    """F(n) = sinh(n lam)/sinh(lam) is past the double range from n = 710 at
+    lam = 1, and from n = 24 at lam = 30."""
+    assert coherent.build_f_coherent(1.0, dfm.q_deform(1.0), 700).cutoff == 700
+    with pytest.raises(SaturationError) as info:
+        coherent.build_f_coherent(1.0, dfm.q_deform(1.0), 720)
+    assert info.value.largest_safe_n == 709
+    with pytest.raises(SaturationError) as info:
+        coherent.build_f_coherent(1.0, dfm.q_deform(30.0))
+    assert info.value.largest_safe_n == 23
 
 
 def test_subnormal_phase_builds():

@@ -1,5 +1,6 @@
-"""Scalar deformation calculus: q-numbers, f(n), F(n) and its inverse,
-increments, deformed factorials, and the CSV table loader.
+"""Deformation calculus: q-numbers, f(n), F(n) and its inverse (on scalars
+and on whole arrays), increments, deformed factorials, and the CSV table
+loader.
 
 Reference values were computed independently with 40-digit arithmetic and
 frozen here as literals; q_number and F^{-1} at small lambda are also
@@ -64,10 +65,12 @@ def test_q_number_series_matches_sinh_across_switch():
     below = q_number(n, 9.9e-7)
     above = q_number(n, 1.01e-6)
     assert abs(below - above) < 1e-12 * n
-    for x in np.geomspace(1e-3, 700.0, 15):
-        for lam in (9.9e-7, 1.01e-6):
-            n = float(x) / lam
-            assert_allclose(q_number(n, lam), oracle_q_number(n, lam), rtol=1e-12,
+    for lam in (9.9e-7, 1.01e-6):
+        ns = np.geomspace(1e-3, 700.0, 15) / lam
+        want = [oracle_q_number(n, lam) for n in ns.tolist()]
+        assert_allclose(q_number(ns, lam), want, rtol=1e-12, err_msg=f"lambda = {lam!r}")
+        for n, w in zip(ns.tolist(), want):
+            assert_allclose(q_number(n, lam), w, rtol=1e-12,
                             err_msg=f"n = {n!r}, lambda = {lam!r}")
 
 
@@ -87,9 +90,12 @@ def test_q_number_matches_mpmath_oracle(lam):
     n stays finite), for small n, and for n*lambda below the normal range."""
     xs = [float(x) for x in np.geomspace(1e-3, 700.0, 25)]
     ns = [x / lam for x in xs if math.isfinite(x / lam)] + [0.5, 1.0, 2.0, 7.0, 1e6]
-    for n in ns:
-        for sign in (1.0, -1.0):
-            assert_allclose(q_number(n, sign * lam), oracle_q_number(n, lam),
+    want = [oracle_q_number(n, lam) for n in ns]
+    for sign in (1.0, -1.0):
+        assert_allclose(q_number(np.array(ns), sign * lam), want, rtol=1e-12,
+                        err_msg=f"array, lambda = {sign * lam!r}")
+        for n, w in zip(ns, want):
+            assert_allclose(q_number(n, sign * lam), w,
                             rtol=1e-12, err_msg=f"n = {n!r}, lambda = {sign * lam!r}")
     assert_allclose(lambda_over_sinh(lam), float(lam / mpmath.sinh(mpmath.mpf(lam))),
                     rtol=1e-15)
@@ -103,6 +109,7 @@ def test_big_f_inverse_matches_mpmath_at_tiny_lambda():
         expected = float(mpmath.asinh(mpmath.mpf(1e50) * mpmath.sinh(mpmath.mpf(lam)))
                          / mpmath.mpf(lam))
     assert_allclose(big_f_inverse(1e50, q_deform(lam)), expected, rtol=1e-12)
+    assert_allclose(big_f_inverse(np.array([1e50]), q_deform(lam)), [expected], rtol=1e-12)
 
 
 INVERSE_LAMBDAS = [5e-324, 1e-9, 1e-3, 0.1, 1.0, 5.0]
@@ -128,10 +135,13 @@ def test_big_f_inverse_matches_mpmath_closed_form(lam):
     """From x = 1e-300 up to the saturation edge, both signs of lambda."""
     top = saturation_edge(lam) * (1.0 - 1e-12)
     xs = [float(x) for x in np.geomspace(1e-300, top, 60)] + [top]
-    for x in xs:
-        expected = oracle_big_f_inverse(x, lam)
-        for sign in (1.0, -1.0):
-            assert_allclose(big_f_inverse(x, q_deform(sign * lam)), expected, rtol=1e-12,
+    want = [oracle_big_f_inverse(x, lam) for x in xs]
+    for sign in (1.0, -1.0):
+        spec = q_deform(sign * lam)
+        assert_allclose(big_f_inverse(np.array(xs), spec), want, rtol=1e-12,
+                        err_msg=f"array, lambda = {sign * lam!r}")
+        for x, expected in zip(xs, want):
+            assert_allclose(big_f_inverse(x, spec), expected, rtol=1e-12,
                             err_msg=f"x = {x!r}, lambda = {sign * lam!r}")
 
 
@@ -158,16 +168,21 @@ def test_big_f_inverse_past_sinh_overflow_matches_mpmath(lam):
     both signs of lambda."""
     top = saturation_edge(lam) * (1.0 - 1e-12)
     xs = [5e-324, 1e-315] + [float(x) for x in np.geomspace(1e-310, top, 80)] + [top]
-    for x in xs:
-        expected = oracle_big_f_inverse(x, lam)
-        for sign in (1.0, -1.0):
-            got = big_f_inverse(x, q_deform(sign * lam))
+    want = np.array([oracle_big_f_inverse(x, lam) for x in xs])
+    for sign in (1.0, -1.0):
+        spec = q_deform(sign * lam)
+        got = big_f_inverse(np.array(xs), spec)
+        assert np.all(np.abs(got - want) <= 16 * sys.float_info.epsilon * want), lam
+        for x, expected in zip(xs, want.tolist()):
+            got = big_f_inverse(x, spec)
             assert abs(got - expected) <= 16 * sys.float_info.epsilon * expected, (x, lam)
     with pytest.raises(SaturationError) as exc_info:
         big_f_inverse(saturation_edge(lam) * (1.0 + 1e-12), q_deform(lam))
     assert exc_info.value.largest_safe_n == _SATURATION_N_LAMBDA / lam
     with pytest.raises(SaturationError):
         big_f_inverse(math.inf, q_deform(lam))
+    with pytest.raises(SaturationError):
+        big_f_inverse(np.array([1.0, math.inf]), q_deform(lam))
 
 
 @pytest.mark.parametrize("lam", [0.5, 5.0, 40.0, 700.0])
@@ -179,8 +194,11 @@ def test_underflowing_arguments_keep_the_factor_lambda_over_sinh(lam):
         with mpmath.workdps(50):
             ratio = mpmath.mpf(lam) / mpmath.sinh(mpmath.mpf(lam))
         want_f, want_inv = float(v * ratio), oracle_big_f_inverse(v, lam)
-        assert abs(q_number(v, lam) - want_f) <= 4e-16 * want_f + 2.0 ** -1073, v
-        assert abs(big_f_inverse(v, q_deform(lam)) - want_inv) <= 4e-16 * want_inv, v
+        for got_f, got_inv in ((q_number(v, lam), big_f_inverse(v, q_deform(lam))),
+                               (q_number(np.array([v]), lam)[0],
+                                big_f_inverse(np.array([v]), q_deform(lam))[0])):
+            assert abs(got_f - want_f) <= 4e-16 * want_f + 2.0 ** -1073, v
+            assert abs(got_inv - want_inv) <= 4e-16 * want_inv, v
 
 
 _lambdas = st.sampled_from([s * v for v in INVERSE_LAMBDAS for s in (1.0, -1.0)])
@@ -197,6 +215,74 @@ def test_big_f_inverse_properties(x, lam):
     assert big_f_inverse(x, q_deform(-lam)) == y
     # F has condition number n lambda coth(n lambda) <= 709 here
     assert_allclose(big_f(y, q_deform(lam)), x, rtol=1e-12)
+
+
+def ulps_apart(a: float, b: float) -> float:
+    """|a - b| in units in the last place of the larger; 0 for two equal
+    values, two infinities of one sign or two nans."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+# every switch of the q branch: n |lambda| below the normal range, |lambda|
+# past 709, and saturation past n |lambda| = 709
+SWITCH_LAMBDAS = (0.0, 5e-324, 1e-300, 1e-9, 0.1, 1.0, 3.0, 700.0, 708.9, 709.0,
+                  709.1, 710.0, 745.5, 800.0, 1400.0)
+_edge_factors = st.sampled_from([1.0, 1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52, 0.5, 2.0])
+
+
+@st.composite
+def spec_and_points(draw):
+    """A spec of each kind, with arguments n and x of F and F^-1 on both
+    sides of each of its switches (for a custom table: at and between nodes)."""
+    kind = draw(st.sampled_from(["q", "identity", "custom"]))
+    anywhere = st.floats(0.0, 1e308)
+    if kind == "custom":
+        steps = draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=20))
+        nodes = np.cumsum([0.0, *steps])
+        spec = custom([1.0, *np.sqrt(nodes[1:] / np.arange(1, len(nodes)))])
+        ns = draw(st.lists(st.floats(0.0, len(nodes) - 1.0), max_size=20))
+        xs = draw(st.lists(st.floats(0.0, spec.nodes[-1]), max_size=20))
+        return spec, ns + list(range(len(nodes))), xs + list(spec.nodes)
+    if kind == "identity":
+        return identity(), draw(st.lists(anywhere, max_size=20)), draw(st.lists(anywhere))
+    lam = draw(st.sampled_from(SWITCH_LAMBDAS) | st.floats(0.0, 2000.0))
+    lam *= draw(st.sampled_from([1.0, -1.0]))
+    a = abs(lam)
+    anchors = [1.0] if a == 0 else [1.0, sys.float_info.min / a, 709.0 / a]
+    ns = [v * draw(_edge_factors) for v in anchors] + draw(st.lists(anywhere, max_size=20))
+    ns = [n for n in ns if math.isfinite(n)]
+    edge = q_number(709.0 / a, a) if a else 1.0
+    xs = [v * draw(_edge_factors) for v in (edge, sys.float_info.min, 1.0)]
+    return q_deform(lam), ns + [0.0], xs + draw(st.lists(anywhere, max_size=20)) + [0.0]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(spec_and_points())
+def test_array_and_scalar_agree_within_two_ulp(case):
+    """numpy's sinh, exp and arcsinh are not libm's, so the array answers may
+    round differently; they stay within 2 ulp of the scalar ones, on both
+    sides of every switch, and saturate (raise) exactly where those do."""
+    spec, ns, xs = case
+    n = np.array(ns)
+    pairs = [(f_of_n, n), (big_f, n)]
+    if spec.kind == "q":
+        pairs.append((lambda v, spec: q_number(v, spec.lam), n))
+    inverted = []
+    for x in xs:
+        try:
+            inverted.append((x, big_f_inverse(x, spec)))
+        except SaturationError as exc:
+            with pytest.raises(SaturationError) as info:
+                big_f_inverse(np.array([1.0, x]), spec)
+            assert info.value.largest_safe_n == exc.largest_safe_n
+    pairs.append((big_f_inverse, np.array([x for x, _ in inverted])))
+    for fn, arg in pairs:
+        got = fn(arg, spec)
+        assert got.shape == arg.shape
+        for v, g in zip(arg.tolist(), got.tolist()):
+            assert ulps_apart(fn(v, spec), g) <= 2.0, (fn.__name__, v, spec)
 
 
 def test_q_number_overflow_returns_inf():
@@ -235,13 +321,14 @@ def test_small_n_q_number_matches_oracle_past_sinh_overflow(lam):
     """n < 1 keeps n |lambda| finite where sinh(lambda) is not.  Rounding
     n*lambda moves the exponent by up to |lambda| eps, hence the tolerance."""
     rtol = (abs(lam) + 4.0) * sys.float_info.epsilon
-    for n in (1e-3, 0.1, 0.5, 0.9, 0.999):
-        if n * lam > 709.0:
-            continue
-        want = oracle_q_number(n, lam) if lam else n
-        for sign in (1.0, -1.0):
+    ns = [n for n in (1e-3, 0.1, 0.5, 0.9, 0.999) if n * lam <= 709.0]
+    want = np.array([oracle_q_number(n, lam) if lam else n for n in ns])
+    for sign in (1.0, -1.0):
+        got = q_number(np.array(ns), sign * lam)
+        assert np.all(np.abs(got - want) <= rtol * want + SUBNORMAL_ATOL), sign * lam
+        for n, w in zip(ns, want.tolist()):
             got = q_number(n, sign * lam)
-            assert abs(got - want) <= rtol * want + SUBNORMAL_ATOL, (n, sign * lam)
+            assert abs(got - w) <= rtol * w + SUBNORMAL_ATOL, (n, sign * lam)
 
 
 def test_f_of_n_frozen_value():

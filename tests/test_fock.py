@@ -172,7 +172,7 @@ def dense_check_commutator(dim, spec):
     ad = a.conj().T
     p1 = a @ ad
     p2 = ad @ a
-    target = np.diag([dfm.phi_of_z(n, spec) for n in range(dim)]).astype(complex)
+    target = np.diag(dfm.phi_of_z(np.arange(float(dim)), spec)).astype(complex)
     k = dim - 1
     return fock._scaled_max_residual((p1 - p2 - target)[:k, :k],
                                      p1[:k, :k], p2[:k, :k], target[:k, :k])
@@ -192,12 +192,12 @@ def dense_check_reordering(dim, lam):
 def dense_number_diagonal(dim, spec):
     a = fock.deformed_annihilation(dim, spec).entries
     n_op = a.conj().T @ a
-    return a, [max(n_op[j, j].real, 0.0) for j in range(dim)]
+    return a, np.maximum(np.diagonal(n_op).real, 0.0)
 
 
 def dense_linearoid_roundtrip(dim, spec):
     a, diag = dense_number_diagonal(dim, spec)
-    inv_f = np.array([1.0 / dfm.f_of_n(dfm.big_f_inverse(x, spec), spec) for x in diag])
+    inv_f = 1.0 / dfm.f_of_n(dfm.big_f_inverse(diag, spec), spec)
     recon = a @ np.diag(inv_f)
     k = dim - 1
     return float(np.max(np.abs(recon - fock.annihilation(dim).entries)[:k, :k]))
@@ -205,7 +205,7 @@ def dense_linearoid_roundtrip(dim, spec):
 
 def dense_hamiltonian(dim, spec):
     _, diag = dense_number_diagonal(dim, spec)
-    return np.diag([dfm.big_f_inverse(x, spec) + 0.5 for x in diag]).astype(complex)
+    return np.diag(dfm.big_f_inverse(diag, spec) + 0.5).astype(complex)
 
 
 def dense_heisenberg_residual(dim, spec):
@@ -227,7 +227,7 @@ def dense_evolution_residual(dim, spec, t):
 def dense_spectrum_check(dim, spec):
     a = fock.deformed_annihilation(dim, spec).entries
     eigs = np.linalg.eigvalsh(a.conj().T @ a)
-    target = np.array(sorted(dfm.big_f(n, spec) for n in range(dim)))
+    target = np.sort(dfm.big_f(np.arange(float(dim)), spec))
     return float(np.max(np.abs(eigs - target) / np.maximum(1.0, target)))
 
 

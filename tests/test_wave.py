@@ -4,6 +4,7 @@ traveling-wave (shape-preserving) data, and the undeformed limit.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -196,6 +197,21 @@ def test_leapfrog_steps_backward_to_a_negative_t_end():
     assert back.time == -3.0
     assert np.max(np.abs(back.phi - wave.evolve(field, -3.0).phi)) < 1e-2
     assert abs(back.mu - field.mu) < 1e-3
+
+
+@pytest.mark.parametrize("method", ["spectral", "leapfrog"])
+def test_evolve_keeps_mu_of_a_field_whose_mean_drifted(method):
+    """About 1.5e5 leapfrog steps round phi to a mean past the 1e-12 that
+    user data may carry.  mu leaves out k = 0, so evolve still reports it;
+    make_field and solve_mu keep rejecting such data."""
+    theta = grid(16)
+    field = wave.make_field(np.cos(theta), 0.3 * np.sin(theta), 0.3)
+    drifted = replace(field, phi=field.phi + 1e-11)
+    dt = 0.5 * (2.0 * math.pi / 16) / (math.pi * field.speed)
+    got = wave.evolve(drifted, 1.0, dt, method=method)
+    assert abs(got.mu - wave.evolve(field, 1.0, dt, method=method).mu) <= 1e-12 * field.mu
+    with pytest.raises(ParameterError, match="zero mean"):
+        wave.solve_mu(drifted.phi, drifted.pi, 0.3)
 
 
 def test_leapfrog_guards():
