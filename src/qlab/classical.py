@@ -307,20 +307,29 @@ class Trajectory:
     max_exact_dev: float
 
 
+_MAX_STEPS = 1_000_000  # per run: about 2 s of RK4, or 10 s of leapfrog at n = 512
+
+
+def _step_count(t_end: float, dt: float, method: str) -> int:
+    """max(1, round(|t_end / dt|)) for dt > 0, or a ParameterError naming
+    _MAX_STEPS where that passes it or is not finite."""
+    steps = abs(t_end / dt)
+    if not steps <= _MAX_STEPS:
+        raise ParameterError(f"t_end / dt = {steps:.6g} {method} steps is past the "
+                             f"limit of {_MAX_STEPS}")
+    return max(1, round(steps))
+
+
 def _step_grid(t_end: float, dt: float) -> tuple[np.ndarray, float, int]:
-    """(t, dt, n_steps): the time grid, dt snapped to land on t_end, stepping
-    backward to a negative t_end.  A step count that is not finite, or a grid
-    too long to allocate, is a ParameterError."""
+    """(t, dt, n_steps): the RK4 time grid, dt snapped to land on t_end,
+    stepping backward to a negative t_end, in at most _MAX_STEPS steps."""
     import numpy as np
 
     if dt <= 0:
         raise ParameterError("dt must be positive")
-    try:
-        n_steps = max(1, round(abs(t_end) / dt))
-        dt = t_end / n_steps
-        return np.arange(n_steps + 1) * dt, dt, n_steps
-    except (OverflowError, MemoryError, ValueError):
-        raise ParameterError(f"t_end / dt = {t_end / dt:.6g} steps cannot be taken") from None
+    n_steps = _step_count(t_end, dt, "RK4")
+    dt = t_end / n_steps
+    return np.arange(n_steps + 1) * dt, dt, n_steps
 
 
 def _rk4(q: float, p: float, lam: float, dt: float,

@@ -104,10 +104,11 @@ def q_number(n, lam: float):
     Accepts nonnegative real ``n`` (continuous extension), or an array of
     them.  The plain ratio is accurate for every lam down to the
     subnormals, since sinh keeps its relative accuracy there; only where
-    n*lam underflows the normal range (lam = 0 included) is the limit
-    n lam/sinh(lam) returned.  Past |lam| = _SINH_MAX_ARG, where sinh(lam)
-    overflows and only n < 1 stays finite, it is the same ratio written as
-    e^{(n-1)|lam|} (1 - e^{-2n|lam|}) / (1 - e^{-2|lam|}).  Even in lam.
+    n*lam underflows the normal range (lam = 0 included, n = inf too) is
+    the limit n lam/sinh(lam) returned.  Past |lam| = _SINH_MAX_ARG, where
+    sinh(lam) overflows and only n < 1 stays finite, it is the same ratio
+    written as e^{(n-1)|lam|} (1 - e^{-2n|lam|}) / (1 - e^{-2|lam|}).  Even
+    in lam.
     """
     _check_nonnegative(n, "q_number requires n >= 0")
     a = abs(lam)
@@ -118,12 +119,12 @@ def q_number(n, lam: float):
             x = n * a
             out = (np.exp(x - a) * np.expm1(-2.0 * x) / math.expm1(-2.0 * a)
                    if a > _SINH_MAX_ARG else np.sinh(n * lam) / math.sinh(lam))
-        small = x < sys.float_info.min
+        small = ~(x >= sys.float_info.min)  # nan: n = inf at lam = 0
         out[small] = n[small] * lambda_over_sinh(lam)
         out[x > _SINH_MAX_ARG] = math.inf
         return out
     x = n * a
-    if x < sys.float_info.min:
+    if not x >= sys.float_info.min:  # nan: n = inf at lam = 0
         return n * lambda_over_sinh(lam)
     if x > _SINH_MAX_ARG:
         return math.inf
@@ -149,8 +150,11 @@ def lambda_over_sinh(lam: float) -> float:
 
 def _interp(x, xp, fp, what: str):
     """np.interp(x, xp, fp) for x in [xp[0], xp[-1]], else a ParameterError; a
-    scalar x in np.interp's arithmetic, so that the two agree bit for bit."""
-    inside = (xp[0] <= x) & (x <= xp[-1])
+    scalar x in np.interp's arithmetic, so that the two agree bit for bit.
+
+    An x up to 4 ulp past the top, as sqrt(F)^2 may round, counts as the top.
+    """
+    inside = (xp[0] <= x) & (x <= xp[-1] * (1.0 + 4.0 * sys.float_info.epsilon))
     if not (inside.all() if _is_array(x) else inside):
         bad = x[~inside][0] if _is_array(x) else x
         raise ParameterError(f"{what} = {bad} outside the custom table range "
@@ -158,7 +162,8 @@ def _interp(x, xp, fp, what: str):
     if _is_array(x):
         import numpy as np
 
-        return np.interp(x, xp, fp)
+        return np.interp(x, xp, fp)  # which clamps at the top
+    x = min(x, xp[-1])
     j = bisect.bisect_right(xp, x) - 1
     if xp[j] == x:
         return float(fp[j])
@@ -168,9 +173,9 @@ def _interp(x, xp, fp, what: str):
 def f_of_n(n, spec: DeformationSpec):
     """Deformation function f(n) >= 0; accepts real n >= 0, or an array.
 
-    Identity -> 1.  q-deform -> sqrt(n_q/n) for n > 0, and the pinned
-    convention lam/sinh(lam) at n = 0.  Custom -> table lookup (linear
-    interpolation at non-integer n).
+    Identity, and q-deform at lam = 0 -> 1.  q-deform -> sqrt(n_q/n) for
+    n > 0, and the pinned convention lam/sinh(lam) at n = 0.  Custom ->
+    table lookup (linear interpolation at non-integer n).
     """
     _check_nonnegative(n, "f_of_n requires n >= 0")
     if spec.kind == _CUSTOM:
@@ -178,12 +183,12 @@ def f_of_n(n, spec: DeformationSpec):
     if _is_array(n):
         import numpy as np
 
-        if spec.kind == _IDENTITY:
+        if spec.kind == _IDENTITY or spec.lam == 0:
             return np.ones_like(n, dtype=float)
         with np.errstate(all="ignore"):  # 0/0 at n = 0 is replaced
             return np.where(n == 0, lambda_over_sinh(spec.lam),
                             np.sqrt(q_number(n, spec.lam) / n))
-    if spec.kind == _IDENTITY:
+    if spec.kind == _IDENTITY or spec.lam == 0:
         return 1.0
     return math.sqrt(q_number(n, spec.lam) / n) if n else lambda_over_sinh(spec.lam)
 
@@ -228,7 +233,7 @@ def big_f_inverse(x, spec: DeformationSpec):
                 linear = False
             else:
                 z = x * math.sinh(lam)
-                y_lam, linear = np.arcsinh(z), z < sys.float_info.min
+                y_lam, linear = np.arcsinh(z), ~(z >= sys.float_info.min)  # nan: inf at 0
             if np.any(y_lam > _SINH_MAX_ARG):
                 raise SaturationError("F value beyond double range; cannot invert",
                                       largest_safe_n=_SINH_MAX_ARG / lam)
@@ -245,7 +250,7 @@ def big_f_inverse(x, spec: DeformationSpec):
             y_lam = math.asinh((x * half) * (0.5 * half))
     else:
         z = x * math.sinh(lam)
-        if z < sys.float_info.min:  # asinh(z) = z, which keeps no digits here
+        if not z >= sys.float_info.min:  # asinh(z) = z keeps no digits (nan: inf at 0)
             return x / lambda_over_sinh(lam)
         y_lam = math.asinh(z)
     if y_lam > _SINH_MAX_ARG:

@@ -169,8 +169,8 @@ def _run_classical_simulate(p: dict) -> ExperimentResult:
     state0 = classical.ClassicalState(p["q0"], p["p0"], lam)
     traj = classical.integrate_eom(state0, p["t_end"], p["dt"])
     n = traj.t.shape[0]
-    stride = max(1, p["stride"])
-    idx = np.unique(np.r_[np.arange(0, n, stride), n - 1])
+    idx = np.arange(0, n, max(1, p["stride"]))  # not np.unique: it loads numpy.ma
+    idx = idx if idx[-1] == n - 1 else np.append(idx, n - 1)
     alpha_t = classical.exact_alpha(state0.alpha, lam, traj.t[idx])
     q_exact = math.sqrt(2.0) * alpha_t.real
     rows = []
@@ -359,8 +359,8 @@ def _run_level_simulate(p: dict) -> ExperimentResult:
     evo = level.evolve_one_level(complex(p["re"], p["im"]), p["lambda"],
                                  p["t_end"], p["dt"])
     n = evo.t.shape[0]
-    stride = max(1, p["stride"])
-    idx = np.unique(np.r_[np.arange(0, n, stride), n - 1])
+    idx = np.arange(0, n, max(1, p["stride"]))  # not np.unique: it loads numpy.ma
+    idx = idx if idx[-1] == n - 1 else np.append(idx, n - 1)
     rows = [{"t": float(evo.t[i]),
              "re_psi": float(evo.psi_rk4[i].real),
              "im_psi": float(evo.psi_rk4[i].imag),

@@ -11,10 +11,10 @@ E_n = F(n).  Which one reproduces the printed small-lam Planck correction
 is decided empirically by planck_coefficient_check, not assumed.
 
 ln Z, <n> and C = beta^2 Var E all come from one pass over the spectrum,
-_moments: a closed-form cutoff, a centred variance, and past _DIRECT_CAP
-levels an Euler-Maclaurin tail.  numpy is imported only by that pass and
-by energy_levels; the closed forms (the blue shift, the Planck formula, the
-1/ln T law) run without it.
+_moments: a closed-form cutoff, a centred variance, and a direct sum, or an
+Euler-Maclaurin tail from level 1 where the levels are smooth.  numpy is
+imported only by that pass and by energy_levels; the closed forms (the blue
+shift, the Planck formula, the 1/ln T law) run without it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ _TINY = sys.float_info.min
 _T_MIN, _T_MAX = 1e-300, 1e300  # keeps 1/T and the tail's energies ~1e3 T finite
 _TAIL_LOG = math.log(1e18)  # levels left out weigh < 1e-18 of level 1 (_moments)
 _BLOCK = 1 << 13  # levels per block: temporaries stay this long however long the sum
-_DIRECT_CAP = 1 << 20  # levels summed one by one before _em_tail takes over
+_EM_LAM, _EM_SLOPE = 1e-3, 1e-2  # smooth enough for _em_tail from level 1 (_moments)
 # Step of the tail's trapezoid rule in s = ln u.  The integrand is analytic
 # for |Im s| < pi/2, so 1/8 errs by ~1e-20 (1/4 measured 6e-14); a binary
 # step from an integer start keeps the nodes exact.
@@ -159,9 +159,12 @@ def _moments(beta: float, lam: float, convention: str) -> _Moments:
     e^-x_N/(1 - e^-beta).  So levels 0, 1 and every level with
     x_n < K + min(x_1, K), K = ln(1e18) - ln(1 - e^-beta), leave out less
     than 1e-18 of w_1 = e^-x_1, which carries <n> and C when cold.  The
-    last such index is E_n inverted in closed form.  Blocks pool by the
-    Chan-Golub-LeVeque update, so C is a centred variance.  lam = 0 has
-    closed forms.
+    last such index is E_n inverted in closed form.  lam = 0 has closed forms.
+    Levels >= 1 are summed in Chan-Golub-LeVeque-pooled blocks (a centred C),
+    or by _em_tail(1) where the slope s = x' is small: Gregory's rule errs by
+    ~G_7 D^7 g <= 0.01 * 42 s^7 on g = x^j e^-x (j <= 2), against a sum >= 1/s,
+    so by 0.5 s^8 relative: 5e-17 for beta E'(1) <= _EM_SLOPE at n = 1, and
+    3e-21 at most for s ~ |lam| x further out, where |lam| <= _EM_LAM.
     """
     import numpy as np
 
@@ -182,20 +185,17 @@ def _moments(beta: float, lam: float, convention: str) -> _Moments:
         raise SaturationError(f"the levels up to the cutoff overflow the double "
                               f"range at lambda = {lam!r}, T = {1.0 / beta!r}",
                               largest_safe_n=int(_SINH_MAX_ARG / a) - 1)
-    direct = min(n_end, _DIRECT_CAP)
-    excited = None  # levels >= 1: ln Z = ln(1 + their weight), to full precision
+    smooth = a <= _EM_LAM and beta * a * math.cosh(a + a * spec.shift) / spec.scale <= _EM_SLOPE
+    direct = 1 if smooth else n_end
+    excited = _block_moments(*_em_tail(1, beta, spec)) if smooth else None  # levels >= 1
     for start in range(1, direct, _BLOCK):
         n = np.arange(start, min(start + _BLOCK, direct), dtype=float)
         x = beta * (spec.energy(n) - spec.shift)
         block = _block_moments(n, x, np.exp(-x))
         excited = block if excited is None else _merge(excited, block)
-    tail = "direct"
-    if direct < n_end:
-        excited = _merge(excited, _block_moments(*_em_tail(direct, beta, spec)))
-        tail = "direct+em"
     total, mean_n, _, m2 = _merge((1.0, 0.0, 0.0, 0.0), excited)
     return _Moments(math.log1p(excited[0]) - beta * spec.shift, mean_n, m2 / total,
-                    n_end - 1, direct, tail)
+                    n_end - 1, direct, "direct+em" if smooth else "direct")
 
 
 def energy_levels(n_max: int, lam: float, convention: str = "sym") -> list[float]:

@@ -23,12 +23,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import _newton_bisect, omega_q
+from .classical import _newton_bisect, _step_count, omega_q
 from .deformation import _SINH_MAX_ARG, _log_cosh, _log_sinh, _sech, lambda_over_sinh
 from .errors import ParameterError, SaturationError, SolverError
 
 TWO_PI = 2.0 * math.pi
-_MAX_LEAPFROG_STEPS = 1_000_000  # about 10 s at n = 512 on a 2-vCPU Xeon
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ def evolve(field: WaveField, t_end: float, dt: float | None = None,
     |k| * speed — one step to any t_end, no stability constraint.
     "leapfrog": second-order finite differences kept as a cross-check; this
     mode must satisfy dt <= dx/(pi * speed) with dx = 2 pi / N, and take at
-    most _MAX_LEAPFROG_STEPS steps of dt toward t_end (backward if negative).
+    most classical._MAX_STEPS steps of dt toward t_end (backward if negative).
     """
     if method == "spectral":
         return _evolve_spectral(field, t_end)
@@ -161,11 +160,7 @@ def evolve(field: WaveField, t_end: float, dt: float | None = None,
         if dt > bound:
             raise ParameterError(
                 f"dt = {dt} violates the stability bound dx/(pi*speed) = {bound:.3e}")
-        steps = abs(t_end / dt)
-        if not steps <= _MAX_LEAPFROG_STEPS:
-            raise ParameterError(f"t_end / dt = {steps:.6g} leapfrog steps is past "
-                                 f"the limit of {_MAX_LEAPFROG_STEPS}")
-        return _evolve_leapfrog(field, t_end, max(1, round(steps)))
+        return _evolve_leapfrog(field, t_end, _step_count(t_end, dt, "leapfrog"))
     raise ParameterError(f"unknown evolution method: {method!r}")
 
 

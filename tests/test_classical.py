@@ -401,6 +401,23 @@ def test_integrate_eom_rejects_bad_steps():
         classical.integrate_eom(state0, t_end=1.0, dt=0.0)
 
 
+def test_rk4_and_leapfrog_share_one_step_budget():
+    """RK4 (classical and level) and leapfrog stop at the same _MAX_STEPS,
+    checked before the grid is allocated; the suite's 1e5 steps are legal."""
+    from qlab import level, wave
+
+    limit = "past the limit of 1000000"
+    with pytest.raises(ParameterError, match=f"1e\\+08 RK4 steps is {limit}"):
+        classical.integrate_eom(classical.ClassicalState(1.0, 0.0, 0.5), 10.0, 1e-7)
+    with pytest.raises(ParameterError, match=f"RK4 steps is {limit}"):
+        level.evolve_one_level(0.5, 0.5, -10.0, 1e-7)
+    field = wave.make_field(np.cos(np.arange(16) * math.pi / 8), np.zeros(16), 0.3)
+    with pytest.raises(ParameterError, match=f"leapfrog steps is {limit}"):
+        wave.evolve(field, 1e5, 0.01, "leapfrog")
+    assert classical._step_grid(10.0, 1e-4)[2] == 100_000
+    assert classical._step_grid(1.0, 1e-6)[2] == classical._MAX_STEPS
+
+
 def test_integrate_eom_steps_backward_to_a_negative_t_end():
     traj = classical.integrate_eom(classical.ClassicalState(1.0, 0.0, 0.5),
                                    t_end=-3.0, dt=1e-3)

@@ -378,8 +378,9 @@ EDGE_ARGVS = [
     ("classical alpha --lambda 0.5 --q0 1e200 --p0 0", 3, "SaturationError"),
     ("classical bracket --lambda 0 --alpha-re 1e200", 3, "SaturationError"),
     ("classical bracket-grid --alpha-max 1e308", 3, "SaturationError"),
-    # a step count that is not finite or cannot be allocated
+    # a step count past the one step budget (classical._MAX_STEPS), or not finite
     ("classical simulate --lambda 0.5 --q0 1 --p0 0 --t-end 1e200", 2, "ParameterError"),
+    ("classical simulate --lambda 0.5 --q0 1 --p0 0 --t-end 10 --dt 1e-7", 2, "ParameterError"),
     ("level simulate --lambda 0.5 --re 0.5 --t-end 0.1 --dt 5e-324", 2, "ParameterError"),
     ("wave simulate --lambda 0.3 --t-end 1e200 --n 16 --method leapfrog --dt 0.01",
      2, "ParameterError"),
@@ -496,6 +497,23 @@ def test_csv_floats_are_15_digits(capsys):
     row = out.splitlines()[1].split(",")
     value = float(row[-2])
     assert row[-2] == format(value, ".15g")
+
+
+def test_operators_check_uses_every_row_of_a_custom_table(capsys, tmp_path):
+    """At dim = the table length the top N = sqrt(F)^2 rounds one ulp past
+    the top node, and F^-1 takes it as the top; clearly past it is an error."""
+    table = tmp_path / "f.csv"
+    table.write_text("n,f\n" + "".join(f"{n},{math.sqrt(1.0 + 0.05 * n)!r}\n"
+                                       for n in range(40)))
+    code, out, err = run(capsys, ["operators", "check", "--kind", "custom", "--f-table",
+                                  str(table), "--dim", "40", "--format", "json"])
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    for key in ("commutator", "linearoid", "heisenberg", "spectrum", "evolution"):
+        assert summary[key] <= 1e-10, key
+    spec = deformation.load_f_table(str(table))
+    with pytest.raises(ParameterError, match="outside the custom table range"):
+        deformation.big_f_inverse(spec.nodes[-1] * (1.0 + 1e-12), spec)
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):
@@ -680,6 +698,38 @@ def test_scalar_verbs_never_load_numpy():
     assert numpy_loaded is False
 
 
+# The array verbs of the benchmark's cold-verbs workload, with their exit codes.
+ARRAY_VERBS = [
+    (["operators", "check", "--lambda", "0.3", "--dim", "24"], 0),
+    (["classical", "simulate", "--lambda", "0.3", "--q0", "1", "--p0", "0", "--t-end", "2",
+      "--dt", "1e-3", "--stride", "200"], 0),
+    (["wave", "simulate", "--lambda", "0.3", "--t-end", "5", "--n", "64", "--mode", "3",
+      "--amplitude", "0.5", "--soliton", "1", "--format", "json"], 0),
+    (["level", "simulate", "--lambda", "0.3", "--re", "0.8", "--t-end", "1", "--dt", "1e-3",
+      "--stride", "250"], 0),
+    (["coherent", "build", "--lambda", "0.3", "--alpha-re", "1.2"], 0),
+    (["coherent", "build", "--alpha-re", "3", "--cutoff", "4"], 2),
+    (["thermo", "table", "--lambda", "0.3", "--t-min", "0.5", "--t-max", "8",
+      "--points", "4"], 0),
+]
+
+
+def test_array_verbs_never_load_numpy_ma():
+    """Each verb above runs through cli.run, in one fresh interpreter, and
+    numpy.ma (about 12 ms of a cold start) is not loaded after any of them."""
+    out = fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from qlab import cli\n"
+        f"verbs = {[argv for argv, _ in ARRAY_VERBS]!r}\n"
+        "runs = []\n"
+        "for argv in verbs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        runs.append([cli.run(argv), 'numpy.ma' in sys.modules])\n"
+        "print(json.dumps(runs))\n")
+    assert json.loads(out) == [[code, False] for _, code in ARRAY_VERBS]
+
+
 def sample_argv(key: str) -> list[str]:
     """argv for a command, with every parameter given and the global flags."""
     if key == "suite":
@@ -775,8 +825,9 @@ def test_run_experiment_rejects_unknown_params():
 
 
 def test_thermo_table_sums_a_long_spectrum(capsys):
-    """lambda = 1e-5 up to T = 1e6 needs 1.4e6 levels: the JSON summary says
-    how they were summed, and the rows match the mpmath oracle."""
+    """lambda = 1e-5 up to T = 1e6 reaches level 7e5, each row by the
+    Euler-Maclaurin tail from level 1: the JSON summary says so, and the
+    rows match the mpmath oracle."""
     argv = ["thermo", "table", "--lambda", "1e-5", "--t-min", "1e4", "--t-max", "1e6",
             "--points", "3"]
     code, out, err = run(capsys, argv)
@@ -789,8 +840,8 @@ def test_thermo_table_sums_a_long_spectrum(capsys):
         assert abs(c / want_c - 1.0) <= 1e-12
     code, out, _ = run(capsys, argv + ["--format", "json"])
     summary = json.loads(out)
-    assert code == 0 and summary["tail"] == "direct"
-    assert summary["cutoff_used"] == 700781 and summary["terms"] == 1399582
+    assert code == 0 and summary["tail"] == "direct+em"
+    assert summary["cutoff_used"] == 700781 and summary["terms"] == 3
     closed = experiments.run_experiment(
         "thermo table", {"lambda": 0.0, "t_min": 1.0, "t_max": 2.0, "points": 2})
     assert (closed.summary["terms"], closed.summary["tail"]) == (0, "closed")

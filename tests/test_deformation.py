@@ -289,6 +289,23 @@ def test_q_number_overflow_returns_inf():
     assert q_number(800.0, 1.0) == math.inf
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.0, 5e-324, 1.0, 800.0])
+def test_infinite_n_gives_inf_on_both_paths(lam):
+    """n = inf at lam = 0 makes n lam a nan, which used to reach sinh(nan)/sinh(0)
+    (and x sinh(lam) in big_f_inverse, asinh(nan)/0)."""
+    spec = q_deform(lam)
+    fns = [lambda n: q_number(n, lam), lambda n: big_f(n, spec)]
+    if lam == 0.0:  # elsewhere F^-1(inf) saturates
+        fns.append(lambda x: big_f_inverse(x, spec))
+    for fn in fns:
+        assert fn(math.inf) == math.inf
+        got = fn(np.array([math.inf, 2.0]))
+        assert got[0] == math.inf and ulps_apart(got[1], fn(2.0)) <= 2.0
+    if lam == 0.0:  # the identity deformation
+        assert f_of_n(math.inf, spec) == 1.0
+        assert f_of_n(np.array([math.inf, 0.0, 3.0]), spec).tolist() == [1.0, 1.0, 1.0]
+
+
 def test_q_number_rejects_negative_n():
     with pytest.raises(ParameterError):
         q_number(-1.0, 0.5)

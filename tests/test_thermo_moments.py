@@ -1,7 +1,7 @@
 """The one-pass thermodynamic moments (thermo._moments) against an mpmath
-oracle (thermo_oracle.py), across the direct / Euler-Maclaurin switch and
-the old 1e-6 switch, plus hypothesis properties, a memory bound and the
-typed range errors.
+oracle (thermo_oracle.py), on both sides of the bounds of the
+Euler-Maclaurin tail and of the old 1e-6 switch, plus hypothesis
+properties, a memory bound and the typed range errors.
 """
 
 import math
@@ -41,13 +41,29 @@ def test_cold_moments_keep_their_relative_accuracy(lam):
             assert_matches_oracle(t, lam, convention)
 
 
-def test_direct_and_em_sides_of_the_cap_agree():
-    """At lambda = 1e-6 the cutoff index crosses _DIRECT_CAP near
-    T = 24281.64: either side the tail changes method, not accuracy."""
-    below = assert_matches_oracle(24281.5, 1e-6, "sym")
-    above = assert_matches_oracle(24281.8, 1e-6, "sym")
-    assert (below.tail, above.tail) == ("direct", "direct+em")
-    assert below.terms == below.cutoff + 1 <= thermo._DIRECT_CAP == above.terms
+def slope_bound_temperature(lam, convention):
+    """The T at which beta E'(1) meets thermo._EM_SLOPE."""
+    spec = thermo._spectrum(lam, convention)
+    return lam * math.cosh(lam * (1.0 + spec.shift)) / spec.scale / thermo._EM_SLOPE
+
+
+@pytest.mark.parametrize("convention", thermo.CONVENTIONS)
+def test_direct_and_em_sides_of_each_bound_agree(convention):
+    """Levels >= 1 go to the Euler-Maclaurin tail where |lambda| <=
+    _EM_LAM and beta E'(1) <= _EM_SLOPE: either side of each bound the
+    method changes, not the accuracy."""
+    bound = thermo._EM_LAM
+    for t in (1e4, 1e6):
+        below = assert_matches_oracle(t, bound * (1.0 - 1e-9), convention)
+        above = assert_matches_oracle(t, bound * (1.0 + 1e-9), convention)
+        assert (below.tail, below.terms) == ("direct+em", 1)
+        assert (above.tail, above.terms) == ("direct", above.cutoff + 1)
+    for lam in (1e-6, bound):
+        t = slope_bound_temperature(lam, convention)
+        cold = assert_matches_oracle(t * (1.0 - 1e-9), lam, convention)
+        hot = assert_matches_oracle(t * (1.0 + 1e-9), lam, convention)
+        assert (cold.tail, cold.terms) == ("direct", cold.cutoff + 1)
+        assert (hot.tail, hot.terms) == ("direct+em", 1)
 
 
 def test_undeformed_closed_form_is_the_limit():
@@ -86,14 +102,16 @@ def test_occupation_tends_to_bose_einstein(lam_exp, x, convention):
 
 
 def test_long_sum_memory_is_bounded():
-    """1.5e6 levels pass in blocks: no array as long as the sum."""
+    """The longest direct sum, 6.3e5 levels just above _EM_LAM at the
+    hottest T, passes in blocks: no array as long as the sum."""
     tracemalloc.start()
     try:
-        heat = thermo.specific_heat(1e5, 2e-6)
+        m = thermo._moments(1.0 / 1e300, 1.1e-3, "sym")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(heat / oracle(1e5, 2e-6, "sym")[2] - 1.0) <= 1e-12
+    assert (m.tail, m.terms) == ("direct", 628411)
+    assert abs(m.heat / oracle(1e300, 1.1e-3, "sym")[2] - 1.0) <= 1e-12
     assert peak < 4e6, f"peak traced allocation {peak} bytes"
 
 

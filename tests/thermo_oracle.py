@@ -3,8 +3,9 @@
 It sums E_n = sinh(|lam| (n + s))/scale exactly at 20 digits: term by term
 where the weights fall below e^-60 within 1000 levels, and otherwise by
 the Euler-Maclaurin formula from n = 0, with a composite Gauss-Legendre
-integral and eight Bernoulli corrections from the Taylor series of the
-summand, which varies on a scale of T >= 1e2 levels there.
+integral (panel ends at most a factor 1e4 apart in x) and eight Bernoulli
+corrections from the Taylor series of the summand, which varies on a scale
+of T >= 1e2 levels there.
 """
 
 import mpmath
@@ -39,7 +40,12 @@ def oracle(t: float, lam: float, convention: str) -> tuple[float, float, float]:
             for n in range(1, int(n_cut) + 2):
                 sums = [s + v for s, v in zip(sums, terms(mpmath.mpf(n), 1))]
         else:
-            ends = [mpmath.mpf(0)] + [n_of(mpmath.mpf(x)) for x in (0.1, 1, 3, 10, 30, 60)]
+            # panels end at x = 0.1 .. 60, and below 0.1 at x = 0.1/1e4^k down to
+            # level 1: hot enough, x(n) rises like e^{|lam| n} there (T = 1e300)
+            xs = [mpmath.mpf(x) for x in (0.1, 1, 3, 10, 30, 60)]
+            while n_of(xs[0]) > 1:
+                xs.insert(0, xs[0] / 10000)
+            ends = [mpmath.mpf(0)] + [n_of(x) for x in xs]
             for lo, hi in zip(ends, ends[1:]):
                 mid, half = (lo + hi) / 2, (hi - lo) / 2
                 for node, weight in zip(_NODES, _WEIGHTS):
