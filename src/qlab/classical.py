@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .deformation import (_LN2, _SINH_MAX_ARG, _log_cosh, _log_sinh, _sech,
                           lambda_over_sinh, q_number)
-from .errors import ParameterError, SaturationError, SolverError
+from .errors import WORK_BUDGET, ParameterError, SaturationError, SolverError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -307,22 +307,19 @@ class Trajectory:
     max_exact_dev: float
 
 
-_MAX_STEPS = 1_000_000  # per run: about 2 s of RK4, or 10 s of leapfrog at n = 512
-
-
 def _step_count(t_end: float, dt: float, method: str) -> int:
     """max(1, round(|t_end / dt|)) for dt > 0, or a ParameterError naming
-    _MAX_STEPS where that passes it or is not finite."""
+    WORK_BUDGET where that passes it or is not finite."""
     steps = abs(t_end / dt)
-    if not steps <= _MAX_STEPS:
+    if not steps <= WORK_BUDGET:
         raise ParameterError(f"t_end / dt = {steps:.6g} {method} steps is past the "
-                             f"limit of {_MAX_STEPS}")
+                             f"limit of {WORK_BUDGET}")
     return max(1, round(steps))
 
 
 def _step_grid(t_end: float, dt: float) -> tuple[np.ndarray, float, int]:
     """(t, dt, n_steps): the RK4 time grid, dt snapped to land on t_end,
-    stepping backward to a negative t_end, in at most _MAX_STEPS steps."""
+    stepping backward to a negative t_end, in at most WORK_BUDGET steps."""
     import numpy as np
 
     if dt <= 0:

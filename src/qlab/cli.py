@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Grammar: qlab <module> <verb> [--key value]... with global flags --out,
---format, --seed on every verb.  Validation failures exit 2, solver
-failures exit 3, and every error is a single JSON line on stderr.  Output
+--format on every verb; --help shows each parameter's choices or range.
+Validation failures exit 2, solver failures exit 3, and every error is a single JSON line on stderr.  Output
 numbers are capped at 15 significant digits so identical invocations give
 byte-identical files.
 
@@ -55,14 +55,12 @@ def build_parser(command: str | None = None) -> _Parser:
             groups[module] = module_parser.add_subparsers(
                 dest="verb", required=True, metavar="<verb>")
         leaf = groups[module].add_parser(verb, help=entry.help)
-        for par in entry.params:
-            if par.name == "seed":
-                continue  # provided by the global --seed flag
-            kwargs = {"help": par.help or par.name.replace("_", " ")}
-            if par.kind is not str:
-                kwargs["type"] = par.kind
-            kwargs["required"] = par.required
-            leaf.add_argument(_flag(par.name), dest=par.name, **kwargs)
+        for par in entry.params:  # named here, checked by experiments._coerce
+            text = par.help or par.name.replace("_", " ")
+            if par.choices or par.bounds:
+                text += f"; {par.domain}"
+            leaf.add_argument(_flag(par.name), dest=par.name, required=par.required,
+                              help=text)
         _add_globals(leaf)
 
     if command in (None, "suite"):
@@ -88,7 +86,6 @@ def _add_globals(leaf) -> None:
     leaf.add_argument("--out", help="output file (written atomically)")
     leaf.add_argument("--format", choices=("csv", "json"),
                       help="output format (default depends on the verb)")
-    leaf.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
 def _fmt_cell(value) -> str:
@@ -165,7 +162,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
     key = f"{ns.command} {ns.verb}"
     command = experiments.COMMANDS[key]
     declared = {par.name for par in command.params}
-    given = {k: v for k, v in vars(ns).items() if k in declared}  # --seed included
+    given = {k: v for k, v in vars(ns).items() if k in declared}
     result = experiments.run_experiment(key, given)
     fmt = ns.format or command.default_format
     if fmt == "csv":

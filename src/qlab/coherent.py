@@ -32,7 +32,6 @@ class FCoherentState:
     spec: dfm.DeformationSpec
     cutoff: int
     coeffs: np.ndarray
-    norm_factor: float
     tail_bound: float
 
 
@@ -78,7 +77,7 @@ def build_f_coherent(alpha: complex, spec: dfm.DeformationSpec,
     if alpha == 0:
         coeffs = np.zeros(2, dtype=complex)
         coeffs[0] = 1.0
-        return FCoherentState(alpha, spec, 1, coeffs, 1.0, 0.0)
+        return FCoherentState(alpha, spec, 1, coeffs, 0.0)
     start = 32 if cutoff is None else int(cutoff)
     if start < 1:
         raise ParameterError("cutoff must be >= 1")
@@ -86,14 +85,13 @@ def build_f_coherent(alpha: complex, spec: dfm.DeformationSpec,
     if cutoff is not None and m != start:
         raise CutoffError(f"cutoff {start} leaves a non-negligible tail", required_cutoff=m)
 
-    # normalize via log-sum-exp; the normalization factor is the series
-    # value N = (sum |alpha|^{2n}/(n! [f]!^2))^{-1/2} = 1/sqrt(sum |c_n|^2)
+    # normalize via log-sum-exp: N = (sum |alpha|^{2n}/(n! [f]!^2))^{-1/2}
+    # = 1/sqrt(sum |c_n|^2), kept as ln N = -lse/2 since N underflows
     lse = _log_sum_exp(2.0 * logs)
-    norm_factor = math.exp(-0.5 * lse)
     phase = math.atan2(alpha.imag, alpha.real)   # cmath.phase raises on a subnormal result
     coeffs = np.exp(logs - 0.5 * lse) * np.exp(1j * phase * np.arange(m + 1))
     tail = float(abs(coeffs[-1]) ** 2)
-    return FCoherentState(alpha, spec, m, coeffs, norm_factor, tail)
+    return FCoherentState(alpha, spec, m, coeffs, tail)
 
 
 def eigenvalue_residual(state: FCoherentState, dim: int | None = None) -> float:

@@ -174,8 +174,9 @@ def f_of_n(n, spec: DeformationSpec):
     """Deformation function f(n) >= 0; accepts real n >= 0, or an array.
 
     Identity, and q-deform at lam = 0 -> 1.  q-deform -> sqrt(n_q/n) for
-    n > 0, and the pinned convention lam/sinh(lam) at n = 0.  Custom ->
-    table lookup (linear interpolation at non-integer n).
+    n > 0, its limit inf at n = inf, and the pinned convention
+    lam/sinh(lam) at n = 0.  Custom -> table lookup (linear interpolation
+    at non-integer n).
     """
     _check_nonnegative(n, "f_of_n requires n >= 0")
     if spec.kind == _CUSTOM:
@@ -185,11 +186,15 @@ def f_of_n(n, spec: DeformationSpec):
 
         if spec.kind == _IDENTITY or spec.lam == 0:
             return np.ones_like(n, dtype=float)
-        with np.errstate(all="ignore"):  # 0/0 at n = 0 is replaced
-            return np.where(n == 0, lambda_over_sinh(spec.lam),
-                            np.sqrt(q_number(n, spec.lam) / n))
+        with np.errstate(all="ignore"):  # 0/0 at n = 0 and inf/inf at n = inf are replaced
+            out = np.sqrt(q_number(n, spec.lam) / n)
+        out[n == 0] = lambda_over_sinh(spec.lam)
+        out[n == math.inf] = math.inf
+        return out
     if spec.kind == _IDENTITY or spec.lam == 0:
         return 1.0
+    if n == math.inf:
+        return math.inf
     return math.sqrt(q_number(n, spec.lam) / n) if n else lambda_over_sinh(spec.lam)
 
 

@@ -2,8 +2,12 @@
 
 Two branches: ParameterError for precondition/validation failures and
 SolverError for runtime/numerical failures.  The CLI maps them to exit
-codes 2 and 3 respectively.
+codes 2 and 3 respectively.  Past WORK_BUDGET, the most steps, levels,
+grid points or cells one run may compute (about 2 s of RK4, or 10 s of
+leapfrog at n = 512), a size is a ParameterError.
 """
+
+WORK_BUDGET = 1_000_000
 
 
 class QlabError(Exception):

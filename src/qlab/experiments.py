@@ -19,21 +19,34 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import deformation
-from .errors import ParameterError, QlabError, SaturationError, SolverError
+from .errors import WORK_BUDGET, ParameterError, QlabError, SaturationError, SolverError
 
 _REQUIRED = object()
 
 
 @dataclass(frozen=True)
 class Param:
+    """One parameter and its domain, the values in ``choices`` or the closed
+    range ``bounds`` = (lo, hi), which _coerce alone checks."""
     name: str
     kind: type
     default: object = _REQUIRED
     help: str = ""
+    choices: tuple = ()
+    bounds: tuple = ()
 
     @property
     def required(self) -> bool:
         return self.default is _REQUIRED
+
+    @property
+    def domain(self) -> str:
+        """The domain in words, e.g. "q, identity, or custom", ">= 1 and <= 10"."""
+        if self.choices:
+            *head, last = map(str, self.choices)
+            return f"{', '.join(head)}{',' * (len(head) > 1)} or {last}"
+        lo, hi = self.bounds
+        return f">= {lo}" + (f" and <= {hi}" if hi < math.inf else "")
 
 
 @dataclass(frozen=True)
@@ -65,6 +78,9 @@ def _coerce(par: Param, value):
                              f"got {type(value).__name__}")
     if par.kind is float and not math.isfinite(value):
         raise ParameterError(f"parameter {par.name!r} must be finite, got {value!r}")
+    if (par.choices and value not in par.choices
+            or par.bounds and not par.bounds[0] <= value <= par.bounds[1]):
+        raise ParameterError(f"{par.name} must be {par.domain}, got {value!r}")
     return value
 
 
@@ -88,17 +104,13 @@ def resolve_params(command: Command, given: dict) -> dict:
 
 
 def _make_spec(params: dict) -> deformation.DeformationSpec:
-    kind = params.get("kind", "q")
-    if kind == "q":
+    if params["kind"] == "q":
         return deformation.q_deform(params["lambda"])
-    if kind == "identity":
+    if params["kind"] == "identity":
         return deformation.identity()
-    if kind == "custom":
-        path = params.get("f_table", "")
-        if not path:
-            raise ParameterError("kind=custom requires f_table=<csv path>")
-        return deformation.load_f_table(path)
-    raise ParameterError(f"kind must be q, identity, or custom, got {kind!r}")
+    if not params["f_table"]:
+        raise ParameterError("kind=custom requires f_table=<csv path>")
+    return deformation.load_f_table(params["f_table"])
 
 
 # ---------------------------------------------------------------- deformation
@@ -107,8 +119,6 @@ def _run_deform_table(p: dict) -> ExperimentResult:
     spec = _make_spec(p)
     lam = p["lambda"]
     n_max = p["n_max"]
-    if n_max < 1:
-        raise ParameterError("n_max must be >= 1")
     rows = []
     max_roundtrip = 0.0
     factorial = 1.0  # f(1) ... f(n), multiplied in f_factorial's order
@@ -208,8 +218,6 @@ def _run_classical_bracket_grid(p: dict) -> ExperimentResult:
 
     from . import classical
 
-    if p["points"] < 1:
-        raise ParameterError("points must be >= 1")
     for lo, hi in (("alpha_min", "alpha_max"), ("lam_min", "lam_max")):
         if not abs(p[hi] - p[lo]) < math.inf:
             raise ParameterError(f"{lo} to {hi} is wider than the double range")
@@ -247,8 +255,6 @@ def _run_classical_momentum_scaling(p: dict) -> ExperimentResult:
     if not (0 < lam_fine < lam_coarse):
         raise ParameterError("need 0 < lam_fine < lam_coarse")
     pts = p["points"]
-    if pts < 2:
-        raise ParameterError("points must be >= 2")
     rows = []
     ratios = []
     for i in range(pts):
@@ -311,17 +317,13 @@ def _run_wave_simulate(p: dict) -> ExperimentResult:
     lam = p["lambda"]
     t_end = p["t_end"]
     direction = p["soliton"]
-    if direction not in (-1, 0, 1):
-        raise ParameterError("soliton must be -1, 0, or +1")
     if p["ic"]:
         phi, pi, length = _read_ic_file(p["ic"])
     else:
         n, length = p["n"], p["length"]
         theta = wave.TWO_PI * np.arange(n) / n
-        if p["profile"] != "cos":
-            raise ParameterError(f"unknown profile {p['profile']!r} (only: cos)")
         phi = p["amplitude"] * np.cos(p["mode"] * theta)
-        pi = np.zeros_like(phi)  # n < 4 reaches the grid check, not np.zeros
+        pi = np.zeros_like(phi)
 
     shape_error = None
     if direction:
@@ -435,10 +437,6 @@ def _run_coherent_recover(p: dict) -> ExperimentResult:
         summary = {"count": len(recovered)}
         return ExperimentResult(rows, summary, {})
     count = p["count"]
-    if count < 2:
-        raise ParameterError("count must be >= 2")
-    if p["seed"] < 0:
-        raise ParameterError("seed must be >= 0")
     rng = np.random.default_rng(p["seed"])
     f_true = rng.uniform(0.5, 1.5, count)
     c_values = [1.0]
@@ -461,8 +459,6 @@ def _run_thermo_table(p: dict) -> ExperimentResult:
 
     from . import thermo
 
-    if p["points"] < 2:
-        raise ParameterError("points must be >= 2")
     if not p["t_min"] < p["t_max"]:
         raise ParameterError("need t_min < t_max")
     if p["t_min"] <= 0:
@@ -546,18 +542,21 @@ def _run_thermo_blueshift(p: dict) -> ExperimentResult:
 
 # ------------------------------------------------------------- command table
 
+_SPEC = (
+    Param("lambda", float, 0.0, "deformation strength"),
+    Param("kind", str, "q", "deformation family", ("q", "identity", "custom")),
+    Param("f_table", str, "", "CSV file with custom f(n) values"),
+)
+_CONVENTION = Param("convention", str, "sym", "spectrum convention", ("sym", "num"))
+
 COMMANDS: dict[str, Command] = {
     "deform table": Command(_run_deform_table, (
-        Param("lambda", float, 0.0, "deformation strength"),
-        Param("kind", str, "q", "q | identity | custom"),
-        Param("f_table", str, "", "CSV file with custom f(n) values"),
-        Param("n_max", int, 10, "largest level in the table"),
+        *_SPEC,
+        Param("n_max", int, 10, "largest level in the table", bounds=(1, WORK_BUDGET)),
     ), "csv", "tabulate the deformation profile f, F, phi, factorials"),
     "operators check": Command(_run_operators_check, (
-        Param("lambda", float, 0.0, "deformation strength"),
-        Param("kind", str, "q", "q | identity | custom"),
-        Param("f_table", str, "", "CSV file with custom f(n) values"),
-        Param("dim", int, 32, "Fock-space truncation"),
+        *_SPEC,
+        Param("dim", int, 32, "Fock-space truncation", bounds=(2, WORK_BUDGET)),
     ), "csv", "operator-identity residual table"),
     "classical simulate": Command(_run_classical_simulate, (
         Param("lambda", float, _REQUIRED, "deformation strength"),
@@ -578,7 +577,8 @@ COMMANDS: dict[str, Command] = {
         Param("alpha_max", float, 1.0),
         Param("lam_min", float, 0.1),
         Param("lam_max", float, 0.9),
-        Param("points", int, 5, "grid points per axis"),
+        Param("points", int, 5, "grid points per axis, points^2 cells",
+              bounds=(1, math.isqrt(WORK_BUDGET))),
         Param("h", float, 1e-4, "finite-difference step"),
     ), "csv", "bracket residual over an (|alpha|, lambda) grid"),
     "classical momentum": Command(_run_classical_momentum, (
@@ -589,7 +589,7 @@ COMMANDS: dict[str, Command] = {
     "classical momentum-scaling": Command(_run_classical_momentum_scaling, (
         Param("lam_coarse", float, 0.2),
         Param("lam_fine", float, 0.1),
-        Param("points", int, 10, "grid points on the unit circle"),
+        Param("points", int, 10, "grid points on the unit circle", bounds=(2, WORK_BUDGET)),
     ), "csv", "expansion-error scaling between two lambda values"),
     "classical alpha": Command(_run_classical_alpha, (
         Param("lambda", float, _REQUIRED),
@@ -600,15 +600,15 @@ COMMANDS: dict[str, Command] = {
     "wave simulate": Command(_run_wave_simulate, (
         Param("lambda", float, _REQUIRED),
         Param("t_end", float, _REQUIRED),
-        Param("n", int, 256, "grid points (power of two)"),
+        Param("n", int, 256, "grid points (power of two)", bounds=(4, WORK_BUDGET)),
         Param("length", float, 2.0 * math.pi, "domain length"),
         Param("ic", str, "", "CSV initial-condition file (x, phi, pi)"),
-        Param("profile", str, "cos", "built-in profile when no ic file"),
-        Param("mode", int, 1, "mode index of the built-in profile"),
-        Param("amplitude", float, 1.0, "amplitude of the built-in profile"),
-        Param("soliton", int, 0, "traveling-wave direction +1/-1 (0 = off)"),
-        Param("method", str, "spectral", "spectral | leapfrog"),
-        Param("dt", float, 0.0, "leapfrog step (0 = automatic)"),
+        Param("mode", int, 1, "mode index of the built-in cos profile"),
+        Param("amplitude", float, 1.0, "amplitude of the built-in cos profile"),
+        Param("soliton", int, 0, "traveling-wave direction (0 = off)", (-1, 0, 1)),
+        Param("method", str, "spectral", "evolution method", ("spectral", "leapfrog")),
+        Param("dt", float, 0.0, "time step: leapfrog needs one > 0, "
+              "spectral ignores it"),
     ), "json", "deformed wave evolution with invariant tracking"),
     "level simulate": Command(_run_level_simulate, (
         Param("lambda", float, _REQUIRED),
@@ -624,17 +624,13 @@ COMMANDS: dict[str, Command] = {
         Param("omega", float, 1.0, "reference frequency"),
     ), "json", "wavefunction to phase-space coordinates"),
     "coherent build": Command(_run_coherent_build, (
-        Param("lambda", float, 0.0),
-        Param("kind", str, "q", "q | identity | custom"),
-        Param("f_table", str, "", "CSV file with custom f(n) values"),
+        *_SPEC,
         Param("alpha_re", float, _REQUIRED),
         Param("alpha_im", float, 0.0),
-        Param("cutoff", int, 0, "expansion cutoff (0 = automatic)"),
+        Param("cutoff", int, 0, "expansion cutoff (0 = automatic)", bounds=(0, WORK_BUDGET)),
     ), "json", "deformed coherent state with eigenvalue residual"),
     "coherent overlap": Command(_run_coherent_overlap, (
-        Param("lambda", float, 0.0),
-        Param("kind", str, "q", "q | identity | custom"),
-        Param("f_table", str, "", "CSV file with custom f(n) values"),
+        *_SPEC,
         Param("a_re", float, _REQUIRED),
         Param("a_im", float, 0.0),
         Param("b_re", float, _REQUIRED),
@@ -642,24 +638,24 @@ COMMANDS: dict[str, Command] = {
     ), "json", "scalar product of two deformed coherent states"),
     "coherent recover": Command(_run_coherent_recover, (
         Param("coeffs", str, "", "CSV file of expansion coefficients"),
-        Param("count", int, 12, "levels in the seeded round-trip"),
-        Param("seed", int, 0, "RNG seed for the round-trip"),
+        Param("count", int, 12, "levels in the seeded round-trip", bounds=(2, WORK_BUDGET)),
+        Param("seed", int, 0, "RNG seed for the round-trip", bounds=(0, math.inf)),
     ), "csv", "deformation profile back from expansion coefficients"),
     "thermo table": Command(_run_thermo_table, (
         Param("lambda", float, _REQUIRED),
-        Param("convention", str, "sym", "sym | num"),
+        _CONVENTION,
         Param("t_min", float, _REQUIRED),
         Param("t_max", float, _REQUIRED),
-        Param("points", int, 13, "geometric temperature grid size"),
+        Param("points", int, 13, "geometric temperature grid size", bounds=(2, WORK_BUDGET)),
     ), "csv", "Z, mean occupation, specific heat over a T grid"),
     "thermo levels": Command(_run_thermo_levels, (
         Param("lambda", float, _REQUIRED),
-        Param("convention", str, "sym", "sym | num"),
-        Param("n_max", int, 10),
+        _CONVENTION,
+        Param("n_max", int, 10, "largest level", bounds=(1, WORK_BUDGET)),
     ), "csv", "deformed oscillator spectrum"),
     "thermo planck-check": Command(_run_thermo_planck_check, (
         Param("x", float, _REQUIRED, "hbar*omega / k_B T"),
-        Param("convention", str, "sym", "sym | num"),
+        _CONVENTION,
         Param("lambdas", str, "0.04,0.02,0.01", "lambda grid, comma-separated"),
     ), "json", "small-lambda occupation coefficient vs the printed formula"),
     "thermo blueshift": Command(_run_thermo_blueshift, (

@@ -149,7 +149,7 @@ def evolve(field: WaveField, t_end: float, dt: float | None = None,
     |k| * speed — one step to any t_end, no stability constraint.
     "leapfrog": second-order finite differences kept as a cross-check; this
     mode must satisfy dt <= dx/(pi * speed) with dx = 2 pi / N, and take at
-    most classical._MAX_STEPS steps of dt toward t_end (backward if negative).
+    most errors.WORK_BUDGET steps of dt toward t_end (backward if negative).
     """
     if method == "spectral":
         return _evolve_spectral(field, t_end)

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 
 from qlab import classical
 from qlab.deformation import q_number
-from qlab.errors import ParameterError, SaturationError, SolverError
+from qlab.errors import WORK_BUDGET, ParameterError, SaturationError, SolverError
 
 OMEGA_Q_1_LAM1 = 1.3130352854993313           # cosh(1)/sinh(1)
 MOMENTUM_Q1_QD1_LAM01 = 0.9967124970491392    # root of p cosh(...) = sinh(.1)/.1
@@ -402,7 +402,7 @@ def test_integrate_eom_rejects_bad_steps():
 
 
 def test_rk4_and_leapfrog_share_one_step_budget():
-    """RK4 (classical and level) and leapfrog stop at the same _MAX_STEPS,
+    """RK4 (classical and level) and leapfrog stop at the same WORK_BUDGET,
     checked before the grid is allocated; the suite's 1e5 steps are legal."""
     from qlab import level, wave
 
@@ -415,7 +415,7 @@ def test_rk4_and_leapfrog_share_one_step_budget():
     with pytest.raises(ParameterError, match=f"leapfrog steps is {limit}"):
         wave.evolve(field, 1e5, 0.01, "leapfrog")
     assert classical._step_grid(10.0, 1e-4)[2] == 100_000
-    assert classical._step_grid(1.0, 1e-6)[2] == classical._MAX_STEPS
+    assert classical._step_grid(1.0, 1e-6)[2] == WORK_BUDGET
 
 
 def test_integrate_eom_steps_backward_to_a_negative_t_end():

@@ -378,7 +378,7 @@ EDGE_ARGVS = [
     ("classical alpha --lambda 0.5 --q0 1e200 --p0 0", 3, "SaturationError"),
     ("classical bracket --lambda 0 --alpha-re 1e200", 3, "SaturationError"),
     ("classical bracket-grid --alpha-max 1e308", 3, "SaturationError"),
-    # a step count past the one step budget (classical._MAX_STEPS), or not finite
+    # a step count past the one work budget (errors.WORK_BUDGET), or not finite
     ("classical simulate --lambda 0.5 --q0 1 --p0 0 --t-end 1e200", 2, "ParameterError"),
     ("classical simulate --lambda 0.5 --q0 1 --p0 0 --t-end 10 --dt 1e-7", 2, "ParameterError"),
     ("level simulate --lambda 0.5 --re 0.5 --t-end 0.1 --dt 5e-324", 2, "ParameterError"),
@@ -397,6 +397,25 @@ EDGE_ARGVS = [
     ("wave simulate --lambda 0.3 --t-end 0.5 --n -1", 2, "ParameterError"),
     ("wave simulate --lambda 0.3 --t-end 0.5 --n 16 --amplitude 1e308", 2, "ParameterError"),
     ("coherent recover --seed -1", 2, "ParameterError"),
+    # each size limit, declared once on its Param and checked before any work
+    ("deform table --lambda 0 --n-max 1000000000", 2,
+     "ParameterError: n_max must be >= 1 and <= 1000000"),
+    ("operators check --dim 1000000000000", 2,
+     "ParameterError: dim must be >= 2 and <= 1000000"),
+    ("classical bracket-grid --points 100000000", 2,
+     "ParameterError: points must be >= 1 and <= 1000"),
+    ("classical momentum-scaling --points 1000001", 2,
+     "ParameterError: points must be >= 2 and <= 1000000"),
+    ("wave simulate --lambda 0.3 --t-end 1 --n 1099511627776", 2,
+     "ParameterError: n must be >= 4 and <= 1000000"),
+    ("coherent build --alpha-re 1 --cutoff 1000000000000", 2,
+     "ParameterError: cutoff must be >= 0 and <= 1000000"),
+    ("coherent recover --count 10000000000", 2,
+     "ParameterError: count must be >= 2 and <= 1000000"),
+    ("thermo table --lambda 0.3 --t-min 0.5 --t-max 8 --points 1000000000000", 2,
+     "ParameterError: points must be >= 2 and <= 1000000"),
+    ("thermo levels --lambda 0 --n-max 1000000000000", 2,
+     "ParameterError: n_max must be >= 1 and <= 1000000"),
     # no cutoff up to the cap meets the tail rule, explicit or automatic
     ("coherent build --alpha-re 1000 --cutoff 4", 3, "SolverError"),
     ("coherent build --alpha-re 1000 --cutoff 32768", 3, "SolverError"),
@@ -417,15 +436,16 @@ def test_edge_inputs_give_one_strict_json_error_line(capsys, argv, exit_code, er
     assert [str(w.message) for w in caught] == []  # a CLI run would print each on stderr
     assert (code, out) == (exit_code, "")
     (line,) = err.splitlines()
-    assert json.loads(line, parse_constant=reject_constant)["error"] == error
+    payload = json.loads(line, parse_constant=reject_constant)
+    error, _, message = error.partition(": ")
+    assert payload["error"] == error and message in payload["message"]
 
 
 # Values for the fuzz below: the edge floats, and moderate ones.  A float dt
 # is at least 0.01 in size unless it is an edge value, and every int is at
-# most 64, so no example takes more than a few hundred steps or a dim past 64.
+# most 64 or one past a declared bound, which is rejected before any work,
+# so no example takes more than a few hundred steps or a dim past 64.
 EDGE_FLOATS = [0.0, -0.0, 1e308, -1e308, 5e-324, math.nan, math.inf, -math.inf]
-STR_CHOICES = {"kind": ["q", "identity", "custom"], "method": ["spectral", "leapfrog"],
-               "convention": ["sym", "num"]}
 
 
 def fuzz_value(par):
@@ -435,8 +455,10 @@ def fuzz_value(par):
             moderate = moderate.filter(lambda x: abs(x) >= 0.01)
         return st.sampled_from(EDGE_FLOATS) | moderate
     if par.kind is int:
-        return st.integers(-2, 64)
-    return st.sampled_from(STR_CHOICES.get(par.name, [par.default]))
+        lo, hi = par.bounds or (-2, 64)
+        past = [v for v in (lo - 1, hi + 1) if v < math.inf]
+        return st.integers(-2, 64) | st.sampled_from(past)
+    return st.sampled_from(par.choices or [par.default])
 
 
 @st.composite
@@ -450,7 +472,7 @@ def fuzz_argv(draw):
     return argv + ([f"--format={fmt}"] if fmt else [])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+@settings(max_examples=300, deadline=1000, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(argv=fuzz_argv())
 def test_fuzzed_argvs_exit_cleanly(argv):
@@ -615,6 +637,29 @@ def test_missing_suite_file_exits_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_suite_value_outside_its_domain_fails_at_load(tmp_path, monkeypatch):
+    """load_suite checks every value against its Param before any section
+    runs, so a bad one in a late section stops the whole suite up front."""
+    path = write_suite(tmp_path, """
+[first]
+run = level map
+re = 1
+
+[table]
+run = thermo table
+lambda = 0.3
+t_min = 0.5
+t_max = 8
+points = 1
+""")
+    ran = []
+    monkeypatch.setattr(experiments, "run_experiment", lambda *args: ran.append(args))
+    for load in (experiments.load_suite, experiments.run_suite):
+        with pytest.raises(ParameterError, match="points must be >= 2"):
+            load(path)
+    assert ran == []
+
+
 def test_empty_suite_exits_zero(capsys, tmp_path):
     path = write_suite(tmp_path, "")
     code, out, _ = run(capsys, ["suite", path])
@@ -733,13 +778,12 @@ def test_array_verbs_never_load_numpy_ma():
 def sample_argv(key: str) -> list[str]:
     """argv for a command, with every parameter given and the global flags."""
     if key == "suite":
-        return ["suite", "some.suite", "--out", "r.json", "--seed", "4"]
+        return ["suite", "some.suite", "--out", "r.json", "--format", "json"]
     argv = key.split(" ")
     values = {int: "3", float: "0.25", str: "text"}
     for par in experiments.COMMANDS[key].params:
-        if par.name != "seed":
-            argv += [cli._flag(par.name), values[par.kind]]
-    return argv + ["--format", "json", "--seed", "4"]
+        argv += [cli._flag(par.name), values[par.kind]]
+    return argv + ["--format", "json"]
 
 
 def subcommands(parser) -> dict:

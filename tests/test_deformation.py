@@ -289,14 +289,17 @@ def test_q_number_overflow_returns_inf():
     assert q_number(800.0, 1.0) == math.inf
 
 
-@pytest.mark.parametrize("lam", [0.0, -0.0, 5e-324, 1.0, 800.0])
+@pytest.mark.parametrize("lam", [0.0, -0.0, 5e-324, 0.1, 1.0, 800.0])
 def test_infinite_n_gives_inf_on_both_paths(lam):
     """n = inf at lam = 0 makes n lam a nan, which used to reach sinh(nan)/sinh(0)
-    (and x sinh(lam) in big_f_inverse, asinh(nan)/0)."""
+    (and x sinh(lam) in big_f_inverse, asinh(nan)/0); at lam != 0 f_of_n's
+    sqrt(n_q/n) used to be inf/inf, a nan."""
     spec = q_deform(lam)
     fns = [lambda n: q_number(n, lam), lambda n: big_f(n, spec)]
     if lam == 0.0:  # elsewhere F^-1(inf) saturates
         fns.append(lambda x: big_f_inverse(x, spec))
+    else:  # sqrt(n_q/n), inf/inf at n = inf
+        fns.append(lambda n: f_of_n(n, spec))
     for fn in fns:
         assert fn(math.inf) == math.inf
         got = fn(np.array([math.inf, 2.0]))
