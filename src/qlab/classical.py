@@ -16,8 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .deformation import (_LN2, _SINH_MAX_ARG, _log_cosh, _log_sinh, _sech,
                           lambda_over_sinh, q_number)
@@ -29,8 +28,7 @@ if TYPE_CHECKING:
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ClassicalState:
+class ClassicalState(NamedTuple):
     q: float
     p: float
     lam: float
@@ -297,8 +295,7 @@ def exact_q(q0: float, qdot0: float, lam: float, t) -> float | np.ndarray:
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     t: np.ndarray
     q: np.ndarray
     p: np.ndarray

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Grammar: qlab <module> <verb> [--key value]... with global flags --out,
---format on every verb; --help shows each parameter's choices or range.
+--format on every verb, and qlab suite FILE [--out PATH], whose report is
+always JSON; --help shows each parameter's choices or range.
 Validation failures exit 2, solver failures exit 3, and every error is a single JSON line on stderr.  Output
 numbers are capped at 15 significant digits so identical invocations give
 byte-identical files.
@@ -66,7 +67,7 @@ def build_parser(command: str | None = None) -> _Parser:
     if command in (None, "suite"):
         suite_parser = top.add_parser("suite", help="run an experiment suite file")
         suite_parser.add_argument("config", help="INI suite file")
-        _add_globals(suite_parser)
+        suite_parser.add_argument("--out", help="JSON report file (written atomically)")
     return parser
 
 

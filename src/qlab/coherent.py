@@ -10,7 +10,7 @@ also in logs, and recovery of f from an arbitrary coefficient sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ TAIL_PROBABILITY = 1e-20
 _MAX_CUTOFF = 1 << 15
 
 
-@dataclass(frozen=True)
-class FCoherentState:
+class FCoherentState(NamedTuple):
     alpha: complex
     spec: dfm.DeformationSpec
     cutoff: int

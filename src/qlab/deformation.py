@@ -15,7 +15,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParameterError, SaturationError
 
@@ -28,37 +28,42 @@ _IDENTITY = "identity"
 _CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class DeformationSpec:
+class _SpecFields(NamedTuple):
+    kind: str
+    lam: float = 0.0
+    table: tuple[float, ...] | None = None
+
+
+class DeformationSpec(_SpecFields):
     """Selects the deformation: q-type with parameter ``lam``, the identity
     deformation (f == 1), or a user-supplied table of f(n) values.
 
     Use the module-level constructors :func:`q_deform`, :func:`identity` and
     :func:`custom` rather than instantiating directly.  A custom spec also
     carries ``nodes``, its table of F(n) = n f(n)^2, which big_f joins
-    linearly and big_f_inverse inverts.
+    linearly and big_f_inverse inverts; being no field, it stays out of
+    equality, hash and repr.
     """
 
-    kind: str
-    lam: float = 0.0
-    table: tuple[float, ...] | None = None
-    nodes: tuple[float, ...] | None = field(default=None, init=False, repr=False,
-                                            compare=False)
+    nodes: tuple[float, ...] | None = None
 
-    def __post_init__(self):
-        if self.kind not in (_Q, _IDENTITY, _CUSTOM):
-            raise ParameterError(f"unknown deformation kind: {self.kind!r}")
-        if not math.isfinite(self.lam):
+    def __new__(cls, kind: str, lam: float = 0.0, table: tuple[float, ...] | None = None):
+        if kind not in (_Q, _IDENTITY, _CUSTOM):
+            raise ParameterError(f"unknown deformation kind: {kind!r}")
+        if not math.isfinite(lam):
             raise ParameterError("deformation parameter must be finite")
-        if self.kind == _CUSTOM:
-            if not self.table:
+        self = super().__new__(cls, kind, lam, table)
+        if kind == _CUSTOM:
+            if not table:
                 raise ParameterError("custom deformation needs a nonempty f table")
-            if any(not math.isfinite(v) or v <= 0.0 for v in self.table):
+            if any(not math.isfinite(v) or v <= 0.0 for v in table):
                 raise ParameterError("custom f table must be strictly positive and finite")
-            big = tuple(n * v * v for n, v in enumerate(self.table))
+            big = tuple(n * v * v for n, v in enumerate(table))
             if any(b >= a for a, b in zip(big[1:], big)):
                 raise ParameterError("custom f table gives a non-increasing F(n); not invertible")
-            object.__setattr__(self, "nodes", big)
+            self.nodes = big
+        return self
+
 
 def q_deform(lam: float) -> DeformationSpec:
     return DeformationSpec(_Q, lam=float(lam))

@@ -15,8 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import deformation
 from .errors import WORK_BUDGET, ParameterError, QlabError, SaturationError, SolverError
@@ -24,8 +23,7 @@ from .errors import WORK_BUDGET, ParameterError, QlabError, SaturationError, Sol
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """One parameter and its domain, the values in ``choices`` or the closed
     range ``bounds`` = (lo, hi), which _coerce alone checks."""
     name: str
@@ -49,15 +47,13 @@ class Param:
         return f">= {lo}" + (f" and <= {hi}" if hi < math.inf else "")
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     rows: list
     summary: dict
     metrics: dict
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     runner: Callable[[dict], ExperimentResult]
     params: tuple
     default_format: str = "csv"
@@ -179,7 +175,7 @@ def _run_classical_simulate(p: dict) -> ExperimentResult:
     state0 = classical.ClassicalState(p["q0"], p["p0"], lam)
     traj = classical.integrate_eom(state0, p["t_end"], p["dt"])
     n = traj.t.shape[0]
-    idx = np.arange(0, n, max(1, p["stride"]))  # not np.unique: it loads numpy.ma
+    idx = np.arange(0, n, p["stride"])  # not np.unique: it loads numpy.ma
     idx = idx if idx[-1] == n - 1 else np.append(idx, n - 1)
     alpha_t = classical.exact_alpha(state0.alpha, lam, traj.t[idx])
     q_exact = math.sqrt(2.0) * alpha_t.real
@@ -361,7 +357,7 @@ def _run_level_simulate(p: dict) -> ExperimentResult:
     evo = level.evolve_one_level(complex(p["re"], p["im"]), p["lambda"],
                                  p["t_end"], p["dt"])
     n = evo.t.shape[0]
-    idx = np.arange(0, n, max(1, p["stride"]))  # not np.unique: it loads numpy.ma
+    idx = np.arange(0, n, p["stride"])  # not np.unique: it loads numpy.ma
     idx = idx if idx[-1] == n - 1 else np.append(idx, n - 1)
     rows = [{"t": float(evo.t[i]),
              "re_psi": float(evo.psi_rk4[i].real),
@@ -552,7 +548,8 @@ _CONVENTION = Param("convention", str, "sym", "spectrum convention", ("sym", "nu
 COMMANDS: dict[str, Command] = {
     "deform table": Command(_run_deform_table, (
         *_SPEC,
-        Param("n_max", int, 10, "largest level in the table", bounds=(1, WORK_BUDGET)),
+        Param("n_max", int, 10, "largest level in the table",
+              bounds=(1, WORK_BUDGET // 10)),  # a row costs ~10 RK4 steps
     ), "csv", "tabulate the deformation profile f, F, phi, factorials"),
     "operators check": Command(_run_operators_check, (
         *_SPEC,
@@ -564,7 +561,7 @@ COMMANDS: dict[str, Command] = {
         Param("p0", float, _REQUIRED, "initial momentum"),
         Param("t_end", float, _REQUIRED, "integration time"),
         Param("dt", float, 1e-3, "RK4 step"),
-        Param("stride", int, 100, "output row thinning"),
+        Param("stride", int, 100, "output row thinning", bounds=(1, WORK_BUDGET)),
     ), "csv", "RK4 trajectory vs the closed-form solution"),
     "classical bracket": Command(_run_classical_bracket, (
         Param("lambda", float, _REQUIRED),
@@ -616,7 +613,7 @@ COMMANDS: dict[str, Command] = {
         Param("im", float, 0.0, "Im psi(0)"),
         Param("t_end", float, _REQUIRED),
         Param("dt", float, 1e-3, "RK4 step"),
-        Param("stride", int, 100, "output row thinning"),
+        Param("stride", int, 100, "output row thinning", bounds=(1, WORK_BUDGET)),
     ), "csv", "one-level nonlinear evolution vs the exact phase"),
     "level map": Command(_run_level_map, (
         Param("re", float, _REQUIRED, "Re psi"),
@@ -680,12 +677,11 @@ def run_experiment(command_key: str, given: dict) -> ExperimentResult:
 
 # ---------------------------------------------------------------- suite files
 
-@dataclass(frozen=True)
-class SuiteEntry:
+class SuiteEntry(NamedTuple):
     name: str
     command_key: str
     params: dict
-    checks: list = field(default_factory=list)  # (metric, kind, bound)
+    checks: list  # (metric, kind, bound)
 
 
 def load_suite(path: str) -> list[SuiteEntry]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from . import deformation as dfm
 from .errors import ParameterError, SaturationError
 
 
-@dataclass(frozen=True)
-class FockMatrix:
+class FockMatrix(NamedTuple):
     """Dense operator in the truncated number basis: identities involving
     products of two ladder operators are only exact on the first dim-1
     basis states.
@@ -46,18 +45,26 @@ class FockMatrix:
         return json.dumps({"dim": self.dim, "entries": pairs})
 
 
-@dataclass(frozen=True)
-class FockState:
+class _StateFields(NamedTuple):
     dim: int
     amplitudes: np.ndarray
-    norm: float = field(init=False)
+    norm: float
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.dim,):
+
+class FockState(_StateFields):
+    """A state vector of the truncated number basis: FockState(dim, amplitudes)
+    coerces the amplitudes to complex and computes their norm."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, amplitudes):
+        amps = np.asarray(amplitudes, dtype=complex)
+        if amps.shape != (dim,):
             raise ParameterError("amplitude vector length must equal dim")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "norm", float(np.linalg.norm(amps)))
+        return super().__new__(cls, dim, amps, float(np.linalg.norm(amps)))
+
+    def __getnewargs__(self):  # copy and pickle pass __new__ its own arguments
+        return self.dim, self.amplitudes
 
     @classmethod
     def basis(cls, dim: int, n: int) -> "FockState":
@@ -199,8 +206,7 @@ def spectrum_check(dim: int, spec: dfm.DeformationSpec) -> float:
     return float(np.max(np.abs(eigs - target) / np.maximum(1.0, target)))
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     delta_q: float
     delta_p: float
     product: float

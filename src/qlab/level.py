@@ -10,8 +10,7 @@ frequency shared with the classical module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .classical import _SQRT2, _rk4, _step_grid, exact_alpha, omega_q
 from .errors import ParameterError
@@ -33,8 +32,7 @@ def phase_space_to_psi(q: float, p: float, omega: float = 1.0) -> complex:
     return complex(omega * q, p) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class LevelEvolution:
+class LevelEvolution(NamedTuple):
     t: np.ndarray
     psi_exact: np.ndarray
     psi_rk4: np.ndarray

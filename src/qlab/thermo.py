@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .deformation import _SINH_MAX_ARG, _log_sinh
@@ -286,8 +285,7 @@ def specific_heat_law(t: float, lam: float, convention: str = "sym") -> float:
     return 1.0 / big_l - 1.0 / (big_l * big_l)
 
 
-@dataclass(frozen=True)
-class ThermoTable:
+class ThermoTable(NamedTuple):
     lam: float
     convention: str
     temperatures: list[float]
@@ -344,8 +342,7 @@ def deformed_planck_approx(t: float, lam: float) -> float:
     return bose_einstein(x) + lam * lam * planck_correction_coefficient(x)
 
 
-@dataclass(frozen=True)
-class PlanckCheckReport:
+class PlanckCheckReport(NamedTuple):
     x: float
     convention: str
     lam_grid: list[float]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,10 +28,12 @@ from .deformation import _SINH_MAX_ARG, _log_cosh, _log_sinh, _sech, lambda_over
 from .errors import ParameterError, SaturationError, SolverError
 
 TWO_PI = 2.0 * math.pi
+# Below this largest |pi_k|, a term |pi_k|^2 / (2|k|) of s_pi, |k| up to
+# WORK_BUDGET, can be subnormal, so _invariant sums (|pi_k| / largest)^2.
+_PI_HAT_SCALED = math.sqrt(sys.float_info.min / sys.float_info.epsilon)
 
 
-@dataclass(frozen=True)
-class WaveField:
+class WaveField(NamedTuple):
     """Periodic field snapshot with its conserved invariant.
 
     mu is recomputable from (phi, pi) at any time; speed = f_q(mu).
@@ -79,7 +81,10 @@ def solve_mu(phi, pi, lam: float) -> tuple[float, float]:
     with mu), so the fixed point is unique and bracketed by [0, RHS(0)];
     solved by safeguarded Newton on RHS(mu) - mu, written with sech so that
     it cannot overflow.  Where (lam/sinh lam)^2 leaves the normal range
-    (|lam| past about 361) the pi term is taken in logs (_solve_mu_in_logs).
+    (|lam| past about 361) the pi term is taken in logs (_solve_mu_in_logs),
+    and so it is, from pi_k scaled by its largest modulus, where the squares
+    |pi_k|^2 near the subnormals (for a traveling wave of amplitude 0.01,
+    from |lam| about 337).
     Returns (mu, f_q(mu)).
     """
     phi = np.asarray(phi, dtype=float)
@@ -95,14 +100,18 @@ def _invariant(phi: np.ndarray, pi: np.ndarray, lam: float) -> tuple[float, floa
     ak = np.abs(k[nz])
     with np.errstate(over="ignore", invalid="ignore"):  # too large data fail below
         phi_hat = fourier_modes(phi)[nz]
-        pi_hat = fourier_modes(pi)[nz]
+        abs_pi = np.abs(fourier_modes(pi)[nz])
         s_phi = float(np.sum(0.5 * ak * np.abs(phi_hat) ** 2))
-        s_pi = float(np.sum(0.5 / ak * np.abs(pi_hat) ** 2))
+        s_pi = float(np.sum(0.5 / ak * abs_pi ** 2))
     if not s_phi + s_pi < math.inf:
         raise ParameterError("Cauchy data too large: the invariant mu overflows")
+    peak = float(abs_pi.max())
+    if lam and 0.0 < peak < _PI_HAT_SCALED:  # at lam = 0 the pi term is s_pi itself
+        scaled = float(np.sum(0.5 / ak * (abs_pi / peak) ** 2))
+        return _solve_mu_in_logs(s_phi, 2.0 * math.log(peak) + math.log(scaled), abs(lam))
     l2 = lambda_over_sinh(lam) ** 2
     if s_pi and not (l2 >= sys.float_info.min and s_pi / l2 < math.inf):
-        return _solve_mu_in_logs(s_phi, s_pi, abs(lam))
+        return _solve_mu_in_logs(s_phi, math.log(s_pi), abs(lam))
     s_pi_scaled = s_pi / l2 if s_pi else 0.0
 
     def fdf(mu: float) -> tuple[float, float]:
@@ -114,11 +123,11 @@ def _invariant(phi: np.ndarray, pi: np.ndarray, lam: float) -> tuple[float, floa
     return mu, omega_q(mu, lam)
 
 
-def _solve_mu_in_logs(s_phi: float, s_pi: float, a: float) -> tuple[float, float]:
+def _solve_mu_in_logs(s_phi: float, ln_s_pi: float, a: float) -> tuple[float, float]:
     """solve_mu's fixed point with s_pi/f_q(mu)^2 = e^{ln s_pi - 2 ln f_q(mu)},
     on [0, _SINH_MAX_ARG/a], the intensities omega_q accepts.  A root past
     that bound raises the SaturationError that omega_q would."""
-    ln_s = math.log(s_pi) + 2.0 * (_log_sinh(a) - math.log(a))
+    ln_s = ln_s_pi + 2.0 * (_log_sinh(a) - math.log(a))
     mu_max = _SINH_MAX_ARG / a
 
     def fdf(mu: float) -> tuple[float, float]:
@@ -182,7 +191,7 @@ def _evolve_spectral(field: WaveField, t_end: float) -> WaveField:
     phi_t = np.fft.ifft(phi_new * n).real
     pi_t = np.fft.ifft(pi_new * n).real
     mu, _ = _invariant(phi_t, pi_t, field.lam)
-    return replace(field, phi=phi_t, pi=pi_t, time=field.time + t_end, mu=mu)
+    return field._replace(phi=phi_t, pi=pi_t, time=field.time + t_end, mu=mu)
 
 
 def _evolve_leapfrog(field: WaveField, t_end: float, steps: int) -> WaveField:
@@ -219,7 +228,7 @@ def _evolve_leapfrog(field: WaveField, t_end: float, steps: int) -> WaveField:
         pi += np.multiply(acc, half_dt, out=kick)
     phi = phi.copy()
     mu, _ = _invariant(phi, pi, field.lam)
-    return replace(field, phi=phi, pi=pi, time=field.time + t_end, mu=mu)
+    return field._replace(phi=phi, pi=pi, time=field.time + t_end, mu=mu)
 
 
 def spectral_shift(values: np.ndarray, delta: float) -> np.ndarray:
@@ -258,6 +267,10 @@ def traveling_field(profile, direction: int, lam: float,
         phi_hat = np.fft.fft(profile)
         mu = 2.0 * float(np.sum(0.5 * np.abs(k) * np.abs(phi_hat / profile.shape[0]) ** 2))
     speed = omega_q(mu, lam)
+    if mu and speed < sys.float_info.min:  # 0 past |lam| ~ 745, digits lost before
+        raise SolverError(f"the traveling-wave speed f_q(mu) = {speed!r} at lambda = "
+                          f"{lam!r} underflows the normal double range, so "
+                          "pi = -speed dphi/dtheta cannot carry the invariant")
     dprofile = np.fft.ifft(1j * k * phi_hat).real
     pi = -direction * speed * dprofile
     field = make_field(profile, pi, lam, length)

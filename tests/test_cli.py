@@ -399,7 +399,9 @@ EDGE_ARGVS = [
     ("coherent recover --seed -1", 2, "ParameterError"),
     # each size limit, declared once on its Param and checked before any work
     ("deform table --lambda 0 --n-max 1000000000", 2,
-     "ParameterError: n_max must be >= 1 and <= 1000000"),
+     "ParameterError: n_max must be >= 1 and <= 100000"),
+    ("deform table --lambda 0 --n-max 100001", 2,
+     "ParameterError: n_max must be >= 1 and <= 100000"),
     ("operators check --dim 1000000000000", 2,
      "ParameterError: dim must be >= 2 and <= 1000000"),
     ("classical bracket-grid --points 100000000", 2,
@@ -416,6 +418,10 @@ EDGE_ARGVS = [
      "ParameterError: points must be >= 2 and <= 1000000"),
     ("thermo levels --lambda 0 --n-max 1000000000000", 2,
      "ParameterError: n_max must be >= 1 and <= 1000000"),
+    ("classical simulate --lambda 0.5 --q0 1 --p0 0 --t-end 0.01 --stride 0", 2,
+     "ParameterError: stride must be >= 1 and <= 1000000"),
+    ("level simulate --lambda 0.5 --re 0.5 --t-end 0.01 --stride 0", 2,
+     "ParameterError: stride must be >= 1 and <= 1000000"),
     # no cutoff up to the cap meets the tail rule, explicit or automatic
     ("coherent build --alpha-re 1000 --cutoff 4", 3, "SolverError"),
     ("coherent build --alpha-re 1000 --cutoff 32768", 3, "SolverError"),
@@ -425,6 +431,11 @@ EDGE_ARGVS = [
     ("thermo planck-check --x 800", 2, "ParameterError"),
     ("thermo blueshift --lambda 800 --n 2", 3, "SaturationError"),
     ("thermo blueshift --lambda 0.1 --n 1e308", 3, "SaturationError"),
+    # a traveling wave whose speed, and so whose pi, underflows to 0
+    ("wave simulate --lambda 800 --t-end 1 --amplitude 0.01 --n 16 --soliton 1", 3,
+     "SolverError: underflows the normal double range"),
+    # suite always writes its JSON report, so it takes no --format
+    ("suite some.suite --format csv", 2, "ParameterError: unrecognized arguments"),
 ]
 
 
@@ -727,7 +738,8 @@ NUMPY_FREE_VERBS = [
 
 def test_scalar_verbs_never_load_numpy():
     """Each verb above runs through cli.run, in one fresh interpreter, and
-    numpy is still not loaded at the end."""
+    numpy is still not loaded at the end, nor dataclasses or inspect (each
+    record is a NamedTuple)."""
     out = fresh_python(
         "import contextlib, io, json, sys\n"
         "from qlab import cli\n"
@@ -737,10 +749,11 @@ def test_scalar_verbs_never_load_numpy():
         "    with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
         "        codes.append(cli.run(argv))\n"
-        "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
-    codes, numpy_loaded = json.loads(out)
+        "print(json.dumps([codes, [m in sys.modules for m in "
+        "('numpy', 'dataclasses', 'inspect')]]))\n")
+    codes, loaded = json.loads(out)
     assert codes == [code for _, code in NUMPY_FREE_VERBS]
-    assert numpy_loaded is False
+    assert loaded == [False, False, False]
 
 
 # The array verbs of the benchmark's cold-verbs workload, with their exit codes.
@@ -761,7 +774,8 @@ ARRAY_VERBS = [
 
 def test_array_verbs_never_load_numpy_ma():
     """Each verb above runs through cli.run, in one fresh interpreter, and
-    numpy.ma (about 12 ms of a cold start) is not loaded after any of them."""
+    neither numpy.ma (about 12 ms of a cold start) nor dataclasses is
+    loaded after any of them."""
     out = fresh_python(
         "import contextlib, io, json, sys\n"
         "from qlab import cli\n"
@@ -770,15 +784,16 @@ def test_array_verbs_never_load_numpy_ma():
         "for argv in verbs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
-        "        runs.append([cli.run(argv), 'numpy.ma' in sys.modules])\n"
+        "        runs.append([cli.run(argv), 'numpy.ma' in sys.modules, "
+        "'dataclasses' in sys.modules])\n"
         "print(json.dumps(runs))\n")
-    assert json.loads(out) == [[code, False] for _, code in ARRAY_VERBS]
+    assert json.loads(out) == [[code, False, False] for _, code in ARRAY_VERBS]
 
 
 def sample_argv(key: str) -> list[str]:
     """argv for a command, with every parameter given and the global flags."""
     if key == "suite":
-        return ["suite", "some.suite", "--out", "r.json", "--format", "json"]
+        return ["suite", "some.suite", "--out", "r.json"]
     argv = key.split(" ")
     values = {int: "3", float: "0.25", str: "text"}
     for par in experiments.COMMANDS[key].params:

@@ -99,3 +99,16 @@ def test_names_follow_a_rebound_submodule_attribute(monkeypatch):
     monkeypatch.undo()
     assert qlab.blue_shift is thermo.blue_shift
     assert isinstance(qlab.thermo, types.ModuleType)
+
+
+def test_no_submodule_loads_dataclasses():
+    """Every record is a NamedTuple: importing every qlab module, the CLI
+    and the experiment runners included, loads no `dataclasses`."""
+    code = ("import sys\n"
+            f"for name in {[*SUBMODULES, 'experiments', 'cli']!r}:\n"
+            "    __import__('qlab.' + name)\n"
+            "print('dataclasses' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -4,7 +4,6 @@ traveling-wave (shape-preserving) data, and the undeformed limit.
 """
 
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -13,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from qlab import wave
 from qlab.classical import omega_q
-from qlab.errors import ParameterError, SaturationError
+from qlab.errors import ParameterError, SaturationError, SolverError
 
 SPEED_MU025_LAM1 = 0.8776481043910428  # cosh(0.25)/sinh(1), 40-digit arithmetic
 
@@ -206,7 +205,7 @@ def test_evolve_keeps_mu_of_a_field_whose_mean_drifted(method):
     make_field and solve_mu keep rejecting such data."""
     theta = grid(16)
     field = wave.make_field(np.cos(theta), 0.3 * np.sin(theta), 0.3)
-    drifted = replace(field, phi=field.phi + 1e-11)
+    drifted = field._replace(phi=field.phi + 1e-11)
     dt = 0.5 * (2.0 * math.pi / 16) / (math.pi * field.speed)
     got = wave.evolve(drifted, 1.0, dt, method=method)
     assert abs(got.mu - wave.evolve(field, 1.0, dt, method=method).mu) <= 1e-12 * field.mu
@@ -278,14 +277,18 @@ def oracle_mu(s_phi, s_pi, lam):
 def test_solve_mu_past_underflow_of_lambda_over_sinh_squared(lam, pi_amplitude):
     """(lam/sinh lam)^2 leaves the normal range at |lam| ~ 361, past which
     s_pi/f_q^2 is taken in logs; 350 is the last case on the other side.
-    Measured: mu within 0.6 eps of the oracle, the speed (condition number
-    lam mu) within 260 eps."""
+    At pi_amplitude 1e-160 the squares |pi_k|^2 underflow too, so the oracle
+    sums them in mpmath.  Measured: mu within 0.6 eps of the oracle, the
+    speed (condition number lam mu) within 260 eps."""
     theta = grid(16)
     phi, pi = 0.5 * np.cos(theta), pi_amplitude * np.sin(theta)
-    k = wave._mode_numbers(16)
-    nz = k != 0
-    s_phi = float(np.sum(0.5 * np.abs(k[nz]) * np.abs(wave.fourier_modes(phi)[nz]) ** 2))
-    s_pi = float(np.sum(0.5 / np.abs(k[nz]) * np.abs(wave.fourier_modes(pi)[nz]) ** 2))
+    k = np.abs(wave._mode_numbers(16))
+
+    def weighted_sum(values, power):  # sum over k != 0 of |k|^power |v_k|^2 / 2
+        return mpmath.fsum(0.5 * mpmath.mpf(kj) ** power * abs(mpmath.mpc(zj)) ** 2
+                           for kj, zj in zip(k, wave.fourier_modes(values)) if kj)
+
+    s_phi, s_pi = weighted_sum(phi, 1), weighted_sum(pi, -1)
     mu_want, speed_want = oracle_mu(s_phi, s_pi, lam)
     for sign in (1.0, -1.0):
         mu, speed = wave.solve_mu(phi, pi, sign * lam)
@@ -300,6 +303,21 @@ def test_solve_mu_in_logs_saturates_past_the_safe_intensity():
     with pytest.raises(SaturationError) as exc_info:
         wave.solve_mu(0.01 * np.cos(theta), 1e-3 * np.sin(theta), 800.0)
     assert exc_info.value.largest_safe_n == 0
+
+
+@pytest.mark.parametrize("lam", [360.0, 400.0, -400.0, 700.0])
+def test_traveling_wave_whose_pi_squares_underflow(lam):
+    """Past |lam| ~ 356 the squares |pi_k|^2 of pi = -speed dphi/dtheta are
+    subnormal, and from 361 the direct sum lost the pi half of mu; solve_mu
+    scales pi_k by its largest modulus, and mu is 2 s_phi = 5e-5."""
+    field = wave.traveling_field(0.01 * np.cos(grid(16)), 1, lam)
+    assert abs(field.mu - 5e-05) <= 1e-12 * 5e-05
+
+
+def test_traveling_wave_whose_speed_underflows():
+    """At lambda = 800 the speed is 0 in double, and pi with it."""
+    with pytest.raises(SolverError, match="speed .* underflows the normal double range"):
+        wave.traveling_field(0.01 * np.cos(grid(16)), 1, 800.0)
 
 
 def test_energy_of_a_still_field_whose_speed_underflows():
