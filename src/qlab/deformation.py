@@ -47,6 +47,15 @@ class DeformationSpec(_SpecFields):
 
     nodes: tuple[float, ...] | None = None
 
+    def _frozen(self, *args):
+        raise AttributeError("a DeformationSpec is immutable")
+
+    __setattr__ = __delattr__ = _frozen
+
+    @classmethod
+    def _make(cls, iterable):  # and so _replace: every spec is checked
+        return cls(*iterable)
+
     def __new__(cls, kind: str, lam: float = 0.0, table: tuple[float, ...] | None = None):
         if kind not in (_Q, _IDENTITY, _CUSTOM):
             raise ParameterError(f"unknown deformation kind: {kind!r}")
@@ -61,7 +70,7 @@ class DeformationSpec(_SpecFields):
             big = tuple(n * v * v for n, v in enumerate(table))
             if any(b >= a for a, b in zip(big[1:], big)):
                 raise ParameterError("custom f table gives a non-increasing F(n); not invertible")
-            self.nodes = big
+            object.__setattr__(self, "nodes", big)
         return self
 
 

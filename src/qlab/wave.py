@@ -80,11 +80,11 @@ def solve_mu(phi, pi, lam: float) -> tuple[float, float]:
     The right side is continuous and strictly decreasing in mu (f_q grows
     with mu), so the fixed point is unique and bracketed by [0, RHS(0)];
     solved by safeguarded Newton on RHS(mu) - mu, written with sech so that
-    it cannot overflow.  Where (lam/sinh lam)^2 leaves the normal range
-    (|lam| past about 361) the pi term is taken in logs (_solve_mu_in_logs),
-    and so it is, from pi_k scaled by its largest modulus, where the squares
-    |pi_k|^2 near the subnormals (for a traveling wave of amplitude 0.01,
-    from |lam| about 337).
+    it cannot overflow.  Where the squares |pi_k|^2 near the subnormals
+    (for a traveling wave of amplitude 0.01, from |lam| about 337), s_pi is
+    taken from pi_k scaled by its largest modulus.  Where s_pi/(lam/sinh lam)^2
+    leaves the normal range (|lam| past about 361 for pi_k of order 1), the
+    pi term is taken in logs (_solve_mu_in_logs).
     Returns (mu, f_q(mu)).
     """
     phi = np.asarray(phi, dtype=float)
@@ -106,13 +106,17 @@ def _invariant(phi: np.ndarray, pi: np.ndarray, lam: float) -> tuple[float, floa
     if not s_phi + s_pi < math.inf:
         raise ParameterError("Cauchy data too large: the invariant mu overflows")
     peak = float(abs_pi.max())
-    if lam and 0.0 < peak < _PI_HAT_SCALED:  # at lam = 0 the pi term is s_pi itself
-        scaled = float(np.sum(0.5 / ak * (abs_pi / peak) ** 2))
-        return _solve_mu_in_logs(s_phi, 2.0 * math.log(peak) + math.log(scaled), abs(lam))
-    l2 = lambda_over_sinh(lam) ** 2
-    if s_pi and not (l2 >= sys.float_info.min and s_pi / l2 < math.inf):
-        return _solve_mu_in_logs(s_phi, math.log(s_pi), abs(lam))
-    s_pi_scaled = s_pi / l2 if s_pi else 0.0
+    l = lambda_over_sinh(lam)  # f_q(mu) = l cosh(lam mu)
+    if 0.0 < peak < _PI_HAT_SCALED:  # s_pi / l^2 as sigma (peak / l)^2, sigma = s_pi / peak^2
+        sigma = float(np.sum(0.5 / ak * (abs_pi / peak) ** 2))
+        ratio = peak / l if l >= sys.float_info.min else math.inf
+        s_pi_scaled = sigma * ratio * ratio
+        ln_s_pi = 2.0 * math.log(peak) + math.log(sigma)
+    else:
+        s_pi_scaled = (s_pi / l ** 2 if l ** 2 >= sys.float_info.min else math.inf) if s_pi else 0.0
+        ln_s_pi = math.log(s_pi) if s_pi else -math.inf
+    if not s_pi_scaled < math.inf:  # the pi term leaves the double range
+        return _solve_mu_in_logs(s_phi, ln_s_pi, abs(lam))
 
     def fdf(mu: float) -> tuple[float, float]:
         # RHS(mu) = s_phi + s_pi / f_q(mu)^2, f_q = (lam/sinh lam) cosh(lam mu)

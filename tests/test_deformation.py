@@ -511,6 +511,22 @@ def test_custom_spec_keeps_its_f_nodes_out_of_equality():
     assert q_deform(0.5).nodes is None
 
 
+def test_spec_replace_is_checked_and_specs_are_immutable():
+    """_replace builds through the validating constructor, so a custom spec
+    keeps its nodes and an invalid field raises; no attribute can be set."""
+    spec = custom([1.0, 1.1, 1.3])
+    assert spec._replace(lam=0.5).nodes == spec.nodes
+    with pytest.raises(ParameterError):
+        q_deform(0.5)._replace(kind="weird")
+    with pytest.raises(ParameterError):
+        spec._replace(table=(1.0, 2.0, 0.1))
+    for change in (lambda: setattr(spec, "nodes", None), lambda: setattr(spec, "extra", 1),
+                   lambda: delattr(spec, "nodes"), lambda: setattr(spec, "lam", 1.0)):
+        with pytest.raises(AttributeError):
+            change()
+    assert spec.nodes == (0.0, 1.1 * 1.1, 2 * 1.3 * 1.3)
+
+
 def test_load_f_table_with_header_and_crlf():
     text = "n,f\r\n0,1.0\r\n2,1.2\r\n1,1.1\r\n"
     spec = load_f_table(io.StringIO(text))

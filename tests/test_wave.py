@@ -257,18 +257,27 @@ def test_fourier_modes_normalization():
 
 
 def oracle_mu(s_phi, s_pi, lam):
-    """solve_mu's fixed point at 60 digits, by bisection on [0, 709/lambda]."""
+    """solve_mu's fixed point at 60 digits, by bisection on
+    [0, min(709/lambda, RHS(0))]; the right side falls in mu, so RHS(0)
+    bounds the root too."""
     with mpmath.workdps(60):
         big = mpmath.mpf(lam)
 
         def rhs_minus_mu(mu):
             return s_phi + s_pi * (mpmath.sinh(big) / (big * mpmath.cosh(big * mu))) ** 2 - mu
 
-        lo, hi = mpmath.mpf(0), 709 / big
+        lo, hi = mpmath.mpf(0), min(709 / big, rhs_minus_mu(0))
         for _ in range(220):
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if rhs_minus_mu(mid) > 0 else (lo, mid)
         return lo, big / mpmath.sinh(big) * mpmath.cosh(big * lo)
+
+
+def mode_sum(values, power):
+    """Sum over k != 0 of |k|^power |v_k|^2 / 2, in mpmath from the float modes."""
+    k = np.abs(wave._mode_numbers(len(values)))
+    return mpmath.fsum(0.5 * mpmath.mpf(kj) ** power * abs(mpmath.mpc(zj)) ** 2
+                       for kj, zj in zip(k, wave.fourier_modes(values)) if kj)
 
 
 @pytest.mark.parametrize("lam,pi_amplitude", [(350.0, 5e-74), (365.0, 1e-76),
@@ -282,18 +291,24 @@ def test_solve_mu_past_underflow_of_lambda_over_sinh_squared(lam, pi_amplitude):
     speed (condition number lam mu) within 260 eps."""
     theta = grid(16)
     phi, pi = 0.5 * np.cos(theta), pi_amplitude * np.sin(theta)
-    k = np.abs(wave._mode_numbers(16))
-
-    def weighted_sum(values, power):  # sum over k != 0 of |k|^power |v_k|^2 / 2
-        return mpmath.fsum(0.5 * mpmath.mpf(kj) ** power * abs(mpmath.mpc(zj)) ** 2
-                           for kj, zj in zip(k, wave.fourier_modes(values)) if kj)
-
-    s_phi, s_pi = weighted_sum(phi, 1), weighted_sum(pi, -1)
+    s_phi, s_pi = mode_sum(phi, 1), mode_sum(pi, -1)
     mu_want, speed_want = oracle_mu(s_phi, s_pi, lam)
     for sign in (1.0, -1.0):
         mu, speed = wave.solve_mu(phi, pi, sign * lam)
         assert abs(mu - float(mu_want)) <= 2 * np.finfo(float).eps * mu
         assert abs(speed - float(speed_want)) <= (lam + 4) * np.finfo(float).eps * speed
+
+
+def test_solve_mu_at_a_subnormal_lambda_with_tiny_pi():
+    """At |lam| below ~4e-306 the log path's bound 709/|lam| is inf, so it
+    brackets the root by RHS(0) instead; pi of amplitude 1e-150 takes that
+    path, and with phi = 0, mu is the pi term alone."""
+    pi = 1e-150 * np.sin(grid(16))
+    mu_want, speed_want = oracle_mu(0, mode_sum(pi, -1), 1e-310)
+    for lam in (1e-310, -1e-310):
+        mu, speed = wave.solve_mu(np.zeros(16), pi, lam)
+        assert abs(mu - float(mu_want)) <= 2 * np.finfo(float).eps * mu
+        assert abs(speed - float(speed_want)) <= 4 * np.finfo(float).eps * speed
 
 
 def test_solve_mu_in_logs_saturates_past_the_safe_intensity():
