@@ -13,6 +13,12 @@ the full tree.  So ``deform table``, ``classical momentum``,
 ``classical momentum-scaling``, ``classical bracket``, ``level map`` and
 ``thermo blueshift``, whose runners compute scalar closed forms or scalar
 roots, never import numpy.
+
+The ``qlab`` process (``main``) sets OPENBLAS_NUM_THREADS=1 unless the user
+has set it: qlab makes only vector BLAS calls, and OpenBLAS's idle worker
+pool cost about 90 ms of CPU per numpy verb.  To let OpenBLAS start a pool,
+set OPENBLAS_NUM_THREADS yourself, e.g. to the number of cores.
+``run`` (the in-process entry point) leaves the environment alone.
 """
 
 from __future__ import annotations
@@ -194,6 +200,11 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # No qlab array operation reaches a threaded BLAS kernel (its only BLAS
+    # calls are vector norms and dot products), yet the worker pool that
+    # `import numpy` starts spins for about 90 ms of CPU on a cold start.
+    # cli imports no numpy before this line; a user's value wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run(sys.argv[1:]))
 
 

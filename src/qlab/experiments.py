@@ -334,11 +334,9 @@ def _run_wave_simulate(p: dict) -> ExperimentResult:
     mu_drift = abs(final.mu - field0.mu)
     energy_drift = abs(wave.energy(final) - wave.energy(field0))
 
-    rows = []
-    for fld in (field0, half, final):
-        for j in range(fld.n):
-            rows.append({"t": fld.time, "x": float(fld.x[j]),
-                         "phi": float(fld.phi[j]), "pi": float(fld.pi[j])})
+    rows = [{"t": fld.time, "x": x, "phi": phi, "pi": pi}
+            for fld in (field0, half, final)
+            for x, phi, pi in zip(fld.x.tolist(), fld.phi.tolist(), fld.pi.tolist())]
     summary = {"mu": field0.mu, "speed": field0.speed,
                "mu_drift": mu_drift, "shape_error": shape_error}
     metrics = {"mu_drift": mu_drift, "energy_drift": energy_drift}

@@ -790,6 +790,59 @@ def test_array_verbs_never_load_numpy_ma():
     assert json.loads(out) == [[code, False, False] for _, code in ARRAY_VERBS]
 
 
+def threads_at_exit(argvs, env):
+    """For each argv, the exit code, the OS thread count read from
+    /proc/self/status once the verb has run, and OPENBLAS_NUM_THREADS, from
+    a fresh `python -m qlab.cli` child, which goes through cli.main()."""
+    code = ("import contextlib, io, json, os, runpy, sys\n"
+            "sys.argv = ['qlab', *json.loads(sys.argv[1])]\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        runpy.run_module('qlab.cli', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        status = exc.code\n"
+            "with open('/proc/self/status') as f:\n"
+            "    threads = next(int(l.split()[1]) for l in f if l.startswith('Threads:'))\n"
+            "print(json.dumps([status, threads, os.environ.get('OPENBLAS_NUM_THREADS')]))\n")
+    env = dict(env, PYTHONPATH=str(SRC))
+    children = [subprocess.Popen([sys.executable, "-c", code, json.dumps(argv)], env=env,
+                                 stdout=subprocess.PIPE, text=True) for argv in argvs]
+    return [json.loads(child.communicate()[0]) for child in children]
+
+
+needs_proc_status = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                       reason="no /proc/self/status")
+
+
+@needs_proc_status
+def test_array_verbs_start_no_blas_threads():
+    """The CLI process runs each array verb on its one thread: main() sets
+    OPENBLAS_NUM_THREADS=1 before numpy loads, so no idle pool is started."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    runs = threads_at_exit([argv for argv, _ in ARRAY_VERBS], env)
+    assert runs == [[code, 1, "1"] for _, code in ARRAY_VERBS]
+
+
+@needs_proc_status
+def test_user_set_blas_threads_reach_numpy():
+    """A user's OPENBLAS_NUM_THREADS is left as it is, and OpenBLAS starts
+    that many threads (at most one per usable CPU)."""
+    argv, code = ARRAY_VERBS[0]
+    want = min(2, len(os.sched_getaffinity(0)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    assert threads_at_exit([argv], env) == [[code, want, "2"]]
+
+
+def test_in_process_run_leaves_the_environment_alone(capsys, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    argv, code = ARRAY_VERBS[0]
+    assert cli.run(argv) == code
+    capsys.readouterr()
+    assert dict(os.environ) == before
+
+
 def sample_argv(key: str) -> list[str]:
     """argv for a command, with every parameter given and the global flags."""
     if key == "suite":
@@ -960,6 +1013,25 @@ def test_wave_ic_file_bad_row_names_its_line(capsys, tmp_path, bad_row):
     payload = json.loads(err)
     assert payload["error"] == "ParameterError"
     assert "line 3" in payload["message"]
+
+
+def test_wave_simulate_reads_each_fields_x_once(monkeypatch):
+    """WaveField.x builds its grid on each read, so the rows read it once per
+    field, not once per row."""
+    from qlab import wave
+
+    reads = {}
+    grid = wave.WaveField.x.fget
+
+    def counted(field):
+        reads[id(field)] = reads.get(id(field), 0) + 1
+        return grid(field)
+
+    monkeypatch.setattr(wave.WaveField, "x", property(counted))
+    result = experiments.run_experiment("wave simulate", {
+        "lambda": 0.3, "t_end": 0.5, "n": 64, "soliton": 1})
+    assert len(result.rows) == 3 * 64
+    assert reads and max(reads.values()) == 1
 
 
 def test_wave_ic_missing_file_exits_two(capsys, tmp_path):
