@@ -15,8 +15,9 @@ the full tree.  So ``deform table``, ``classical momentum``,
 roots, never import numpy.
 
 The ``qlab`` process (``main``) sets OPENBLAS_NUM_THREADS=1 unless the user
-has set it: qlab makes only vector BLAS calls, and OpenBLAS's idle worker
-pool cost about 90 ms of CPU per numpy verb.  To let OpenBLAS start a pool,
+has set it: qlab makes only vector BLAS calls, which a second thread
+speeds up by a fraction of a millisecond, and OpenBLAS's idle worker pool
+cost about 90 ms of CPU per numpy verb.  To let OpenBLAS start a pool,
 set OPENBLAS_NUM_THREADS yourself, e.g. to the number of cores.
 ``run`` (the in-process entry point) leaves the environment alone.
 """
@@ -200,10 +201,11 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    # No qlab array operation reaches a threaded BLAS kernel (its only BLAS
-    # calls are vector norms and dot products), yet the worker pool that
-    # `import numpy` starts spins for about 90 ms of CPU on a cold start.
-    # cli imports no numpy before this line; a user's value wins.
+    # qlab's only BLAS calls are vector norms and dot products, which a
+    # second thread speeds up by about 0.15 ms a call at 10**6 elements on
+    # 2 vCPUs, while the worker pool that `import numpy` starts spins for
+    # about 90 ms of CPU on a cold start.  cli imports no numpy before this
+    # line; a user's value wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run(sys.argv[1:]))
 

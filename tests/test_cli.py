@@ -793,7 +793,8 @@ def test_array_verbs_never_load_numpy_ma():
 def threads_at_exit(argvs, env):
     """For each argv, the exit code, the OS thread count read from
     /proc/self/status once the verb has run, and OPENBLAS_NUM_THREADS, from
-    a fresh `python -m qlab.cli` child, which goes through cli.main()."""
+    a fresh child that runs qlab.cli as __main__, as `python -m qlab.cli`
+    does, so through cli.main()."""
     code = ("import contextlib, io, json, os, runpy, sys\n"
             "sys.argv = ['qlab', *json.loads(sys.argv[1])]\n"
             "with contextlib.redirect_stdout(io.StringIO()), "
