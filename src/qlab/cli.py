@@ -25,8 +25,6 @@ set OPENBLAS_NUM_THREADS yourself, e.g. to the number of cores.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -96,25 +94,21 @@ def _add_globals(leaf) -> None:
                       help="output format (default depends on the verb)")
 
 
-def _fmt_cell(value) -> str:
+def _cell_format(value) -> str:
+    """The %-format of a column whose cells are of ``value``'s type."""
     if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".15g")
-    return str(value)
+        return "%.0s"  # an empty cell
+    return "%.15g" if isinstance(value, float) else "%s"
 
 
-def _render_csv(rows) -> str:
-    if not rows:
-        return ""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    for row in rows:
-        writer.writerow([_fmt_cell(v) for v in row.values()])
-    return buffer.getvalue()
+def _render_csv(columns: dict) -> str:
+    """A header line and one line per row, each from one %-format string.
+
+    No cell holds a comma, a quote or a line break, so none needs quoting.
+    """
+    values = columns.values()
+    fmt = ",".join(_cell_format(column[0]) for column in values)
+    return "\n".join([",".join(columns), *map(fmt.__mod__, zip(*values))]) + "\n"
 
 
 def _round_floats(value):
@@ -174,7 +168,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
     result = experiments.run_experiment(key, given)
     fmt = ns.format or command.default_format
     if fmt == "csv":
-        text = _render_csv(result.rows)
+        text = _render_csv(result.columns)
     else:
         text = _render_json(result.summary)
     _write_output(text, ns.out)

@@ -1,9 +1,9 @@
 """Experiment runners shared by the command-line front end and the suite harness.
 
 Each subcommand is a pure function from a validated parameter dict to an
-ExperimentResult carrying tabular rows (CSV), a summary dict (JSON), and a
-flat numeric metrics dict that suite files can bound with
-check.<metric>.max / check.<metric>.min lines.
+ExperimentResult carrying the lists and arrays it computed as named columns
+(CSV), a summary dict (JSON), and a flat numeric metrics dict that suite
+files can bound with check.<metric>.max / check.<metric>.min lines.
 
 Each runner imports the modules it uses, so a cold verb loads only its own
 module (and numpy only if that module's arrays need it), not the whole
@@ -48,9 +48,20 @@ class Param(NamedTuple):
 
 
 class ExperimentResult(NamedTuple):
-    rows: list
+    """``columns`` maps each CSV column name, in order, to a list or float64
+    array, all of one length and each of one cell type (float, int, str or
+    None); ``summary`` is the JSON document and ``metrics`` what suites bound."""
+    columns: dict
     summary: dict
     metrics: dict
+
+    @property
+    def rows(self) -> list[dict]:
+        """The columns zipped into one dict per row.  The benchmark's
+        ``deform table`` check (perfbench/workloads.py) reads ``row["n"]``
+        and ``row["big_f"]`` here, and the benchmark changes only on its own;
+        this view can go once ROADMAP item 1 moves that check to ``columns``."""
+        return [dict(zip(self.columns, row)) for row in zip(*self.columns.values())]
 
 
 class Command(NamedTuple):
@@ -99,6 +110,11 @@ def resolve_params(command: Command, given: dict) -> dict:
     return out
 
 
+def _one_row(values: dict) -> dict:
+    """The columns of a one-row table."""
+    return {name: [value] for name, value in values.items()}
+
+
 def _make_spec(params: dict) -> deformation.DeformationSpec:
     if params["kind"] == "q":
         return deformation.q_deform(params["lambda"])
@@ -114,32 +130,30 @@ def _make_spec(params: dict) -> deformation.DeformationSpec:
 def _run_deform_table(p: dict) -> ExperimentResult:
     spec = _make_spec(p)
     lam = p["lambda"]
-    n_max = p["n_max"]
-    rows = []
-    max_roundtrip = 0.0
+    q = spec.kind == "q"
+    table = []  # one tuple per n, so the first failing n raises first
     factorial = 1.0  # f(1) ... f(n), multiplied in f_factorial's order
-    for n in range(n_max + 1):
+    for n in range(p["n_max"] + 1):
         big = deformation.big_f(n, spec)
         roundtrip = abs(deformation.big_f_inverse(big, spec) - n)
-        max_roundtrip = max(max_roundtrip, roundtrip)
-        row = {"n": n}
-        if spec.kind == "q":
-            row["q_number"] = deformation.q_number(n, lam)
-        row["f"] = deformation.f_of_n(n, spec)
-        row["big_f"] = big
-        row["phi"] = deformation.phi_of_z(n, spec)
-        if spec.kind == "q":
-            row["commutator"] = deformation.commutator_function(n, lam)
+        q_number = deformation.q_number(n, lam) if q else None
+        f = deformation.f_of_n(n, spec)
+        phi = deformation.phi_of_z(n, spec)
+        commutator = deformation.commutator_function(n, lam) if q else None
         if n:
-            factorial *= row["f"]
+            factorial *= f
             if math.isinf(factorial):
                 raise SaturationError(f"deformed factorial overflows at n = {n}",
                                       largest_safe_n=n - 1)
-        row["f_factorial"] = factorial
-        row["roundtrip_err"] = roundtrip
-        rows.append(row)
-    summary = {"kind": spec.kind, "n_max": n_max, "max_roundtrip_err": max_roundtrip}
-    return ExperimentResult(rows, summary, {"max_roundtrip_err": max_roundtrip})
+        table.append((n, q_number, f, big, phi, commutator, factorial, roundtrip))
+    names = ("n", "q_number", "f", "big_f", "phi", "commutator", "f_factorial",
+             "roundtrip_err")
+    columns = dict(zip(names, map(list, zip(*table))))
+    if not q:
+        del columns["q_number"], columns["commutator"]
+    max_roundtrip = max(columns["roundtrip_err"])
+    summary = {"kind": spec.kind, "n_max": p["n_max"], "max_roundtrip_err": max_roundtrip}
+    return ExperimentResult(columns, summary, {"max_roundtrip_err": max_roundtrip})
 
 
 # ---------------------------------------------------------------- fock checks
@@ -160,8 +174,8 @@ def _run_operators_check(p: dict) -> ExperimentResult:
         metrics["reordering"] = fock.check_reordering(dim, spec.lam)
     quad = fock.quadrature_uncertainty(fock.FockState.basis(dim, 1), spec)
     metrics["uncertainty_product"] = quad.product
-    rows = [{"metric": k, "value": v} for k, v in metrics.items()]
-    return ExperimentResult(rows, dict(metrics), metrics)
+    columns = {"metric": list(metrics), "value": list(metrics.values())}
+    return ExperimentResult(columns, dict(metrics), metrics)
 
 
 # ------------------------------------------------------------------ classical
@@ -177,22 +191,19 @@ def _run_classical_simulate(p: dict) -> ExperimentResult:
     n = traj.t.shape[0]
     idx = np.arange(0, n, p["stride"])  # not np.unique: it loads numpy.ma
     idx = idx if idx[-1] == n - 1 else np.append(idx, n - 1)
-    alpha_t = classical.exact_alpha(state0.alpha, lam, traj.t[idx])
-    q_exact = math.sqrt(2.0) * alpha_t.real
-    rows = []
-    for j, i in enumerate(idx):
-        q, mom = float(traj.q[i]), float(traj.p[i])
-        intensity = 0.5 * (q * q + mom * mom)
-        rows.append({"t": float(traj.t[i]), "q": q, "p": mom,
-                     "q_exact": float(q_exact[j]),
-                     "|alpha|^2": intensity,
-                     "H_q": classical.hamiltonian_q(intensity, lam)})
+    t, q, mom = traj.t[idx], traj.q[idx], traj.p[idx]
+    alpha_t = classical.exact_alpha(state0.alpha, lam, t)
+    intensity = 0.5 * (q * q + mom * mom)
+    # hamiltonian_q per cell: q_number's array form differs in the last bits
+    columns = {"t": t, "q": q, "p": mom, "q_exact": math.sqrt(2.0) * alpha_t.real,
+               "|alpha|^2": intensity,
+               "H_q": [classical.hamiltonian_q(i, lam) for i in intensity.tolist()]}
     metrics = {"max_exact_dev": traj.max_exact_dev,
                "alpha_sq_drift": traj.alpha_sq_drift,
                "hq_drift": traj.hq_drift}
     summary = dict(metrics)
     summary["steps"] = n - 1
-    return ExperimentResult(rows, summary, metrics)
+    return ExperimentResult(columns, summary, metrics)
 
 
 def _run_classical_bracket(p: dict) -> ExperimentResult:
@@ -204,9 +215,9 @@ def _run_classical_bracket(p: dict) -> ExperimentResult:
     alpha_q = classical.deform_amplitude(alpha, lam)
     summary = {"alpha_q_re": alpha_q.real, "alpha_q_im": alpha_q.imag,
                "residual": residual}
-    rows = [{"alpha_re": alpha.real, "alpha_im": alpha.imag,
-             "lambda": lam, "residual": residual}]
-    return ExperimentResult(rows, summary, {"residual": residual})
+    columns = _one_row({"alpha_re": alpha.real, "alpha_im": alpha.imag, "lambda": lam,
+                        "residual": residual})
+    return ExperimentResult(columns, summary, {"residual": residual})
 
 
 def _run_classical_bracket_grid(p: dict) -> ExperimentResult:
@@ -217,19 +228,15 @@ def _run_classical_bracket_grid(p: dict) -> ExperimentResult:
     for lo, hi in (("alpha_min", "alpha_max"), ("lam_min", "lam_max")):
         if not abs(p[hi] - p[lo]) < math.inf:
             raise ParameterError(f"{lo} to {hi} is wider than the double range")
-    mags = np.linspace(p["alpha_min"], p["alpha_max"], p["points"])
-    lams = np.linspace(p["lam_min"], p["lam_max"], p["points"])
-    rows = []
-    worst = 0.0
-    for mag in mags:
-        for lam in lams:
-            residual = classical.poisson_bracket_check(complex(mag, 0.0),
-                                                       float(lam), p["h"])
-            worst = max(worst, residual)
-            rows.append({"alpha": float(mag), "lambda": float(lam),
-                         "residual": residual})
-    summary = {"points": len(rows), "max_residual": worst}
-    return ExperimentResult(rows, summary, {"max_residual": worst})
+    points = p["points"]
+    mags = np.repeat(np.linspace(p["alpha_min"], p["alpha_max"], points), points)
+    lams = np.tile(np.linspace(p["lam_min"], p["lam_max"], points), points)
+    residuals = [classical.poisson_bracket_check(complex(mag, 0.0), lam, p["h"])
+                 for mag, lam in zip(mags.tolist(), lams.tolist())]
+    worst = max(residuals)
+    summary = {"points": len(residuals), "max_residual": worst}
+    columns = {"alpha": mags, "lambda": lams, "residual": residuals}
+    return ExperimentResult(columns, summary, {"max_residual": worst})
 
 
 def _run_classical_momentum(p: dict) -> ExperimentResult:
@@ -240,8 +247,7 @@ def _run_classical_momentum(p: dict) -> ExperimentResult:
     approx = classical.approx_momentum(p["q"], p["qdot"], lam)
     diff = abs(exact - approx)
     summary = {"p": exact, "p_approx": approx, "difference": diff}
-    rows = [dict(summary)]
-    return ExperimentResult(rows, summary, {"difference": diff})
+    return ExperimentResult(_one_row(summary), summary, {"difference": diff})
 
 
 def _run_classical_momentum_scaling(p: dict) -> ExperimentResult:
@@ -251,20 +257,16 @@ def _run_classical_momentum_scaling(p: dict) -> ExperimentResult:
     if not (0 < lam_fine < lam_coarse):
         raise ParameterError("need 0 < lam_fine < lam_coarse")
     pts = p["points"]
-    rows = []
-    ratios = []
-    for i in range(pts):
-        theta = (2 * i + 1) * math.pi / (2 * pts)
-        q, qdot = math.cos(theta), math.sin(theta)
-        errs = [abs(classical.momentum_from_velocity(q, qdot, lam)
-                    - classical.approx_momentum(q, qdot, lam))
-                for lam in (lam_coarse, lam_fine)]
-        ratio = errs[0] / errs[1] if errs[1] else math.inf  # run_experiment rejects it
-        ratios.append(ratio)
-        rows.append({"theta": theta, "err_coarse": errs[0],
-                     "err_fine": errs[1], "ratio": ratio})
+    thetas = [(2 * i + 1) * math.pi / (2 * pts) for i in range(pts)]
+    circle = [(math.cos(t), math.sin(t)) for t in thetas]
+    errs = [[abs(classical.momentum_from_velocity(q, qdot, lam)
+                 - classical.approx_momentum(q, qdot, lam))
+             for lam in (lam_coarse, lam_fine)] for q, qdot in circle]
+    coarse, fine = map(list, zip(*errs))
+    ratios = [c / f if f else math.inf for c, f in zip(coarse, fine)]  # run_experiment rejects inf
     metrics = {"ratio_min": min(ratios), "ratio_max": max(ratios)}
-    return ExperimentResult(rows, dict(metrics), metrics)
+    columns = {"theta": thetas, "err_coarse": coarse, "err_fine": fine, "ratio": ratios}
+    return ExperimentResult(columns, dict(metrics), metrics)
 
 
 def _run_classical_alpha(p: dict) -> ExperimentResult:
@@ -281,8 +283,7 @@ def _run_classical_alpha(p: dict) -> ExperimentResult:
     summary = {"alpha_re": alpha_t.real, "alpha_im": alpha_t.imag,
                "alpha_q_re": alpha_q_t.real, "alpha_q_im": alpha_q_t.imag,
                "consistency": consistency}
-    rows = [dict(summary)]
-    return ExperimentResult(rows, summary, {"consistency": consistency})
+    return ExperimentResult(_one_row(summary), summary, {"consistency": consistency})
 
 
 # ----------------------------------------------------------------------- wave
@@ -334,15 +335,17 @@ def _run_wave_simulate(p: dict) -> ExperimentResult:
     mu_drift = abs(final.mu - field0.mu)
     energy_drift = abs(wave.energy(final) - wave.energy(field0))
 
-    rows = [{"t": fld.time, "x": x, "phi": phi, "pi": pi}
-            for fld in (field0, half, final)
-            for x, phi, pi in zip(fld.x.tolist(), fld.phi.tolist(), fld.pi.tolist())]
+    fields = (field0, half, final)
+    columns = {"t": np.repeat([fld.time for fld in fields], len(field0.phi)),
+               "x": np.concatenate([fld.x for fld in fields]),
+               "phi": np.concatenate([fld.phi for fld in fields]),
+               "pi": np.concatenate([fld.pi for fld in fields])}
     summary = {"mu": field0.mu, "speed": field0.speed,
                "mu_drift": mu_drift, "shape_error": shape_error}
     metrics = {"mu_drift": mu_drift, "energy_drift": energy_drift}
     if shape_error is not None:
         metrics["shape_error"] = shape_error
-    return ExperimentResult(rows, summary, metrics)
+    return ExperimentResult(columns, summary, metrics)
 
 
 # ---------------------------------------------------------------------- level
@@ -357,15 +360,15 @@ def _run_level_simulate(p: dict) -> ExperimentResult:
     n = evo.t.shape[0]
     idx = np.arange(0, n, p["stride"])  # not np.unique: it loads numpy.ma
     idx = idx if idx[-1] == n - 1 else np.append(idx, n - 1)
-    rows = [{"t": float(evo.t[i]),
-             "re_psi": float(evo.psi_rk4[i].real),
-             "im_psi": float(evo.psi_rk4[i].imag),
-             "abs_psi_sq": float(abs(evo.psi_rk4[i]) ** 2),
-             "phase": float(np.angle(evo.psi_rk4[i]))} for i in idx]
+    psi = evo.psi_rk4[idx]
+    # |psi|^2 per cell: numpy's array abs and square differ in the last bits
+    columns = {"t": evo.t[idx], "re_psi": psi.real, "im_psi": psi.imag,
+               "abs_psi_sq": [float(abs(z) ** 2) for z in psi],
+               "phase": np.angle(psi)}
     metrics = {"max_deviation": evo.max_deviation,
                "norm_drift": evo.norm_drift,
                "frequency": evo.frequency}
-    return ExperimentResult(rows, dict(metrics), metrics)
+    return ExperimentResult(columns, dict(metrics), metrics)
 
 
 def _run_level_map(p: dict) -> ExperimentResult:
@@ -375,8 +378,7 @@ def _run_level_map(p: dict) -> ExperimentResult:
     q, mom = level.psi_to_phase_space(psi, p["omega"])
     roundtrip = abs(level.phase_space_to_psi(q, mom, p["omega"]) - psi)
     summary = {"q": q, "p": mom, "roundtrip_err": roundtrip}
-    return ExperimentResult([dict(summary)], summary,
-                            {"roundtrip_err": roundtrip})
+    return ExperimentResult(_one_row(summary), summary, {"roundtrip_err": roundtrip})
 
 
 # ------------------------------------------------------------------- coherent
@@ -390,13 +392,14 @@ def _run_coherent_build(p: dict) -> ExperimentResult:
     alpha = complex(p["alpha_re"], p["alpha_im"])
     state = coherent.build_f_coherent(alpha, spec, p["cutoff"] or None)
     residual = coherent.eigenvalue_residual(state)
-    norm = float(np.sum(np.abs(state.coeffs) ** 2))
-    rows = [{"n": n, "re_c": float(c.real), "im_c": float(c.imag),
-             "abs_c_sq": float(abs(c) ** 2)}
-            for n, c in enumerate(state.coeffs)]
+    coeffs = state.coeffs
+    norm = float(np.sum(np.abs(coeffs) ** 2))
+    # |c|^2 per cell: numpy's array abs and square differ in the last bits
+    columns = {"n": list(range(len(coeffs))), "re_c": coeffs.real, "im_c": coeffs.imag,
+               "abs_c_sq": [float(abs(c) ** 2) for c in coeffs]}
     summary = {"norm": norm, "residual": residual, "cutoff": state.cutoff}
     metrics = {"residual": residual, "norm_err": abs(norm - 1.0)}
-    return ExperimentResult(rows, summary, metrics)
+    return ExperimentResult(columns, summary, metrics)
 
 
 def _run_coherent_overlap(p: dict) -> ExperimentResult:
@@ -415,7 +418,7 @@ def _run_coherent_overlap(p: dict) -> ExperimentResult:
         err = abs(overlap - reference)
         summary["closed_form_err"] = err
         metrics["closed_form_err"] = err
-    return ExperimentResult([dict(summary)], summary, metrics)
+    return ExperimentResult(_one_row(summary), summary, metrics)
 
 
 def _run_coherent_recover(p: dict) -> ExperimentResult:
@@ -427,9 +430,8 @@ def _run_coherent_recover(p: dict) -> ExperimentResult:
         csv_rows = deformation._read_csv_rows(p["coeffs"], "coefficient")
         values = [r[-1] for _, r in csv_rows]  # the last column holds C_n
         recovered = coherent.f_from_coefficients(values)
-        rows = [{"n": n + 1, "f": float(v)} for n, v in enumerate(recovered)]
-        summary = {"count": len(recovered)}
-        return ExperimentResult(rows, summary, {})
+        columns = {"n": list(range(1, len(recovered) + 1)), "f": recovered}
+        return ExperimentResult(columns, {"count": len(recovered)}, {})
     count = p["count"]
     rng = np.random.default_rng(p["seed"])
     f_true = rng.uniform(0.5, 1.5, count)
@@ -438,12 +440,11 @@ def _run_coherent_recover(p: dict) -> ExperimentResult:
         c_values.append(c_values[-1] / (math.sqrt(n) * f_true[n - 1]))
     recovered = coherent.f_from_coefficients(c_values)
     errs = np.abs(recovered - f_true)
-    rows = [{"n": n + 1, "f_true": float(f_true[n]),
-             "f_recovered": float(recovered[n]), "err": float(errs[n])}
-            for n in range(count)]
+    columns = {"n": list(range(1, count + 1)), "f_true": f_true,
+               "f_recovered": recovered, "err": errs}
     max_err = float(errs.max())
     summary = {"count": count, "seed": p["seed"], "max_err": max_err}
-    return ExperimentResult(rows, summary, {"max_err": max_err})
+    return ExperimentResult(columns, summary, {"max_err": max_err})
 
 
 # --------------------------------------------------------------------- thermo
@@ -459,10 +460,8 @@ def _run_thermo_table(p: dict) -> ExperimentResult:
         raise ParameterError("temperature must be positive")
     temps = np.geomspace(p["t_min"], p["t_max"], p["points"])
     table = thermo.thermo_table(temps, p["lambda"], p["convention"])
-    rows = [{"T": table.temperatures[i], "Z": table.z[i],
-             "mean_n": table.mean_n[i], "C": table.c[i],
-             "planck_approx": table.planck_approx[i]}
-            for i in range(len(table.temperatures))]
+    columns = {"T": table.temperatures, "Z": table.z, "mean_n": table.mean_n,
+               "C": table.c, "planck_approx": table.planck_approx}
     c = table.c
     fall = c[0] / c[-1] if c[-1] else math.inf  # run_experiment rejects it
     metrics = {"c_first": c[0], "c_last": c[-1], "fall": fall}
@@ -480,16 +479,16 @@ def _run_thermo_table(p: dict) -> ExperimentResult:
     summary = {"lambda": p["lambda"], "convention": p["convention"],
                "cutoff_used": table.cutoff_used, "terms": table.terms,
                "tail": table.tail, **metrics}
-    return ExperimentResult(rows, summary, metrics)
+    return ExperimentResult(columns, summary, metrics)
 
 
 def _run_thermo_levels(p: dict) -> ExperimentResult:
     from . import thermo
 
     energies = thermo.energy_levels(p["n_max"], p["lambda"], p["convention"])
-    rows = [{"n": n, "energy": e} for n, e in enumerate(energies)]
+    columns = {"n": list(range(len(energies))), "energy": energies}
     summary = {"n_max": p["n_max"], "convention": p["convention"]}
-    return ExperimentResult(rows, summary, {})
+    return ExperimentResult(columns, summary, {})
 
 
 def _run_thermo_planck_check(p: dict) -> ExperimentResult:
@@ -519,9 +518,8 @@ def _run_thermo_planck_check(p: dict) -> ExperimentResult:
                "extrapolated": list(report.extrapolated),
                "residual_ratios": list(report.residual_ratios),
                "converged": report.converged()}
-    rows = [{"lambda": lam, "raw_coefficient": k}
-            for lam, k in zip(report.lam_grid, raw)]
-    return ExperimentResult(rows, summary, metrics)
+    columns = {"lambda": report.lam_grid, "raw_coefficient": raw}
+    return ExperimentResult(columns, summary, metrics)
 
 
 def _run_thermo_blueshift(p: dict) -> ExperimentResult:
@@ -531,7 +529,7 @@ def _run_thermo_blueshift(p: dict) -> ExperimentResult:
     summary = {"exact": exact, "approx": approx,
                "ratio": exact / approx if approx else None}
     metrics = {k: v for k, v in summary.items() if v is not None}
-    return ExperimentResult([dict(summary)], summary, metrics)
+    return ExperimentResult(_one_row(summary), summary, metrics)
 
 
 # ------------------------------------------------------------- command table
@@ -633,7 +631,9 @@ COMMANDS: dict[str, Command] = {
     ), "json", "scalar product of two deformed coherent states"),
     "coherent recover": Command(_run_coherent_recover, (
         Param("coeffs", str, "", "CSV file of expansion coefficients"),
-        Param("count", int, 12, "levels in the seeded round-trip", bounds=(2, WORK_BUDGET)),
+        Param("count", int, 12, "levels in the seeded round-trip; past 262 its C_n, "
+              "down to 1/(sqrt(n!) 1.5^n), can fall below the normal doubles",
+              bounds=(2, 262)),
         Param("seed", int, 0, "RNG seed for the round-trip", bounds=(0, math.inf)),
     ), "csv", "deformation profile back from expansion coefficients"),
     "thermo table": Command(_run_thermo_table, (

@@ -17,7 +17,9 @@ import sys
 import warnings
 from pathlib import Path
 
+import csv_reference
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -413,7 +415,8 @@ EDGE_ARGVS = [
     ("coherent build --alpha-re 1 --cutoff 1000000000000", 2,
      "ParameterError: cutoff must be >= 0 and <= 1000000"),
     ("coherent recover --count 10000000000", 2,
-     "ParameterError: count must be >= 2 and <= 1000000"),
+     "ParameterError: count must be >= 2 and <= 262"),
+    ("coherent recover --count 263", 2, "ParameterError: count must be >= 2 and <= 262"),
     ("thermo table --lambda 0.3 --t-min 0.5 --t-max 8 --points 1000000000000", 2,
      "ParameterError: points must be >= 2 and <= 1000000"),
     ("thermo levels --lambda 0 --n-max 1000000000000", 2,
@@ -524,6 +527,94 @@ def test_format_switch(capsys):
     assert "max_roundtrip_err" in payload
 
 
+def rendered_results(capsys, monkeypatch, argvs) -> list:
+    """(stdout, result) of each argv run with --format csv, where result is
+    the ExperimentResult that cli.run rendered."""
+    results = []
+    real = experiments.run_experiment
+
+    def recording(key, given):
+        results.append(real(key, given))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "run_experiment", recording)
+    pairs = []
+    for argv in argvs:
+        code, out, err = run(capsys, argv + ["--format", "csv"])
+        assert code == 0, (argv, err)
+        pairs.append((out, results[-1]))
+    return pairs
+
+
+# Every EDGE_ARGVS row that exits 0 (none does today), and runs whose cells
+# sit at an edge: an empty ratio cell, 0.5 steps, the round trip's largest
+# count and a factorial near the top of the double range.
+CSV_EDGE_ARGVS = [argv.split() for argv, code, _ in EDGE_ARGVS if code == 0] + [
+    "thermo blueshift --lambda 0 --n 2".split(),
+    "thermo levels --lambda 0 --n-max 3".split(),
+    "coherent recover --count 262".split(),
+    "deform table --lambda 1 --n-max 56".split(),
+]
+
+
+def test_csv_matches_the_reference_renderer(capsys, tmp_path, monkeypatch):
+    argvs = small_verb_argvs(tmp_path) + CSV_EDGE_ARGVS
+    for out, result in rendered_results(capsys, monkeypatch, argvs):
+        assert out == csv_reference._render_csv(result.rows)
+
+
+CELLS = {
+    "float": st.floats(allow_subnormal=True)
+    | st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]),
+    "int": st.integers(-10**6, 10**6),
+    "str": st.text("abcdefghijklmnopqrstuvwxyz_|^0123456789", max_size=8),
+    "none": st.none(),
+}
+
+
+@st.composite
+def tables(draw) -> dict:
+    """Columns of one length, each of one cell type, a float one sometimes
+    as a float64 array.  At least two columns, since csv.writer quotes the
+    one empty cell of a one-column row and no verb writes one column."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=2, max_size=6))
+    length = draw(st.integers(1, 20))
+    columns = {}
+    for i, kind in enumerate(kinds):
+        column = draw(st.lists(CELLS[kind], min_size=length, max_size=length))
+        if kind == "float" and draw(st.booleans()):
+            column = np.array(column)
+        columns[f"c{i}"] = column
+    return columns
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(columns=tables())
+def test_csv_renderer_matches_the_reference_on_any_columns(columns):
+    result = experiments.ExperimentResult(columns, {}, {})
+    assert cli._render_csv(columns) == csv_reference._render_csv(result.rows)
+
+
+def test_every_verbs_columns_have_one_length_and_one_cell_type(capsys, tmp_path,
+                                                               monkeypatch):
+    """zip stops at the shortest column, and the CSV format of a column is
+    read off its first cell."""
+    for _, result in rendered_results(capsys, monkeypatch, small_verb_argvs(tmp_path)):
+        columns = result.columns
+        assert len({len(column) for column in columns.values()}) == 1, columns
+        for name, column in columns.items():
+            if isinstance(column, np.ndarray):
+                assert column.dtype == np.float64, name
+            else:
+                assert len(set(map(type, column))) == 1, (name, column)
+
+
+def test_deform_table_rows_are_the_dicts_built_per_row_before():
+    result = experiments.run_experiment("deform table", {"lambda": 0.3, "n_max": 40})
+    expected = csv_reference.deform_table_rows(deformation.q_deform(0.3), 0.3, 40)
+    assert repr(result.rows) == repr(expected)  # keys, order, types and signed zeros
+
+
 def test_csv_floats_are_15_digits(capsys):
     _, out, _ = run(capsys, ["thermo", "blueshift", "--lambda", "0.001",
                              "--n", "100", "--format", "csv"])
@@ -571,6 +662,13 @@ def test_no_temp_files_left_behind(capsys, tmp_path):
     run(capsys, ["deform", "table", "--lambda", "0.2", "--out", str(path)])
     leftovers = [p for p in tmp_path.iterdir() if p.name != "out.csv"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20260819])
+def test_recovery_round_trip_holds_at_its_largest_count(seed):
+    """At count 262 every C_n is a normal double, so f comes back to an ulp."""
+    result = experiments.run_experiment("coherent recover", {"count": 262, "seed": seed})
+    assert result.metrics["max_err"] <= 4.5e-16
 
 
 def test_seed_controls_recovery_experiment(capsys):
@@ -916,9 +1014,9 @@ def test_momentum_at_huge_velocity_exits_zero(capsys):
 ])
 def test_deform_table_factorial_column_is_f_factorial(spec_args, spec):
     """The table's running product multiplies in f_factorial's order."""
-    result = experiments.run_experiment("deform table", dict(spec_args, n_max=40))
-    for row in result.rows:
-        assert row["f_factorial"] == deformation.f_factorial(row["n"], spec)
+    columns = experiments.run_experiment("deform table", dict(spec_args, n_max=40)).columns
+    for n, factorial in zip(columns["n"], columns["f_factorial"]):
+        assert factorial == deformation.f_factorial(n, spec)
 
 
 def test_deform_table_factorial_overflow_names_largest_safe_n():
@@ -1031,7 +1129,7 @@ def test_wave_simulate_reads_each_fields_x_once(monkeypatch):
     monkeypatch.setattr(wave.WaveField, "x", property(counted))
     result = experiments.run_experiment("wave simulate", {
         "lambda": 0.3, "t_end": 0.5, "n": 64, "soliton": 1})
-    assert len(result.rows) == 3 * 64
+    assert len(result.columns["x"]) == 3 * 64
     assert reads and max(reads.values()) == 1
 
 
