@@ -1,10 +1,10 @@
 """f-coherent (nonlinear coherent) states.
 
 Normalized eigenvectors of the deformed annihilation operator A with
-eigenvalue alpha, built from the recurrence
-c_{n+1} = c_n * alpha / sqrt(F(n+1)) as one cumsum of logs, so that cutoffs
-beyond 150 levels cannot overflow.  Includes the scalar product series,
-also in logs, and recovery of f from an arbitrary coefficient sequence.
+eigenvalue alpha, built from the recurrence c_{n+1} = c_n * alpha / sqrt(F(n+1))
+in logs, summed outward from the peak of |c_n| so that no cutoff overflows
+and no rounding piles up on the way to it.  Includes the scalar product
+series, also in logs, and recovery of f from an arbitrary coefficient sequence.
 """
 
 from __future__ import annotations
@@ -15,15 +15,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import deformation as dfm
-from .errors import CutoffError, ParameterError, SolverError
+from .errors import WORK_BUDGET, CutoffError, ParameterError
 from .fock import FockState, _ladder
 
-# Last-level probability below which the truncated tail is negligible for
-# every residual this module promises (an eigenvalue residual scales like
-# |alpha|*|c_cutoff| and must stay under 1e-9 for |alpha| up to a few).
+# Last-level probability, relative to the peak level, below which the truncated
+# tail is negligible for every residual this module promises (an eigenvalue
+# residual scales like |alpha|*|c_cutoff|, under 1e-9 for |alpha| up to a few).
+# Past the peak the weights fall, so the first level under it is the least cutoff.
 TAIL_PROBABILITY = 1e-20
-
-_MAX_CUTOFF = 1 << 15
 
 
 class FCoherentState(NamedTuple):
@@ -34,59 +33,51 @@ class FCoherentState(NamedTuple):
     tail_bound: float
 
 
-def _log_magnitudes(alpha: complex, spec: dfm.DeformationSpec, cutoff: int) -> np.ndarray:
-    """ln |c_n|, n = 0..cutoff, of the unnormalized recurrence c_0 = 1 over
-    the ladder s_n = sqrt(F(n+1)), whose SaturationError it raises."""
+def _log_magnitudes(alpha: complex, spec: dfm.DeformationSpec,
+                    cutoff: int) -> tuple[int, np.ndarray]:
+    """The peak level p and ln|c_n| - ln|c_p|, n = 0..cutoff, over the ladder
+    s_n = sqrt(F(n+1)), whose SaturationError it raises.  The steps
+    ln|alpha| - ln s_n fall with n, so p follows the last positive one and the
+    logs are summed from it both ways; at p = 0, from c_0 = 1 as one cumsum."""
     log_abs_alpha = math.log(abs(alpha)) if alpha else -math.inf
-    return np.r_[0.0, np.cumsum(log_abs_alpha - np.log(_ladder(cutoff + 1, spec)))]
-
-
-def _log_sum_exp(x: np.ndarray) -> float:
-    peak = x.max()
-    return peak + math.log(np.exp(x - peak).sum())
-
-
-def _decaying_cutoff(alpha: complex, spec: dfm.DeformationSpec,
-                     m: int) -> tuple[int, np.ndarray]:
-    """The first of m, 2m, ... (to _MAX_CUTOFF), and its ln |c_n|, whose last
-    level weighs below TAIL_PROBABILITY of the largest and still decays."""
-    while True:
-        logs = _log_magnitudes(alpha, spec, m)
-        if (2.0 * (logs[-1] - logs.max()) < math.log(TAIL_PROBABILITY)
-                and logs[-1] < logs[-2]):
-            return m, logs
-        if m >= _MAX_CUTOFF:
-            raise SolverError("coefficient series shows no geometric decay "
-                              f"below cutoff {m}")
-        m = min(2 * m, _MAX_CUTOFF)
+    steps = log_abs_alpha - np.log(_ladder(cutoff + 1, spec))
+    peak = int(np.count_nonzero(steps > 0.0))
+    return peak, np.r_[-np.cumsum(steps[:peak][::-1])[::-1], 0.0, np.cumsum(steps[peak:])]
 
 
 def build_f_coherent(alpha: complex, spec: dfm.DeformationSpec,
                      cutoff: int | None = None) -> FCoherentState:
     """Construct the truncated f-coherent state |alpha, f>.
 
-    With cutoff=None the truncation level doubles from 32 until it meets
-    the tail rule (_decaying_cutoff).  An explicit cutoff must meet the same
-    rule, else it is a CutoffError whose required_cutoff is the first of its
-    doublings that does.  Where none up to _MAX_CUTOFF does, either way ends
-    in one SolverError naming that cap; where F overflows below the cutoff,
-    in the ladder's SaturationError.
+    With cutoff=None the truncation level is the first of 32, 64, ... whose
+    last level meets the tail rule (TAIL_PROBABILITY).  An explicit cutoff
+    must meet the same rule, else it is a CutoffError whose required_cutoff
+    is the smallest cutoff that does.  Where none up to errors.WORK_BUDGET
+    does, either way ends in one ParameterError naming that budget; where F
+    overflows below the cutoff, in the ladder's SaturationError.
     """
     alpha = complex(alpha)
     if alpha == 0:
-        coeffs = np.zeros(2, dtype=complex)
-        coeffs[0] = 1.0
-        return FCoherentState(alpha, spec, 1, coeffs, 0.0)
-    start = 32 if cutoff is None else int(cutoff)
-    if start < 1:
+        return FCoherentState(alpha, spec, 1, np.array([1.0, 0.0], dtype=complex), 0.0)
+    m = 32 if cutoff is None else int(cutoff)
+    if m < 1:
         raise ParameterError("cutoff must be >= 1")
-    m, logs = _decaying_cutoff(alpha, spec, start)
-    if cutoff is not None and m != start:
-        raise CutoffError(f"cutoff {start} leaves a non-negligible tail", required_cutoff=m)
+    bound = 0.5 * math.log(TAIL_PROBABILITY)
+    while True:
+        peak, logs = _log_magnitudes(alpha, spec, m)
+        if logs[-1] < bound:
+            break
+        if m >= WORK_BUDGET:
+            raise ParameterError(f"no cutoff up to {WORK_BUDGET} leaves a negligible tail")
+        m = min(2 * m, WORK_BUDGET)
+    if cutoff is not None and m != cutoff:
+        # the weights past the peak fall: the first below the bound is the least
+        need = peak + int(np.searchsorted(-logs[peak:], -bound, side="right"))
+        raise CutoffError(f"cutoff {cutoff} leaves a non-negligible tail", required_cutoff=need)
 
-    # normalize via log-sum-exp: N = (sum |alpha|^{2n}/(n! [f]!^2))^{-1/2}
-    # = 1/sqrt(sum |c_n|^2), kept as ln N = -lse/2 since N underflows
-    lse = _log_sum_exp(2.0 * logs)
+    # normalize: N = (sum |alpha|^{2n}/(n! [f]!^2))^{-1/2} = 1/sqrt(sum |c_n|^2),
+    # kept as ln N = -lse/2 since N underflows; the peak term of the sum is 1
+    lse = math.log(np.exp(2.0 * logs).sum())
     phase = math.atan2(alpha.imag, alpha.real)   # cmath.phase raises on a subnormal result
     coeffs = np.exp(logs - 0.5 * lse) * np.exp(1j * phase * np.arange(m + 1))
     tail = float(abs(coeffs[-1]) ** 2)
@@ -120,16 +111,19 @@ def scalar_product(state_a: FCoherentState, state_b: FCoherentState) -> complex:
 
     N_a N_b sum_n (conj(alpha) beta)^n / (n! [f(n)]!^2), summed to the
     common cutoff; equals the coefficient inner product to tail tolerance.
-    Terms and normalizations are taken in logs, summed as a shifted
-    log-sum-exp with the phases applied after, so that no term overflows
-    and no N underflows (N does past |alpha| of about 38).
+    Terms and normalizations are taken in logs from each state's peak,
+    summed as a shifted log-sum-exp with the phases applied after, so that
+    no term overflows and no N underflows (N does past |alpha| of about 38).
     """
     if state_a.spec != state_b.spec:
         raise ParameterError("scalar_product needs states of the same deformation")
     m = min(state_a.cutoff, state_b.cutoff)
-    la, lb = (_log_magnitudes(s.alpha, s.spec, s.cutoff) for s in (state_a, state_b))
-    logs = la[:m + 1] + lb[:m + 1] - 0.5 * (_log_sum_exp(2.0 * la) + _log_sum_exp(2.0 * lb))
-    z = state_a.alpha.conjugate() * state_b.alpha
+    la, lb = (_log_magnitudes(s.alpha, s.spec, s.cutoff)[1] for s in (state_a, state_b))
+    lse_a, lse_b = (math.log(np.exp(2.0 * x).sum()) for x in (la, lb))
+    logs = la[:m + 1] + lb[:m + 1] - 0.5 * (lse_a + lse_b)
+    a, b = state_a.alpha, state_b.alpha
+    # conj(a) b with Im(conj(a) b) = Im(conj(a) (b - a)), in which no |a|^2 cancels
+    z = complex((a.conjugate() * b).real, (a.conjugate() * (b - a)).imag)
     phases = np.exp(1j * math.atan2(z.imag, z.real) * np.arange(m + 1))
     peak = logs.max()
     return complex(math.exp(peak) * np.sum(np.exp(logs - peak) * phases))

@@ -115,6 +115,13 @@ def _one_row(values: dict) -> dict:
     return {name: [value] for name, value in values.items()}
 
 
+def _strided(n: int, stride: int):
+    """Every stride-th of the indices 0..n-1, the first at or past n - 1 clipped to it."""
+    import numpy as np
+
+    return np.arange(0, n - 1 + stride, stride).clip(max=n - 1)  # not np.unique: it loads numpy.ma
+
+
 def _make_spec(params: dict) -> deformation.DeformationSpec:
     if params["kind"] == "q":
         return deformation.q_deform(params["lambda"])
@@ -181,16 +188,13 @@ def _run_operators_check(p: dict) -> ExperimentResult:
 # ------------------------------------------------------------------ classical
 
 def _run_classical_simulate(p: dict) -> ExperimentResult:
-    import numpy as np
-
     from . import classical
 
     lam = p["lambda"]
     state0 = classical.ClassicalState(p["q0"], p["p0"], lam)
     traj = classical.integrate_eom(state0, p["t_end"], p["dt"])
     n = traj.t.shape[0]
-    idx = np.arange(0, n, p["stride"])  # not np.unique: it loads numpy.ma
-    idx = idx if idx[-1] == n - 1 else np.append(idx, n - 1)
+    idx = _strided(n, p["stride"])
     t, q, mom = traj.t[idx], traj.q[idx], traj.p[idx]
     alpha_t = classical.exact_alpha(state0.alpha, lam, t)
     intensity = 0.5 * (q * q + mom * mom)
@@ -357,9 +361,7 @@ def _run_level_simulate(p: dict) -> ExperimentResult:
 
     evo = level.evolve_one_level(complex(p["re"], p["im"]), p["lambda"],
                                  p["t_end"], p["dt"])
-    n = evo.t.shape[0]
-    idx = np.arange(0, n, p["stride"])  # not np.unique: it loads numpy.ma
-    idx = idx if idx[-1] == n - 1 else np.append(idx, n - 1)
+    idx = _strided(evo.t.shape[0], p["stride"])
     psi = evo.psi_rk4[idx]
     # |psi|^2 per cell: numpy's array abs and square differ in the last bits
     columns = {"t": evo.t[idx], "re_psi": psi.real, "im_psi": psi.imag,
@@ -406,18 +408,19 @@ def _run_coherent_overlap(p: dict) -> ExperimentResult:
     from . import coherent
 
     spec = _make_spec(p)
-    a = complex(p["a_re"], p["a_im"])
-    b = complex(p["b_re"], p["b_im"])
+    a, b = complex(p["a_re"], p["a_im"]), complex(p["b_re"], p["b_im"])
     overlap = coherent.scalar_product(coherent.build_f_coherent(a, spec, None),
                                       coherent.build_f_coherent(b, spec, None))
     summary = {"re": overlap.real, "im": overlap.imag, "abs": abs(overlap)}
     metrics = {}
     if spec.kind == "identity":
-        reference = cmath.exp(a.conjugate() * b
-                              - 0.5 * (abs(a) ** 2 + abs(b) ** 2))
-        err = abs(overlap - reference)
-        summary["closed_form_err"] = err
-        metrics["closed_form_err"] = err
+        from fractions import Fraction
+
+        # exp(conj(a) b - (|a|^2 + |b|^2)/2) with no |a|^2 left to cancel, and
+        # Im(conj(a) b) rounded once from exact products, whose difference cancels
+        im = float(Fraction(a.real) * Fraction(b.imag) - Fraction(a.imag) * Fraction(b.real))
+        reference = cmath.exp(complex(-0.5 * abs(a - b) ** 2, im))
+        summary["closed_form_err"] = metrics["closed_form_err"] = abs(overlap - reference)
     return ExperimentResult(_one_row(summary), summary, metrics)
 
 

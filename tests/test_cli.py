@@ -425,9 +425,14 @@ EDGE_ARGVS = [
      "ParameterError: stride must be >= 1 and <= 1000000"),
     ("level simulate --lambda 0.5 --re 0.5 --t-end 0.01 --stride 0", 2,
      "ParameterError: stride must be >= 1 and <= 1000000"),
-    # no cutoff up to the cap meets the tail rule, explicit or automatic
-    ("coherent build --alpha-re 1000 --cutoff 4", 3, "SolverError"),
-    ("coherent build --alpha-re 1000 --cutoff 32768", 3, "SolverError"),
+    # no cutoff up to the work budget meets the tail rule, explicit or
+    # automatic; 996 is the least integer |alpha| that no cutoff fits
+    ("coherent build --alpha-re 1000 --cutoff 4", 2,
+     "ParameterError: no cutoff up to 1000000 leaves a negligible tail"),
+    ("coherent build --alpha-re 1000 --cutoff 32768", 2,
+     "ParameterError: no cutoff up to 1000000 leaves a negligible tail"),
+    ("coherent build --alpha-re 996", 2,
+     "ParameterError: no cutoff up to 1000000 leaves a negligible tail"),
     # F overflows below the cutoff
     ("coherent build --lambda 1 --alpha-re 1 --cutoff 720", 3, "SaturationError"),
     ("coherent build --lambda 30 --alpha-re 1", 3, "SaturationError"),

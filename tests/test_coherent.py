@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qlab import coherent
+from qlab import coherent, experiments
 from qlab import deformation as dfm
-from qlab.errors import CutoffError, ParameterError, SaturationError, SolverError
+from qlab.errors import WORK_BUDGET, CutoffError, ParameterError, SaturationError
 
 EXP_MINUS_2 = 0.13533528323661270
 
@@ -103,15 +103,32 @@ def test_explicit_cutoff_respected_or_rejected():
 
 @pytest.mark.parametrize("a, b", [(27, 27), (38 + 5j, 37.5 + 4.2j), (-60j, 0.4 - 59.3j),
                                   (45 - 20j, 44 - 21j), (150, 149.5 + 0.3j), (100j, 101j),
-                                  (0, 1.5 - 0.5j), (2j, 0)])
+                                  (0, 1.5 - 0.5j), (2j, 0), (400 - 300j, 399.2 - 300.5j),
+                                  (-703.5j - 703.5, -703 - 704j), (995, 994.6 + 0.4j),
+                                  (612.3456789 + 523.98765j, 611.9876543 + 524.4321j)])
 def test_identity_overlap_in_logs_matches_closed_form(a, b):
-    """Every term is taken in logs, so no term overflows and no N underflows
-    (it does past |alpha| of about 38): 1e-12 to |alpha| = 60, 1e-10 beyond."""
+    """Every term is taken in logs from the peak of |c_n|, so no term
+    overflows, no N underflows (it does past |alpha| of about 38) and no
+    rounding piles up on the way to the peak: 1e-12 out to |alpha| = 995, the
+    largest the build accepts.  The closed form exp(conj(a) b - (|a|^2+|b|^2)/2)
+    is taken at 30 digits: in doubles its terms of size |alpha|^2 cancel."""
     sa = coherent.build_f_coherent(a, dfm.identity())
     sb = coherent.build_f_coherent(b, dfm.identity())
     got = coherent.scalar_product(sa, sb)
-    want = cmath.exp(a.conjugate() * b - (abs(a) ** 2 + abs(b) ** 2) / 2.0)
-    assert abs(got - want) <= (1e-12 if max(abs(a), abs(b)) <= 60 else 1e-10)
+    with mpmath.workdps(30):
+        a, b = mpmath.mpc(a), mpmath.mpc(b)
+        want = complex(mpmath.exp(mpmath.conj(a) * b - (abs(a) ** 2 + abs(b) ** 2) / 2))
+    assert abs(got - want) <= 1e-12
+
+
+def test_overlap_verb_closed_form_holds_at_large_alpha():
+    """The verb rounds the closed form's Im(conj(a) b) once, from exact
+    products: taken in doubles, its two terms of size |alpha|^2 would cancel
+    to an error of about 4e-12 here, which closed_form_err would report."""
+    params = {"kind": "identity", "a_re": 612.3456789, "a_im": 523.98765,
+              "b_re": 611.9876543, "b_im": 524.4321}
+    result = experiments.run_experiment("coherent overlap", params)
+    assert result.metrics["closed_form_err"] <= 1e-12
 
 
 def oracle_overlap(sa, sb):
@@ -133,23 +150,33 @@ def oracle_overlap(sa, sb):
 
 
 @pytest.mark.parametrize("lam, a, b", [(0.02, 15 + 3j, 14.2 + 3.5j), (0.3, 3 - 1j, 2.5 - 0.4j),
-                                       (1.0, 2j, -0.5 + 1.5j), (-0.6, 1.1, 0.9 + 0.2j)])
+                                       (1.0, 2j, -0.5 + 1.5j), (-0.6, 1.1, 0.9 + 0.2j),
+                                       (0.005, 40 + 10j, 39.5 + 10.3j)])
 def test_q_overlap_matches_mpmath_series(lam, a, b):
     spec = dfm.q_deform(lam)
     sa, sb = coherent.build_f_coherent(a, spec), coherent.build_f_coherent(b, spec)
     assert abs(coherent.scalar_product(sa, sb) - oracle_overlap(sa, sb)) <= 1e-12
 
 
+CUSTOM_SPEC = dfm.custom(np.sqrt(1.0 + 0.05 * np.arange(200)))  # F(n) = n (1 + n/20)
+
+
 @pytest.mark.parametrize("alpha, spec", [(3.0, dfm.identity()), (2j, dfm.q_deform(1.0)),
-                                         (6.0 - 2j, dfm.q_deform(0.05))])
+                                         (6.0 - 2j, dfm.q_deform(0.05)), (2.5 + 1j, CUSTOM_SPEC)])
 @pytest.mark.parametrize("cutoff", [1, 4, 20, 33])
 def test_required_cutoff_suffices(alpha, spec, cutoff):
+    """required_cutoff is the smallest cutoff that meets the tail rule: a build
+    at it succeeds, and one at a level less asks for it again."""
     try:
         coherent.build_f_coherent(alpha, spec, cutoff)
     except CutoffError as exc:
-        state = coherent.build_f_coherent(alpha, spec, exc.required_cutoff)
-        assert state.cutoff == exc.required_cutoff > cutoff
+        need = exc.required_cutoff
+        state = coherent.build_f_coherent(alpha, spec, need)
+        assert state.cutoff == need > cutoff
         assert state.tail_bound <= coherent.TAIL_PROBABILITY
+        with pytest.raises(CutoffError) as less:
+            coherent.build_f_coherent(alpha, spec, need - 1)
+        assert less.value.required_cutoff == need
 
 
 @pytest.mark.parametrize("cutoff", [36, 40, 47])
@@ -165,16 +192,17 @@ def test_explicit_cutoff_meets_the_residual_promise(cutoff):
 
 
 def test_no_cutoff_up_to_the_cap_is_one_error_naming_it():
-    """|alpha| = 1000 needs about 10^6 levels: an explicit cutoff below the
-    cap, the cap itself and the automatic rule end alike."""
+    """|alpha| = 1000 needs more than errors.WORK_BUDGET levels: an explicit
+    cutoff below that budget, the budget itself and the automatic rule end
+    alike, in one ParameterError naming it."""
     messages = set()
-    for cutoff in (4, coherent._MAX_CUTOFF, None):
-        with pytest.raises(SolverError) as info:
+    for cutoff in (4, WORK_BUDGET, None):
+        with pytest.raises(ParameterError) as info:
             coherent.build_f_coherent(1000.0, dfm.identity(), cutoff)
-        assert type(info.value) is SolverError
+        assert type(info.value) is ParameterError
         messages.add(str(info.value))
     (message,) = messages
-    assert str(coherent._MAX_CUTOFF) in message
+    assert str(WORK_BUDGET) in message
 
 
 def test_ladder_overflow_below_the_cutoff_saturates():
