@@ -18,21 +18,19 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "classical": ("ClassicalState", "Trajectory", "approx_momentum",
                   "deform_amplitude", "exact_alpha", "exact_alpha_deformed",
-                  "exact_q", "hamiltonian_q", "integrate_eom",
-                  "momentum_from_velocity", "omega_q", "poisson_bracket_check"),
-    "coherent": ("FCoherentState", "as_fock_state", "build_f_coherent",
-                 "eigenvalue_residual", "f_from_coefficients", "scalar_product"),
-    "deformation": ("DeformationSpec", "big_f", "big_f_inverse",
-                    "commutator_function", "custom", "f_factorial", "f_of_n",
+                  "integrate_eom", "momentum_from_velocity", "omega_q",
+                  "poisson_bracket_check"),
+    "coherent": ("FCoherentState", "build_f_coherent", "eigenvalue_residual",
+                 "f_from_coefficients", "scalar_product"),
+    "deformation": ("DeformationSpec", "big_f", "big_f_inverse", "custom", "f_of_n",
                     "identity", "lambda_over_sinh", "load_f_table", "phi_of_z",
                     "q_deform", "q_number"),
     "errors": ("CutoffError", "ParameterError", "QlabError", "SaturationError",
                "SolverError"),
-    "fock": ("FockMatrix", "FockState", "QuadratureResult", "annihilation",
-             "check_commutator", "check_reordering", "dagger",
-             "deformed_annihilation", "evolution_residual", "hamiltonian",
-             "heisenberg_residual", "linearoid_roundtrip",
-             "quadrature_uncertainty", "spectrum_check"),
+    "fock": ("FockMatrix", "FockState", "QuadratureResult", "check_commutator",
+             "check_reordering", "deformed_annihilation", "evolution_residual",
+             "heisenberg_residual", "linearoid_roundtrip", "quadrature_uncertainty",
+             "spectrum_check"),
     "level": ("LevelEvolution", "evolve_one_level",
               "phase_space_to_psi", "psi_to_phase_space"),
     "thermo": ("PlanckCheckReport", "ThermoTable", "blue_shift", "bose_einstein",

@@ -6,9 +6,11 @@ momentum-velocity relation, and RK4 integration for cross-validation.
 
 Units: omega = m = 1; alpha = (q + ip)/sqrt(2), so |alpha|^2 = (q^2+p^2)/2.
 
-numpy is imported only by the functions that build arrays (exact_alpha,
-exact_q, the RK4 integrator), so the scalar maps, the bracket and the
-implicit momentum run without it.
+numpy is imported only by the functions that build arrays (exact_alpha and
+the RK4 integrator), so the scalar maps, the bracket and the implicit
+momentum run without it.  The closed-form q(t) from (q0, qdot0) is
+sqrt(2) Re exact_alpha((q0 + i p0)/sqrt 2, lam, t) with
+p0 = momentum_from_velocity(q0, qdot0, lam).
 """
 
 from __future__ import annotations
@@ -93,11 +95,6 @@ def _intensity(alpha: complex) -> float:
         return abs(alpha) ** 2
     except OverflowError:
         return math.inf
-
-
-def hamiltonian_q(intensity: float, lam: float) -> float:
-    """Conserved deformed Hamiltonian sinh(lam |alpha|^2)/sinh(lam)."""
-    return q_number(intensity, lam)
 
 
 def poisson_bracket_check(alpha: complex, lam: float, h: float = 1e-4) -> float:
@@ -281,20 +278,6 @@ def approx_momentum(q: float, qdot: float, lam: float) -> float:
     return qdot * (1.0 + l2 / 6.0 - 0.125 * l2 * (q * q + qdot * qdot))
 
 
-def exact_q(q0: float, qdot0: float, lam: float, t) -> float | np.ndarray:
-    """Closed-form q(t) = q0 cos(Omega t) + p0 sin(Omega t) from (q0, qdot0).
-
-    p0 comes from the implicit momentum relation, and the orbit is
-    sqrt(2) Re exact_alpha((q0 + i p0)/sqrt 2): the resummed form of the
-    four-exponential solution.  ``t`` may be a scalar or an array.
-    """
-    import numpy as np
-
-    p0 = momentum_from_velocity(q0, qdot0, lam)
-    out = _SQRT2 * np.real(exact_alpha(complex(q0, p0) / _SQRT2, lam, t))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 class Trajectory(NamedTuple):
     t: np.ndarray
     q: np.ndarray
@@ -391,7 +374,7 @@ def integrate_eom(state0: ClassicalState, t_end: float, dt: float = 1e-3) -> Tra
 
     intensity = 0.5 * (q_arr * q_arr + p_arr * p_arr)
     alpha_sq_drift = float(np.max(np.abs(intensity - intensity[0])))
-    hq = q_number(intensity, lam)  # hamiltonian_q over the samples
+    hq = q_number(intensity, lam)  # the conserved H_q = sinh(lam I)/sinh(lam)
     hq_drift = float(np.max(np.abs(hq - hq[0])))
     q_exact = _SQRT2 * exact_alpha(state0.alpha, lam, t_arr).real
     max_exact_dev = float(np.max(np.abs(q_arr - q_exact)))

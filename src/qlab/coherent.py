@@ -16,13 +16,17 @@ import numpy as np
 
 from . import deformation as dfm
 from .errors import WORK_BUDGET, CutoffError, ParameterError
-from .fock import FockState, _ladder
+from .fock import _ladder
 
 # Last-level probability, relative to the peak level, below which the truncated
 # tail is negligible for every residual this module promises (an eigenvalue
 # residual scales like |alpha|*|c_cutoff|, under 1e-9 for |alpha| up to a few).
 # Past the peak the weights fall, so the first level under it is the least cutoff.
 TAIL_PROBABILITY = 1e-20
+
+# Significant bits kept in the high part of a phase: n times it is exact for
+# every level n <= WORK_BUDGET.
+_PHASE_BITS = 53 - WORK_BUDGET.bit_length()
 
 
 class FCoherentState(NamedTuple):
@@ -43,6 +47,16 @@ def _log_magnitudes(alpha: complex, spec: dfm.DeformationSpec,
     steps = log_abs_alpha - np.log(_ladder(cutoff + 1, spec))
     peak = int(np.count_nonzero(steps > 0.0))
     return peak, np.r_[-np.cumsum(steps[:peak][::-1])[::-1], 0.0, np.cumsum(steps[peak:])]
+
+
+def _phases(theta: float, m: int) -> np.ndarray:
+    """e^{i n theta} for n = 0..m, with theta split into a short high part,
+    whose n-fold multiple is exact, and the remainder; a single rounded
+    n * theta would be off by about n ulp(theta) at level n."""
+    mantissa, exponent = math.frexp(theta)
+    hi = math.ldexp(int(math.ldexp(mantissa, _PHASE_BITS)), exponent - _PHASE_BITS)
+    n = np.arange(m + 1.0)
+    return np.exp(1j * (n * hi)) * np.exp(1j * (n * (theta - hi)))
 
 
 def build_f_coherent(alpha: complex, spec: dfm.DeformationSpec,
@@ -79,31 +93,19 @@ def build_f_coherent(alpha: complex, spec: dfm.DeformationSpec,
     # kept as ln N = -lse/2 since N underflows; the peak term of the sum is 1
     lse = math.log(np.exp(2.0 * logs).sum())
     phase = math.atan2(alpha.imag, alpha.real)   # cmath.phase raises on a subnormal result
-    coeffs = np.exp(logs - 0.5 * lse) * np.exp(1j * phase * np.arange(m + 1))
+    coeffs = np.exp(logs - 0.5 * lse) * _phases(phase, m)
     tail = float(abs(coeffs[-1]) ** 2)
     return FCoherentState(alpha, spec, m, coeffs, tail)
 
 
-def eigenvalue_residual(state: FCoherentState, dim: int | None = None) -> float:
-    """|| A |alpha,f> - alpha |alpha,f> ||, embedded in dimension dim.
-
-    dim defaults to cutoff + 2 and must be at least that, so the state's
-    support sits strictly inside the truncated space.
-    """
-    dim = state.cutoff + 2 if dim is None else dim
-    if dim < state.cutoff + 2:
-        raise ParameterError("dim must be >= cutoff + 2")
-    amps = np.zeros(dim, dtype=complex)
-    amps[:state.coeffs.shape[0]] = state.coeffs
-    a_amps = np.r_[_ladder(dim, state.spec) * amps[1:], 0.0]   # (A v)_n = s_n v_{n+1}
+def eigenvalue_residual(state: FCoherentState) -> float:
+    """|| A |alpha,f> - alpha |alpha,f> ||, embedded in dimension cutoff + 2,
+    so that the state's support sits strictly inside the truncated space.
+    More zero levels would leave the residual as it is."""
+    amps = np.r_[state.coeffs, 0.0]
+    # (A v)_n = s_n v_{n+1}
+    a_amps = np.r_[_ladder(state.cutoff + 2, state.spec) * amps[1:], 0.0]
     return float(np.linalg.norm(a_amps - state.alpha * amps))
-
-
-def as_fock_state(state: FCoherentState, dim: int | None = None) -> FockState:
-    dim = state.cutoff + 2 if dim is None else dim
-    amps = np.zeros(dim, dtype=complex)
-    amps[:state.coeffs.shape[0]] = state.coeffs
-    return FockState(dim, amps)
 
 
 def scalar_product(state_a: FCoherentState, state_b: FCoherentState) -> complex:
@@ -124,7 +126,7 @@ def scalar_product(state_a: FCoherentState, state_b: FCoherentState) -> complex:
     a, b = state_a.alpha, state_b.alpha
     # conj(a) b with Im(conj(a) b) = Im(conj(a) (b - a)), in which no |a|^2 cancels
     z = complex((a.conjugate() * b).real, (a.conjugate() * (b - a)).imag)
-    phases = np.exp(1j * math.atan2(z.imag, z.real) * np.arange(m + 1))
+    phases = _phases(math.atan2(z.imag, z.real), m)
     peak = logs.max()
     return complex(math.exp(peak) * np.sum(np.exp(logs - peak) * phases))
 

@@ -1,8 +1,8 @@
 """Deformation calculus, the one home of F(n) and its overflow-free forms.
 
 q-numbers, the deformation function f(n), the operator spectrum
-F(n) = n f^2(n), its increments phi(n), deformed factorials, the inverse
-of F, and the overflow-free sech, ln cosh and ln sinh.  All are pure
+F(n) = n f^2(n), its increments phi(n), the inverse of F, and the
+overflow-free sech, ln cosh and ln sinh.  All are pure
 functions; q_number, f_of_n, big_f, big_f_inverse (so phi_of_z too) also
 answer a whole float64 array by the same formulas and switch points as
 masks, importing numpy on that branch only.
@@ -283,40 +283,14 @@ def phi_of_z(z: float, spec: DeformationSpec) -> float:
     return big_f(z + 1, spec) - big_f(z, spec)
 
 
-def commutator_function(n: float, lam: float) -> float:
-    """(sinh lam(n+1) - sinh lam*n)/sinh lam; the lam -> 0 limit is 1."""
-    return q_number(n + 1, lam) - q_number(n, lam)
-
-
-def f_factorial(n: int, spec: DeformationSpec, convention: str = "f") -> float:
-    """Deformed factorial.
-
-    convention "q": [n]! = n_q (n-1)_q ... 1_q with [0]! = 1 (requires a
-    q-type or identity spec).  convention "f": running product
-    f(1) f(2) ... f(n) with the empty product 1 at n = 0.
-    """
-    if n < 0 or n != int(n):
-        raise ParameterError("f_factorial requires a nonnegative integer n")
-    if convention not in ("q", "f"):
-        raise ParameterError(f"unknown factorial convention: {convention!r}")
-    if convention == "q" and spec.kind == _CUSTOM:
-        raise ParameterError("q-convention factorial needs a q-type or identity spec")
-    out = 1.0
-    for k in range(1, int(n) + 1):
-        out *= q_number(k, spec.lam) if convention == "q" else f_of_n(k, spec)
-        if math.isinf(out):
-            raise SaturationError(
-                f"deformed factorial overflows at n = {k}", largest_safe_n=k - 1)
-    return out
-
-
 def _read_csv_rows(source, what: str) -> list[tuple[int, list[float]]]:
     """(line number, values) for each data row of a small numeric CSV file.
 
     ``source`` is a path or an open text file (UTF-8, LF or CRLF line ends).
     Blank lines are skipped, and so is the first nonblank row if it does not
-    parse as numbers (a header).  An unreadable file or any later
-    non-numeric row raises ParameterError naming ``what`` and the line.
+    parse as numbers (a header).  An unreadable file, any later non-numeric
+    row or a nan or infinite cell raises ParameterError naming ``what`` and
+    the line.
     """
     try:
         if hasattr(source, "read"):
@@ -333,10 +307,14 @@ def _read_csv_rows(source, what: str) -> list[tuple[int, list[float]]]:
         if not any(c.strip() for c in cells):
             continue
         try:
-            rows.append((reader.line_num, [float(c) for c in cells]))
+            values = [float(c) for c in cells]
         except ValueError:
             if not header_allowed:
                 raise ParameterError(f"{what} line {reader.line_num}: non-numeric data")
+        else:
+            if not all(map(math.isfinite, values)):
+                raise ParameterError(f"{what} line {reader.line_num}: non-finite value")
+            rows.append((reader.line_num, values))
         header_allowed = False
     return rows
 

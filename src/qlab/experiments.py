@@ -139,20 +139,19 @@ def _run_deform_table(p: dict) -> ExperimentResult:
     lam = p["lambda"]
     q = spec.kind == "q"
     table = []  # one tuple per n, so the first failing n raises first
-    factorial = 1.0  # f(1) ... f(n), multiplied in f_factorial's order
+    factorial = 1.0  # f(1) ... f(n), multiplied in that order
     for n in range(p["n_max"] + 1):
         big = deformation.big_f(n, spec)
         roundtrip = abs(deformation.big_f_inverse(big, spec) - n)
         q_number = deformation.q_number(n, lam) if q else None
         f = deformation.f_of_n(n, spec)
-        phi = deformation.phi_of_z(n, spec)
-        commutator = deformation.commutator_function(n, lam) if q else None
+        phi = deformation.phi_of_z(n, spec)  # for q also the commutator function
         if n:
             factorial *= f
             if math.isinf(factorial):
                 raise SaturationError(f"deformed factorial overflows at n = {n}",
                                       largest_safe_n=n - 1)
-        table.append((n, q_number, f, big, phi, commutator, factorial, roundtrip))
+        table.append((n, q_number, f, big, phi, phi, factorial, roundtrip))
     names = ("n", "q_number", "f", "big_f", "phi", "commutator", "f_factorial",
              "roundtrip_err")
     columns = dict(zip(names, map(list, zip(*table))))
@@ -198,10 +197,10 @@ def _run_classical_simulate(p: dict) -> ExperimentResult:
     t, q, mom = traj.t[idx], traj.q[idx], traj.p[idx]
     alpha_t = classical.exact_alpha(state0.alpha, lam, t)
     intensity = 0.5 * (q * q + mom * mom)
-    # hamiltonian_q per cell: q_number's array form differs in the last bits
+    # q_number per cell: its array form differs in the last bits
     columns = {"t": t, "q": q, "p": mom, "q_exact": math.sqrt(2.0) * alpha_t.real,
                "|alpha|^2": intensity,
-               "H_q": [classical.hamiltonian_q(i, lam) for i in intensity.tolist()]}
+               "H_q": [deformation.q_number(i, lam) for i in intensity.tolist()]}
     metrics = {"max_exact_dev": traj.max_exact_dev,
                "alpha_sq_drift": traj.alpha_sq_drift,
                "hq_drift": traj.hq_drift}

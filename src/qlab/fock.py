@@ -1,16 +1,17 @@
 """Truncated Fock-space ladder operators and identity checks.
 
-Standard and deformed annihilation/creation matrices in the number basis,
-residual checks for the deformed commutation and reordering relations, the
-linearoid reconstruction a = A / f(F^{-1}(N)), alternative Hamiltonians,
-and quadrature uncertainty products.
+The deformed annihilation matrix in the number basis, residual checks for
+the deformed commutation and reordering relations, the linearoid
+reconstruction a = A / f(F^{-1}(N)), the Heisenberg and rotating-frame
+equations of motion, the spectrum of A†A, and quadrature uncertainty
+products.
 
 The checks are banded.  A = a f(N) has one superdiagonal, s_n = sqrt(F(n+1)),
 so A A† = diag(s^2, 0), A† A = diag(0, s^2), and A shifts a vector by one
 place: each check is O(dim), and none builds a dense matrix or solves an
 eigenproblem; F, phi and F^{-1} come from array calls into ``deformation``.
-deformed_annihilation, dagger and hamiltonian are the dense constructors,
-for callers that want the matrices themselves.
+deformed_annihilation is the one dense constructor, for callers that want
+the matrix itself.
 
 Identities that hold in infinite dimension necessarily fail at the
 truncation edge, so every check excludes the last basis state.  All
@@ -21,7 +22,6 @@ relative error is the honest floating-point statement of "the identity holds".
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple
 
@@ -39,10 +39,6 @@ class FockMatrix(NamedTuple):
 
     dim: int
     entries: np.ndarray
-
-    def to_json(self) -> str:
-        pairs = [[z.real, z.imag] for z in self.entries.ravel()]  # row-major
-        return json.dumps({"dim": self.dim, "entries": pairs})
 
 
 class _StateFields(NamedTuple):
@@ -75,14 +71,10 @@ class FockState(_StateFields):
         return cls(dim, amps)
 
 
-def _check_dim(dim: int, minimum: int = 2) -> None:
-    if dim < minimum:
-        raise ParameterError(f"dimension must be >= {minimum}, got {dim}")
-
-
 def _ladder(dim: int, spec: dfm.DeformationSpec, minimum: int = 2) -> np.ndarray:
     """The superdiagonal of A: s_n = sqrt(F(n+1)) for n = 0..dim-2."""
-    _check_dim(dim, minimum)
+    if dim < minimum:
+        raise ParameterError(f"dimension must be >= {minimum}, got {dim}")
     big = dfm.big_f(np.arange(1.0, dim), spec)
     if not np.isfinite(big).all():
         n = int(np.isfinite(big).argmin())
@@ -91,21 +83,12 @@ def _ladder(dim: int, spec: dfm.DeformationSpec, minimum: int = 2) -> np.ndarray
     return np.sqrt(big)
 
 
-def annihilation(dim: int) -> FockMatrix:
-    """Standard ladder matrix: entry (n, n+1) = sqrt(n+1)."""
-    return deformed_annihilation(dim, dfm.identity())
-
-
 def deformed_annihilation(dim: int, spec: dfm.DeformationSpec) -> FockMatrix:
     """Deformed ladder matrix A = a f(n): entry (n, n+1) = sqrt(F(n+1))."""
     s = _ladder(dim, spec)
     m = np.zeros((dim, dim), dtype=complex)
     m[np.arange(dim - 1), np.arange(1, dim)] = s
     return FockMatrix(dim, m)
-
-
-def dagger(m: FockMatrix) -> FockMatrix:
-    return FockMatrix(m.dim, m.entries.conj().T.copy())
 
 
 def _scaled_max_residual(delta: np.ndarray, *terms: np.ndarray) -> float:
@@ -149,26 +132,13 @@ def _number_diagonal(s: np.ndarray) -> np.ndarray:
 def linearoid_roundtrip(dim: int, spec: dfm.DeformationSpec) -> float:
     """Reconstruct a from A via A / f(F^{-1}(N)), N = A†A.
 
-    Returns the max absolute deviation from annihilation(dim) over the first
-    dim-1 states (entries are O(sqrt(dim)), so absolute is meaningful here).
+    Returns the max absolute deviation from the standard ladder, entry
+    (n, n+1) = sqrt(n+1), over the first dim-1 states (entries are O(sqrt(dim)), so absolute is meaningful here).
     """
     s = _ladder(dim, spec)
     inv_f = 1.0 / dfm.f_of_n(dfm.big_f_inverse(_number_diagonal(s), spec), spec)
     recon = s * inv_f[1:]   # the superdiagonal of A diag(inv_f)
     return float(np.max(np.abs(recon - np.sqrt(np.arange(1.0, dim)))[:-1], initial=0.0))
-
-
-def hamiltonian(dim: int, spec: dfm.DeformationSpec | None = None) -> FockMatrix:
-    """diag(n + 1/2) in standard form, or F^{-1}(A†A) + 1/2 when a spec is given.
-
-    Both agree on non-edge states — the same dynamics expressed in deformed
-    variables.  The deformed form is evaluated entrywise on the diagonal of
-    A†A (which is diagonal in this basis); no general matrix functions.
-    """
-    _check_dim(dim)
-    diag = (np.arange(dim) + 0.5 if spec is None else
-            dfm.big_f_inverse(_number_diagonal(_ladder(dim, spec)), spec) + 0.5)
-    return FockMatrix(dim, np.diag(diag).astype(complex))
 
 
 def heisenberg_residual(dim: int, spec: dfm.DeformationSpec) -> float:

@@ -379,8 +379,8 @@ def planck_coefficient_check(lam_grid, x: float, convention: str = "sym") -> Pla
     """
     _check_convention(convention)
     grid = sorted((float(v) for v in lam_grid), reverse=True)
-    if len(grid) < 2 or grid[-1] <= 0 or grid[0] > 0.1:
-        raise ParameterError("lam grid must contain >= 2 values in (0, 0.1]")
+    if len(set(grid)) < len(grid) or len(grid) < 2 or grid[-1] <= 0 or grid[0] > 0.1:
+        raise ParameterError("lam grid must contain >= 2 distinct values in (0, 0.1]")
 
     printed = planck_correction_coefficient(x)  # ParameterError unless x > 0
     if printed == 0.0:

@@ -34,7 +34,7 @@ def _render_csv(rows) -> str:
 
 def deform_table_rows(spec: deformation.DeformationSpec, lam: float, n_max: int) -> list:
     rows = []
-    factorial = 1.0  # f(1) ... f(n), multiplied in f_factorial's order
+    factorial = 1.0  # f(1) ... f(n), multiplied in that order
     for n in range(n_max + 1):
         big = deformation.big_f(n, spec)
         roundtrip = abs(deformation.big_f_inverse(big, spec) - n)
@@ -45,7 +45,7 @@ def deform_table_rows(spec: deformation.DeformationSpec, lam: float, n_max: int)
         row["big_f"] = big
         row["phi"] = deformation.phi_of_z(n, spec)
         if spec.kind == "q":
-            row["commutator"] = deformation.commutator_function(n, lam)
+            row["commutator"] = deformation.q_number(n + 1, lam) - deformation.q_number(n, lam)
         if n:
             factorial *= row["f"]
             if math.isinf(factorial):

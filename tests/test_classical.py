@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qlab import classical
+from qlab import classical, experiments
 from qlab.deformation import q_number
 from qlab.errors import WORK_BUDGET, ParameterError, SaturationError, SolverError
 
@@ -55,6 +55,14 @@ def reference_q(q0, qdot0, lam, t):
     return (plus + minus).real
 
 
+def closed_form_q(q0, qdot0, lam, t):
+    """q(t) = sqrt(2) Re exact_alpha((q0 + i p0)/sqrt 2), p0 from the implicit
+    momentum relation: the resummed form of the four-exponential solution."""
+    p0 = classical.momentum_from_velocity(q0, qdot0, lam)
+    return math.sqrt(2.0) * np.real(classical.exact_alpha(complex(q0, p0) / math.sqrt(2.0),
+                                                          lam, t))
+
+
 @pytest.mark.parametrize("q0,qdot0,lam", [
     (1.0, 0.0, 0.5),
     (1.0, 0.5, 0.7),
@@ -64,15 +72,14 @@ def reference_q(q0, qdot0, lam, t):
 ])
 def test_exact_q_matches_four_exponential_form(q0, qdot0, lam):
     for t in (0.0, 0.7, 3.2, 10.0):
-        assert abs(classical.exact_q(q0, qdot0, lam, t)
-                   - reference_q(q0, qdot0, lam, t)) < 1e-12
+        assert abs(closed_form_q(q0, qdot0, lam, t) - reference_q(q0, qdot0, lam, t)) < 1e-12
 
 
 def test_exact_q_vectorized():
     t = np.linspace(0.0, 5.0, 7)
-    out = classical.exact_q(1.0, 0.5, 0.7, t)
+    out = closed_form_q(1.0, 0.5, 0.7, t)
     assert out.shape == t.shape
-    assert_allclose(out[3], classical.exact_q(1.0, 0.5, 0.7, float(t[3])), rtol=1e-15)
+    assert_allclose(out[3], closed_form_q(1.0, 0.5, 0.7, float(t[3])), rtol=1e-15)
 
 
 def test_omega_q_frozen_value():
@@ -361,7 +368,10 @@ def test_poisson_bracket_step_bounds():
 
 
 def test_hamiltonian_q_is_q_number():
-    assert_allclose(classical.hamiltonian_q(0.8, 1.2), q_number(0.8, 1.2), rtol=1e-15)
+    """classical simulate's H_q column is q_number of its |alpha|^2 column, cell by cell."""
+    columns = experiments.run_experiment("classical simulate", {
+        "lambda": 1.2, "q0": 1.0, "p0": 0.5, "t_end": 0.1, "dt": 0.01}).columns
+    assert columns["H_q"] == [q_number(i, 1.2) for i in columns["|alpha|^2"].tolist()]
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0])
@@ -377,12 +387,12 @@ def test_rk4_tracks_closed_form(lam):
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
 def test_hq_drift_matches_per_sample_hamiltonian(lam):
-    """The vectorised sinh(lam I)/sinh(lam) against hamiltonian_q sample by
-    sample; numpy's and math's sinh may differ by an ulp on each side."""
+    """The vectorised sinh(lam I)/sinh(lam) against the scalar q_number sample
+    by sample; numpy's and math's sinh may differ by an ulp on each side."""
     traj = classical.integrate_eom(classical.ClassicalState(1.0, 0.5, lam),
                                    t_end=2.0, dt=1e-3)
     intensity = 0.5 * (traj.q * traj.q + traj.p * traj.p)
-    hq = np.array([classical.hamiltonian_q(v, lam) for v in intensity])
+    hq = np.array([q_number(v, lam) for v in intensity])
     reference = float(np.max(np.abs(hq - hq[0])))
     assert abs(traj.hq_drift - reference) <= 4.0 * np.finfo(float).eps * float(np.max(hq))
 

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -40,16 +41,14 @@ def run(capsys, argv):
 
 # ---------------------------------------------------------------- coverage
 
-# The public functions that no verb runs: library entry points (the dense
-# ladder matrices, a closed-form q(t), a state embedding, a factorial and two
-# scalar thermo readers) whose values the verbs carry in other forms.  Every
-# other public function is reached by some verb, which the test below
-# measures rather than declares.
+# The public functions that no verb runs: the dense ladder matrix and two
+# scalar thermo readers, whose values the verbs carry in other forms and which
+# the benchmark (perfbench/) calls or times.  Every other public function is
+# reached by some verb, which the test below measures rather than declares.
 LIBRARY_ONLY = {
-    "classical.exact_q", "coherent.as_fock_state", "deformation.f_factorial",
-    "fock.annihilation", "fock.dagger", "fock.deformed_annihilation", "fock.hamiltonian",
-    "thermo.partition_function", "thermo.specific_heat",
+    "fock.deformed_annihilation", "thermo.partition_function", "thermo.specific_heat",
 }
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def small_verb_argvs(tmp_path) -> list[list[str]]:
@@ -107,6 +106,15 @@ def test_every_public_function_is_reached_by_a_verb(capsys, tmp_path):
             if inspect.isfunction(obj) and obj.__code__ not in reached:
                 unreached.add(f"{module}.{name}")
     assert unreached == LIBRARY_ONLY
+
+
+def test_every_library_only_function_is_used_by_the_benchmark():
+    """A public function that no verb reaches stays only while the benchmark
+    names it: an operation calls it, or a per-layer metric times it."""
+    sources = "\n".join(path.read_text(encoding="utf-8")
+                        for path in sorted(PERFBENCH.glob("*.py")))
+    for name in sorted(LIBRARY_ONLY):
+        assert re.search(rf"\b{re.escape(name)}\b", sources), name
 
 
 # --------------------------------------------------------------- exit codes
@@ -437,6 +445,9 @@ EDGE_ARGVS = [
     ("coherent build --lambda 1 --alpha-re 1 --cutoff 720", 3, "SaturationError"),
     ("coherent build --lambda 30 --alpha-re 1", 3, "SaturationError"),
     ("thermo planck-check --x 800", 2, "ParameterError"),
+    # a repeated lambda leaves no extrapolation step between the two
+    ("thermo planck-check --x 1 --lambdas 0.01,0.01", 2, "ParameterError: distinct"),
+    ("thermo planck-check --x 1 --lambdas 0.02,0.01,0.01", 2, "ParameterError: distinct"),
     ("thermo blueshift --lambda 800 --n 2", 3, "SaturationError"),
     ("thermo blueshift --lambda 0.1 --n 1e308", 3, "SaturationError"),
     # a traveling wave whose speed, and so whose pi, underflows to 0
@@ -1018,19 +1029,17 @@ def test_momentum_at_huge_velocity_exits_zero(capsys):
     ({"kind": "identity", "lambda": 0.0}, deformation.identity()),
 ])
 def test_deform_table_factorial_column_is_f_factorial(spec_args, spec):
-    """The table's running product multiplies in f_factorial's order."""
+    """The table's running product is f(1) f(2) ... f(n), multiplied in that order."""
     columns = experiments.run_experiment("deform table", dict(spec_args, n_max=40)).columns
     for n, factorial in zip(columns["n"], columns["f_factorial"]):
-        assert factorial == deformation.f_factorial(n, spec)
+        assert factorial == math.prod(deformation.f_of_n(k, spec) for k in range(1, n + 1))
 
 
 def test_deform_table_factorial_overflow_names_largest_safe_n():
     with pytest.raises(SaturationError) as exc_info:
         experiments.run_experiment("deform table", {"lambda": 1.0, "n_max": 100})
     assert exc_info.value.largest_safe_n == 56
-    with pytest.raises(SaturationError) as ref_info:
-        deformation.f_factorial(57, deformation.q_deform(1.0))
-    assert str(exc_info.value) == str(ref_info.value)
+    assert str(exc_info.value) == "deformed factorial overflows at n = 57"
 
 
 def test_run_experiment_rejects_unknown_params():
@@ -1108,7 +1117,8 @@ def test_wave_ic_file_with_header_and_blank_lines(capsys, tmp_path):
     assert out_plain == out
 
 
-@pytest.mark.parametrize("bad_row", ["1.0,2.0", "1.0,2.0,3.0,4.0", "1.0,zebra,0.0"])
+@pytest.mark.parametrize("bad_row", ["1.0,2.0", "1.0,2.0,3.0,4.0", "1.0,zebra,0.0",
+                                     "nan,2.0,0.0", "1.0,inf,0.0", "1.0,2.0,-inf"])
 def test_wave_ic_file_bad_row_names_its_line(capsys, tmp_path, bad_row):
     rows = wave_ic_lines()
     rows[1] = bad_row  # line 3 of the file, after the header
@@ -1181,6 +1191,15 @@ def test_coeffs_file_non_numeric_row_names_its_line(capsys, tmp_path):
     payload = json.loads(err)
     assert payload["error"] == "ParameterError"
     assert "line 4" in payload["message"]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_coeffs_file_non_finite_row_names_its_line(capsys, tmp_path, cell):
+    code, out, err = run_coeffs(capsys, tmp_path, f"n,c\n0,1.0\n1,{cell}\n2,0.2\n")
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ParameterError"
+    assert payload["message"] == "coefficient line 3: non-finite value"
 
 
 def test_coeffs_missing_file_exits_two(capsys, tmp_path):

@@ -226,19 +226,12 @@ def test_subnormal_phase_builds():
     assert np.array_equal(tilted.coeffs, plain.coeffs)
 
 
-def test_as_fock_state_embedding():
-    state = coherent.build_f_coherent(1.0, dfm.q_deform(1.0))
-    fk = coherent.as_fock_state(state)
-    assert fk.dim == state.cutoff + 2
-    assert abs(fk.norm - 1.0) < 1e-12
-    wide = coherent.as_fock_state(state, dim=state.cutoff + 10)
-    assert np.all(wide.amplitudes[state.cutoff + 1:] == 0)
-
-
-def test_residual_dim_validation():
-    state = coherent.build_f_coherent(1.0, dfm.q_deform(1.0))
-    with pytest.raises(ParameterError):
-        coherent.eigenvalue_residual(state, dim=state.cutoff)
+def test_phases_at_large_complex_alpha_stay_exact():
+    """At alpha = 129.6 + 75.5i the state runs to level 32768; a phase taken
+    as one rounded n * theta per level left a residual of 1.4e-10."""
+    state = coherent.build_f_coherent(129.6 + 75.5j, dfm.identity())
+    assert state.cutoff == 32768
+    assert coherent.eigenvalue_residual(state) <= 1e-12
 
 
 def test_f_recovery_from_built_state():

@@ -1,6 +1,6 @@
 """Deformation calculus: q-numbers, f(n), F(n) and its inverse (on scalars
-and on whole arrays), increments, deformed factorials, and the CSV table
-loader.
+and on whole arrays), increments, the deformed factorials of the deform
+table, and the CSV table loader.
 
 Reference values were computed independently with 40-digit arithmetic and
 frozen here as literals; q_number and F^{-1} at small lambda are also
@@ -18,13 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from qlab import experiments
 from qlab.deformation import (
     DeformationSpec,
     big_f,
     big_f_inverse,
-    commutator_function,
     custom,
-    f_factorial,
     f_of_n,
     identity,
     lambda_over_sinh,
@@ -413,45 +412,41 @@ def test_phi_is_increment_of_big_f():
 
 
 def test_commutator_function_limit():
-    assert commutator_function(3.0, 0.0) == 1.0
-    # same increment as phi for the q spec
-    assert_allclose(commutator_function(2.0, 0.8),
-                    phi_of_z(2.0, q_deform(0.8)), rtol=1e-14)
+    """For the q spec phi is the commutator function (sinh lam(n+1) - sinh lam n)/sinh lam,
+    whose lam -> 0 limit is 1."""
+    assert phi_of_z(3.0, q_deform(0.0)) == 1.0
+    assert_allclose(phi_of_z(2.0, q_deform(0.8)),
+                    (math.sinh(2.4) - math.sinh(1.6)) / math.sinh(0.8), rtol=1e-14)
+
+
+def f_factorials(lam, n_max):
+    """[f(n)]! = f(1) f(2) ... f(n) for n = 0..n_max, the deform table's column."""
+    result = experiments.run_experiment("deform table", {"lambda": lam, "n_max": n_max})
+    return result.columns["f_factorial"]
 
 
 def test_f_factorial_frozen_values():
-    spec = q_deform(1.0)
-    assert_allclose(f_factorial(3, spec, "f"), F_FACT_3_LAM1, rtol=1e-14)
-    assert_allclose(f_factorial(3, spec, "q"), Q_FACT_3_LAM1, rtol=1e-14)
+    """[f(3)]! and, through the relation below, the q-factorial [3]!_q at lam = 1."""
+    ff = f_factorials(1.0, 3)[3]
+    assert_allclose(ff, F_FACT_3_LAM1, rtol=1e-14)
+    assert_allclose(6.0 * ff * ff, Q_FACT_3_LAM1, rtol=1e-14)
 
 
 def test_f_factorial_conventions_related():
-    """[n]!_q = n! * ([f(k)]!)^2 because each factor is k f(k)^2 = k_q."""
-    spec = q_deform(0.6)
-    for n in range(1, 8):
-        ff = f_factorial(n, spec, "f")
-        qq = f_factorial(n, spec, "q")
+    """[n]!_q = n! * ([f(n)]!)^2 because each factor is k f(k)^2 = k_q."""
+    for n, ff in enumerate(f_factorials(0.6, 7)):
+        qq = math.prod(q_number(k, 0.6) for k in range(1, n + 1))
         assert_allclose(qq, math.factorial(n) * ff * ff, rtol=1e-13)
 
 
 def test_f_factorial_empty_product():
-    assert f_factorial(0, q_deform(1.0), "f") == 1.0
-    assert f_factorial(0, q_deform(1.0), "q") == 1.0
+    assert f_factorials(1.0, 1)[0] == 1.0
 
 
 def test_f_factorial_overflow_reports_largest_safe():
     with pytest.raises(SaturationError) as exc_info:
-        f_factorial(60, q_deform(2.0), "q")
+        f_factorials(2.0, 60)
     assert 0 < exc_info.value.largest_safe_n < 60
-
-
-def test_f_factorial_rejects_bad_inputs():
-    with pytest.raises(ParameterError):
-        f_factorial(-1, q_deform(1.0))
-    with pytest.raises(ParameterError):
-        f_factorial(2, q_deform(1.0), convention="z")
-    with pytest.raises(ParameterError):
-        f_factorial(2, custom([1.0, 1.0, 1.0]), convention="q")
 
 
 def test_custom_spec_interpolates():
@@ -554,6 +549,12 @@ def test_load_f_table_errors_are_typed_and_name_the_line(tmp_path):
         load_f_table(io.StringIO("n,f\n0,1.0\n1,zebra\n"))
     with pytest.raises(ParameterError, match="cannot read"):
         load_f_table(str(tmp_path / "absent.csv"))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_f_table_rejects_non_finite_values(cell):
+    with pytest.raises(ParameterError, match="f table line 3: non-finite value"):
+        load_f_table(io.StringIO(f"n,f\n0,1.0\n1,{cell}\n"))
 
 
 def test_load_f_table_skips_blank_lines():

@@ -16,22 +16,22 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC = [
     'ClassicalState', 'CutoffError', 'DeformationSpec', 'FCoherentState', 'FockMatrix',
-    'FockState', 'LevelEvolution', 'ParameterError', 'PlanckCheckReport',
-    'QlabError', 'QuadratureResult', 'SaturationError', 'SolverError', 'ThermoTable',
-    'Trajectory', 'WaveField', 'annihilation', 'approx_momentum', 'as_fock_state', 'big_f',
-    'big_f_inverse', 'blue_shift', 'bose_einstein', 'build_f_coherent', 'check_commutator',
-    'check_reordering', 'classical', 'coherent', 'commutator_function', 'custom', 'dagger',
-    'deform_amplitude', 'deformation', 'deformed_annihilation', 'deformed_planck_approx',
-    'eigenvalue_residual', 'energy', 'energy_levels', 'errors', 'evolution_residual',
-    'evolve', 'evolve_one_level', 'exact_alpha', 'exact_alpha_deformed', 'exact_q',
-    'f_factorial', 'f_from_coefficients', 'f_of_n', 'fock', 'fourier_modes', 'hamiltonian',
-    'hamiltonian_q', 'heisenberg_residual', 'identity', 'integrate_eom', 'lambda_over_sinh',
-    'level', 'linearoid_roundtrip', 'load_f_table', 'make_field', 'mean_occupation',
-    'momentum_from_velocity', 'omega_q', 'partition_function', 'phase_space_to_psi',
-    'phi_of_z', 'planck_coefficient_check', 'poisson_bracket_check', 'psi_to_phase_space',
-    'q_deform', 'q_number', 'quadrature_uncertainty', 'scalar_product', 'soliton_check',
-    'solve_mu', 'specific_heat', 'spectral_shift', 'spectrum_check', 'thermo',
-    'thermo_table', 'traveling_field', 'wave',
+    'FockState', 'LevelEvolution', 'ParameterError', 'PlanckCheckReport', 'QlabError',
+    'QuadratureResult', 'SaturationError', 'SolverError', 'ThermoTable', 'Trajectory',
+    'WaveField', 'approx_momentum', 'big_f', 'big_f_inverse', 'blue_shift',
+    'bose_einstein', 'build_f_coherent', 'check_commutator', 'check_reordering',
+    'classical', 'coherent', 'custom', 'deform_amplitude', 'deformation',
+    'deformed_annihilation', 'deformed_planck_approx', 'eigenvalue_residual', 'energy',
+    'energy_levels', 'errors', 'evolution_residual', 'evolve', 'evolve_one_level',
+    'exact_alpha', 'exact_alpha_deformed', 'f_from_coefficients', 'f_of_n', 'fock',
+    'fourier_modes', 'heisenberg_residual', 'identity', 'integrate_eom',
+    'lambda_over_sinh', 'level', 'linearoid_roundtrip', 'load_f_table', 'make_field',
+    'mean_occupation', 'momentum_from_velocity', 'omega_q', 'partition_function',
+    'phase_space_to_psi', 'phi_of_z', 'planck_coefficient_check',
+    'poisson_bracket_check', 'psi_to_phase_space', 'q_deform', 'q_number',
+    'quadrature_uncertainty', 'scalar_product', 'soliton_check', 'solve_mu',
+    'specific_heat', 'spectral_shift', 'spectrum_check', 'thermo', 'thermo_table',
+    'traveling_field', 'wave',
 ]
 SUBMODULES = ("classical", "coherent", "deformation", "errors", "fock", "level",
               "thermo", "wave")
