@@ -332,19 +332,19 @@ def _rk4(q: float, p: float, lam: float, dt: float,
     p_arr = np.empty(n_steps + 1)
     q_arr[0] = q
     p_arr[0] = p
-    cosh = math.cosh
+    cosh, half_lam, half_dt = math.cosh, lam * 0.5, 0.5 * dt  # lam * 0.5 * s is (lam * 0.5) * s
     try:
         for i in range(1, n_steps + 1):
-            w = c1 * cosh(lam * 0.5 * (q * q + p * p))
+            w = c1 * cosh(half_lam * (q * q + p * p))
             k1q, k1p = w * p, -w * q
-            q2, p2 = q + 0.5 * dt * k1q, p + 0.5 * dt * k1p
-            w = c1 * cosh(lam * 0.5 * (q2 * q2 + p2 * p2))
+            q2, p2 = q + half_dt * k1q, p + half_dt * k1p
+            w = c1 * cosh(half_lam * (q2 * q2 + p2 * p2))
             k2q, k2p = w * p2, -w * q2
-            q3, p3 = q + 0.5 * dt * k2q, p + 0.5 * dt * k2p
-            w = c1 * cosh(lam * 0.5 * (q3 * q3 + p3 * p3))
+            q3, p3 = q + half_dt * k2q, p + half_dt * k2p
+            w = c1 * cosh(half_lam * (q3 * q3 + p3 * p3))
             k3q, k3p = w * p3, -w * q3
             q4, p4 = q + dt * k3q, p + dt * k3p
-            w = c1 * cosh(lam * 0.5 * (q4 * q4 + p4 * p4))
+            w = c1 * cosh(half_lam * (q4 * q4 + p4 * p4))
             k4q, k4p = w * p4, -w * q4
             q += dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
             p += dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0

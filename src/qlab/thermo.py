@@ -10,8 +10,9 @@ is a modeling choice: "sym" uses E_n = (F(n) + F(n+1))/2 and "num" uses
 E_n = F(n).  Which one reproduces the printed small-lam Planck correction
 is decided empirically by planck_coefficient_check, not assumed.
 
-ln Z, <n> and C = beta^2 Var E all come from one pass over the spectrum,
-_moments: a closed-form cutoff, a centred variance, and a direct sum, or an
+ln Z, <n> and C = beta^2 Var E all come from one pass over the spectrum
+for a whole temperature grid, _moments (one temperature is a grid of one):
+a closed-form cutoff, a centred variance, and a direct sum, or an
 Euler-Maclaurin tail from level 1 where the levels are smooth.  numpy is
 imported only by that pass and by energy_levels; the closed forms (the blue
 shift, the Planck formula, the 1/ln T law) run without it.
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 from .deformation import _SINH_MAX_ARG, _log_sinh
-from .errors import ParameterError, SaturationError
+from .errors import WORK_BUDGET, ParameterError, SaturationError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,7 +38,9 @@ _TINY = sys.float_info.min
 _T_MIN, _T_MAX = 1e-300, 1e300  # keeps 1/T and the tail's energies ~1e3 T finite
 _TAIL_LOG = math.log(1e18)  # levels left out weigh < 1e-18 of level 1 (_moments)
 _BLOCK = 1 << 13  # levels per block: temporaries stay this long however long the sum
-_EM_LAM, _EM_SLOPE = 1e-3, 1e-2  # smooth enough for _em_tail from level 1 (_moments)
+_EM_LAM, _EM_SLOPE = 1e-3, 1e-2  # smooth enough for the tail from level 1 (_moments)
+# WORK_BUDGET units (~2 us) per temperature and per level or tail node summed (README)
+_POINT_COST, _LEVEL_COST = 16.0, 0.01
 # Step of the tail's trapezoid rule in s = ln u.  The integrand is analytic
 # for |Im s| < pi/2, so 1/8 errs by ~1e-20 (1/4 measured 6e-14); a binary
 # step from an integer start keeps the nodes exact.
@@ -102,22 +106,24 @@ class _Moments(NamedTuple):
     tail: str      # "closed", "direct" or "direct+em"
 
 
-def _block_moments(n: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """(sum w, mean n, mean x, sum w (x - mean x)^2) of levels weighted w;
-    all zeros where every weight underflows (a cold level 1)."""
+def _segments(sizes: tuple[int, ...], first: tuple[int, ...]):
+    """(spread, sums, n) for flat arrays cut into segments sizes long: spread(v)
+    repeats v[i] sizes[i] times (v[0] for one segment), sums(a) sums each
+    segment's view as np.sum would, and n counts first[i], first[i] + 1, .."""
     import numpy as np
 
-    total = float(np.sum(w))
-    if total == 0.0:
-        return 0.0, 0.0, 0.0, 0.0
-    p = w / total
-    mean_x = float(np.sum(p * x))
-    d = x - mean_x
-    return total, float(np.sum(p * n)), mean_x, float(np.sum(w * d * d))
+    add, ends = np.add.reduce, list(accumulate(sizes))
+    if len(sizes) == 1:
+        n = np.arange(first[0], first[0] + ends[0], dtype=float)
+        return (lambda v: v[0]), (lambda a: [float(add(a))]), n
+    cuts, reps = list(zip([0, *ends], ends)), np.array(sizes)
+    n = np.arange(float(ends[-1])) + np.repeat([f - i for f, (i, _) in zip(first, cuts)], reps)
+    return ((lambda v: np.array(v).repeat(reps)),
+            (lambda a: [float(add(a[i:j])) for i, j in cuts]), n)
 
 
 def _merge(a, b):
-    """Pool two _block_moments results (Chan, Golub & LeVeque 1983)."""
+    """Pool two blocks (Chan, Golub & LeVeque 1983)."""
     wa, na, xa, qa = a
     wb, nb, xb, qb = b
     w = wa + wb
@@ -126,33 +132,61 @@ def _merge(a, b):
     return w, na + (nb - na) * share, xa + d * share, qa + qb + d * d * wa * share
 
 
-def _em_tail(m: int, beta: float, spec: _Spectrum):
-    """Weighted points (n, x, w) that stand for the levels n >= m.
-
-    With u = beta (E - E_m) the integral of e^-x over n in [m, inf) is
-    e^-x_m times that of e^-u dn/du over u > 0, taken by the trapezoid
-    rule in ln u.  dn/du has its branch points at |u| = rho, |Im ln u| >=
-    pi/2, so the rule holds even where rho << 1; the nodes span
-    u in [min(rho, 1) e^-42, 45 - ln min(rho, 1)], outside which less than
-    1e-18 of the integral lies.  Gregory's correction at n = m .. m+6 turns
-    the integral into the sum.
-    """
+def _pool(spec: _Spectrum, betas: list[float], e_1: float, levels: list, tails: list) -> list:
+    """Each row's blocks, (sum w, mean n, mean x, sum w (x - mean x)^2) of a
+    segment (row, start, size) weighted w = e^-x, pooled in order, in chunks
+    of at most _BLOCK elements or one longer segment.  Level segments hold
+    levels start .. start + size - 1.  A tail holds e^-x_1 times the integral
+    of e^-u dn/du over u = beta (E - E_1) > 0, by the trapezoid rule in ln u
+    on u_0 = start, u_0 + _LN_U_STEP, .., spanning [min(rho, 1) e^-42,
+    45 - ln min(rho, 1)] (dn/du has its branch points at |u| = rho,
+    |Im ln u| >= pi/2), plus Gregory's correction at n = 1 .. 7."""
     import numpy as np
 
-    e_m = float(spec.energy(np.float64(m)))
-    ln_rho = math.log(min(beta * math.hypot(e_m, 1.0 / spec.scale), 1.0))
-    u = np.exp(np.arange(math.floor(ln_rho) - 42.0, math.log(45.0 - ln_rho), _LN_U_STEP))
-    n_u, slope = spec.index(e_m + u / beta)
-    x_m = beta * (e_m - spec.shift)
-    n_g = m + np.arange(len(_GREGORY), dtype=float)
-    x_g = beta * (spec.energy(n_g) - spec.shift)
-    return (np.concatenate((n_u, n_g)), np.concatenate((x_m + u, x_g)),
-            np.concatenate((_LN_U_STEP * (u / beta) * slope * np.exp(-(x_m + u)),
-                            np.array(_GREGORY) * np.exp(-x_g))))
+    chunks, pooled = [], [None] * len(betas)
+    for tail, segments in ((False, levels), (True, tails)):
+        size = _BLOCK
+        for seg in segments:
+            if size + seg[2] > _BLOCK:
+                chunks.append((tail, []))
+                size = 0
+            chunks[-1][1].append(seg)
+            size += seg[2]
+    for tail, chunk in chunks:
+        rows, start, size = zip(*chunk)
+        spread, sums, n = _segments(size, (0,) * len(size) if tail else start)
+        b = spread([betas[r] for r in rows])
+        if tail:  # n counts each tail's nodes; g is n on Gregory's, the last 7, else 0
+            g = np.maximum(n - spread([s - len(_GREGORY) - 1 for s in size]), 0).astype(int)
+            u = np.exp(spread(start) + n * _LN_U_STEP)
+            n, slope = spec.index(e_1 + u / b)
+            x = b * (e_1 - spec.shift) + u
+            x_g = b * (spec.energy(np.arange(len(_GREGORY) + 1.0)) - spec.shift)[g]
+            w = np.where(g, np.array((0.0, *_GREGORY))[g] * np.exp(-x_g),
+                         _LN_U_STEP * (u / b) * slope * np.exp(-x))
+            n, x = np.where(g, g, n), np.where(g, x_g, x)
+        else:
+            x = b * (spec.energy(n) - spec.shift)
+            w = np.exp(-x)
+        total = sums(w)
+        p = w / spread(total)  # nan in the all-zero segments, which are dropped below
+        mean_x = sums(p * x)
+        d = x - spread(mean_x)
+        for r, t, mn, mx, m in zip(rows, total, sums(p * n), mean_x, sums(w * d * d)):
+            block = (t, mn, mx, m) if t else (0.0, 0.0, 0.0, 0.0)
+            pooled[r] = block if pooled[r] is None else _merge(pooled[r], block)
+    return pooled
 
 
-def _moments(beta: float, lam: float, convention: str) -> _Moments:
-    """ln Z, <n> and C = beta^2 Var E from one pass over the spectrum.
+def _check_cost(points: int, summed: int) -> None:
+    if not (cost := points * _POINT_COST + summed * _LEVEL_COST) <= WORK_BUDGET:
+        levels = f" and {summed} levels to sum" if summed else ""
+        raise ParameterError(f"{points} temperatures{levels} cost {cost:.6g} work units, past "
+                             f"the limit of {WORK_BUDGET}")
+
+
+def _moments(betas: list[float], lam: float, convention: str) -> list[_Moments]:
+    """ln Z, <n> and C = beta^2 Var E at each beta of a grid, in one pass.
 
     With x_n = beta (E_n - E_0), the levels from N on weigh at most
     e^-x_N/(1 - e^-beta).  So levels 0, 1 and every level with
@@ -160,41 +194,49 @@ def _moments(beta: float, lam: float, convention: str) -> _Moments:
     than 1e-18 of w_1 = e^-x_1, which carries <n> and C when cold.  The
     last such index is E_n inverted in closed form.  lam = 0 has closed forms.
     Levels >= 1 are summed in Chan-Golub-LeVeque-pooled blocks (a centred C),
-    or by _em_tail(1) where the slope s = x' is small: Gregory's rule errs by
-    ~G_7 D^7 g <= 0.01 * 42 s^7 on g = x^j e^-x (j <= 2), against a sum >= 1/s,
-    so by 0.5 s^8 relative: 5e-17 for beta E'(1) <= _EM_SLOPE at n = 1, and
-    3e-21 at most for s ~ |lam| x further out, where |lam| <= _EM_LAM.
+    or by an Euler-Maclaurin tail (_pool) where the slope s = x' is small:
+    Gregory's rule errs by ~G_7 D^7 g <= 0.01 * 42 s^7 on g = x^j e^-x
+    (j <= 2), against a sum >= 1/s, so by 0.5 s^8 relative: 5e-17 for
+    beta E'(1) <= _EM_SLOPE at n = 1, and 3e-21 at most for s ~ |lam| x
+    further out, where |lam| <= _EM_LAM.  The grid is planned and priced
+    (_check_cost) before any sum; each row is bit for bit its own grid's.
     """
     import numpy as np
 
     a = _check_lam(lam)
     if a == 0.0:
-        em = -math.expm1(-beta)
-        log_z = -math.log(em) - (0.5 * beta if convention == "sym" else 0.0)
-        heat = (beta * math.exp(-0.5 * beta) / em) ** 2
-        return _Moments(log_z, bose_einstein(beta), heat, 0, 0, "closed")
-    spec = _spectrum(a, convention) if a <= _SINH_MAX_ARG else None
-    if spec is not None:
-        k = _TAIL_LOG - math.log(-math.expm1(-beta))
-        x_1 = beta * float(spec.energy(np.float64(1.0)) - spec.shift)
-        with np.errstate(over="ignore"):  # an infinite cutoff is caught below
-            n_cut, _ = spec.index(np.float64(spec.shift + (k + min(x_1, k)) / beta))
-        n_end = max(2, math.ceil(n_cut)) if math.isfinite(n_cut) else math.inf
-    if spec is None or not a * (n_end - 1 + spec.shift) <= _SINH_MAX_ARG:
-        raise SaturationError(f"the levels up to the cutoff overflow the double "
-                              f"range at lambda = {lam!r}, T = {1.0 / beta!r}",
-                              largest_safe_n=int(_SINH_MAX_ARG / a) - 1)
-    smooth = a <= _EM_LAM and beta * a * math.cosh(a + a * spec.shift) / spec.scale <= _EM_SLOPE
-    direct = 1 if smooth else n_end
-    excited = _block_moments(*_em_tail(1, beta, spec)) if smooth else None  # levels >= 1
-    for start in range(1, direct, _BLOCK):
-        n = np.arange(start, min(start + _BLOCK, direct), dtype=float)
-        x = beta * (spec.energy(n) - spec.shift)
-        block = _block_moments(n, x, np.exp(-x))
-        excited = block if excited is None else _merge(excited, block)
-    total, mean_n, _, m2 = _merge((1.0, 0.0, 0.0, 0.0), excited)
-    return _Moments(math.log1p(excited[0]) - beta * spec.shift, mean_n, m2 / total,
-                    n_end - 1, direct, "direct+em" if smooth else "direct")
+        return [_Moments(-math.log(-math.expm1(-b)) - (0.5 * b if convention == "sym" else 0.0),
+                         bose_einstein(b), (b * math.exp(-0.5 * b) / -math.expm1(-b)) ** 2,
+                         0, 0, "closed") for b in betas]
+    spec = _spectrum(min(a, _SINH_MAX_ARG), convention)  # past it the first row saturates
+    # e^-x is 0 where x overflows, and 0/0 marks a block whose weights all underflow
+    with np.errstate(all="ignore"):
+        e_1 = float(spec.energy(np.float64(1.0)))
+        cuts = [spec.shift + (k + min(b * (e_1 - spec.shift), k)) / b  # E at x = K + min(x_1, K)
+                for b in betas for k in [_TAIL_LOG - math.log(-math.expm1(-b))]]
+        one = len(cuts) == 1  # a 0-d float64 passes index faster than an array
+        cuts = spec.index(np.float64(cuts[0]) if one else np.array(cuts))[0]
+        rows, levels, tails = [], [], []
+        for r, (b, c) in enumerate(zip(betas, [float(cuts)] if one else cuts.tolist())):
+            n_end = max(2, math.ceil(c)) if math.isfinite(c) else math.inf
+            if not a * (n_end - 1 + spec.shift) <= _SINH_MAX_ARG:
+                raise SaturationError(f"the levels up to the cutoff overflow the double range "
+                                      f"at lambda = {lam!r}, T = {1.0 / b!r}",
+                                      largest_safe_n=int(_SINH_MAX_ARG / a) - 1)
+            smooth = a <= _EM_LAM and (b * a * math.cosh(a + a * spec.shift) / spec.scale
+                                       <= _EM_SLOPE)
+            direct = 1 if smooth else n_end
+            if smooth:
+                ln_rho = math.log(min(b * math.hypot(e_1, 1.0 / spec.scale), 1.0))
+                u_0 = math.floor(ln_rho) - 42.0
+                nodes = math.ceil((math.log(45.0 - ln_rho) - u_0) / _LN_U_STEP)
+                tails.append((r, u_0, nodes + len(_GREGORY)))
+            levels += [(r, s, min(s + _BLOCK, direct) - s) for s in range(1, direct, _BLOCK)]
+            rows.append((n_end - 1, direct, "direct+em" if smooth else "direct"))
+        _check_cost(len(betas), len(betas) + sum([s[2] for s in levels + tails]))
+        pooled = _pool(spec, betas, e_1, levels, tails)
+    return [_Moments(math.log1p(ex[0]) - b * spec.shift, m[1], m[3] / m[0], *row)
+            for b, row, ex in zip(betas, rows, pooled) for m in [_merge((1.0, 0.0, 0.0, 0.0), ex)]]
 
 
 def energy_levels(n_max: int, lam: float, convention: str = "sym") -> list[float]:
@@ -218,16 +260,16 @@ def energy_levels(n_max: int, lam: float, convention: str = "sym") -> list[float
     return _spectrum(a, convention).energy(n).tolist()
 
 
-def _check_temperature(t: float) -> None:
+def _check_temperature(t: float) -> float:
     if not _T_MIN <= t <= _T_MAX:  # rejects nan too
         raise ParameterError(f"temperature must lie in [{_T_MIN:g}, {_T_MAX:g}], "
                              f"got {t!r}")
+    return t
 
 
 def _read(t: float, lam: float, convention: str) -> _Moments:
     _check_convention(convention)
-    _check_temperature(t)
-    return _moments(1.0 / t, lam, convention)
+    return _moments([1.0 / _check_temperature(t)], lam, convention)[0]
 
 
 def partition_function(t: float, lam: float, convention: str = "sym") -> tuple[float, int]:
@@ -304,7 +346,8 @@ def thermo_table(temperatures, lam: float, convention: str = "sym") -> ThermoTab
     temps = [float(t) for t in temperatures]
     if not temps:
         raise ParameterError("temperature grid is empty")
-    rows = [_read(t, lam, convention) for t in temps]
+    _check_cost(len(temps), 0)  # before any work per temperature
+    rows = _moments([1.0 / _check_temperature(t) for t in temps], lam, convention)
     hottest = max(rows, key=lambda m: m.cutoff)
     return ThermoTable(lam, convention, temps, [math.exp(m.log_z) for m in rows],
                        [m.mean_n for m in rows], [m.heat for m in rows],
@@ -386,10 +429,8 @@ def planck_coefficient_check(lam_grid, x: float, convention: str = "sym") -> Pla
     if printed == 0.0:
         raise ParameterError(f"x = {x!r}: the printed coefficient underflows to 0")
     raw = [_raw_coefficient(x, lam, convention) for lam in grid]
-    extrapolated = []
-    for (l1, k1), (l2, k2) in zip(zip(grid, raw), zip(grid[1:], raw[1:])):
-        r = (l1 / l2) ** 2
-        extrapolated.append((r * k2 - k1) / (r - 1.0))
+    extrapolated = [((l1 / l2) ** 2 * k2 - k1) / ((l1 / l2) ** 2 - 1.0)
+                    for (l1, k1), (l2, k2) in zip(zip(grid, raw), zip(grid[1:], raw[1:]))]
     limit = extrapolated[-1] if extrapolated else raw[-1]
 
     # identify the x-independent convention on a fixed probe set: two
@@ -413,11 +454,9 @@ def planck_coefficient_check(lam_grid, x: float, convention: str = "sym") -> Pla
     if abs(matched_scale - snapped) < 1e-4:
         matched_scale = snapped
 
-    residual_ratios = []
     resid = [mean_occupation(1.0 / x, lam, matched) - bose_einstein(x)
              - lam * lam * matched_scale * printed for lam in grid]
-    for r1, r2 in zip(resid, resid[1:]):
-        residual_ratios.append(r1 / r2 if r2 != 0 else math.inf)
+    residual_ratios = [r1 / r2 if r2 != 0 else math.inf for r1, r2 in zip(resid, resid[1:])]
 
     return PlanckCheckReport(x, convention, grid, raw, extrapolated,
                              limit, printed, limit / printed,

@@ -429,6 +429,12 @@ EDGE_ARGVS = [
      "ParameterError: points must be >= 2 and <= 1000000"),
     ("thermo levels --lambda 0 --n-max 1000000000000", 2,
      "ParameterError: n_max must be >= 1 and <= 1000000"),
+    # a temperature grid priced past the work budget, one temperature more
+    # than fits: 62500 closed-form rows, or 144 rows of 690,468 levels
+    ("thermo table --lambda 0 --t-min 1 --t-max 10 --points 62501", 2,
+     "ParameterError: 62501 temperatures cost 1.00002e+06 work units, past the limit of 1000000"),
+    ("thermo table --lambda 1.001e-3 --t-min 1e299 --t-max 1e300 --points 145", 2,
+     "ParameterError: 145 temperatures and 99950820 levels to sum cost"),
     ("classical simulate --lambda 0.5 --q0 1 --p0 0 --t-end 0.01 --stride 0", 2,
      "ParameterError: stride must be >= 1 and <= 1000000"),
     ("level simulate --lambda 0.5 --re 0.5 --t-end 0.01 --stride 0", 2,

@@ -17,7 +17,7 @@ from qlab.errors import ParameterError, SaturationError
 
 
 def assert_matches_oracle(t, lam, convention, rtol=1e-12):
-    m = thermo._moments(1.0 / t, lam, convention)
+    m = thermo._moments([1.0 / t], lam, convention)[0]
     for name, got, want in zip(("ln Z", "<n>", "C"), (m.log_z, m.mean_n, m.heat),
                                oracle(t, lam, convention)):
         assert abs(got - want) <= rtol * abs(want), \
@@ -69,8 +69,8 @@ def test_direct_and_em_sides_of_each_bound_agree(convention):
 def test_undeformed_closed_form_is_the_limit():
     for t in (0.5, 1e2, 1e6):
         for convention in thermo.CONVENTIONS:
-            closed = thermo._moments(1.0 / t, 0.0, convention)
-            near = thermo._moments(1.0 / t, 5e-324, convention)
+            closed = thermo._moments([1.0 / t], 0.0, convention)[0]
+            near = thermo._moments([1.0 / t], 5e-324, convention)[0]
             assert closed.tail == "closed" and closed.terms == 0
             for got, want in zip(near[:3], closed[:3]):
                 assert abs(got - want) <= 1e-13 * abs(want)
@@ -84,9 +84,9 @@ _temperatures = st.floats(min_value=-1.0, max_value=5.0).map(lambda e: 10.0 ** e
 @given(_exponents, _temperatures, st.sampled_from(thermo.CONVENTIONS))
 def test_heat_positive_and_even_in_lambda(lam_exp, t, convention):
     lam = 10.0 ** lam_exp
-    plus = thermo._moments(1.0 / t, lam, convention)
+    plus = thermo._moments([1.0 / t], lam, convention)[0]
     assert plus.heat > 0.0 and plus.mean_n > 0.0
-    assert thermo._moments(1.0 / t, -lam, convention) == plus
+    assert thermo._moments([1.0 / t], -lam, convention)[0] == plus
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -106,7 +106,7 @@ def test_long_sum_memory_is_bounded():
     hottest T, passes in blocks: no array as long as the sum."""
     tracemalloc.start()
     try:
-        m = thermo._moments(1.0 / 1e300, 1.1e-3, "sym")
+        m = thermo._moments([1.0 / 1e300], 1.1e-3, "sym")[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
