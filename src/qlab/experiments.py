@@ -573,7 +573,7 @@ COMMANDS: dict[str, Command] = {
         Param("lam_min", float, 0.1),
         Param("lam_max", float, 0.9),
         Param("points", int, 5, "grid points per axis, points^2 cells",
-              bounds=(1, math.isqrt(WORK_BUDGET))),
+              bounds=(1, math.isqrt(WORK_BUDGET // 3))),  # ~6 us a cell: 3 budget units
         Param("h", float, 1e-4, "finite-difference step"),
     ), "csv", "bracket residual over an (|alpha|, lambda) grid"),
     "classical momentum": Command(_run_classical_momentum, (
@@ -584,7 +584,8 @@ COMMANDS: dict[str, Command] = {
     "classical momentum-scaling": Command(_run_classical_momentum_scaling, (
         Param("lam_coarse", float, 0.2),
         Param("lam_fine", float, 0.1),
-        Param("points", int, 10, "grid points on the unit circle", bounds=(2, WORK_BUDGET)),
+        Param("points", int, 10, "grid points on the unit circle",
+              bounds=(2, WORK_BUDGET // 8)),  # 9-30 us a point to lam 1e6: 8 units
     ), "csv", "expansion-error scaling between two lambda values"),
     "classical alpha": Command(_run_classical_alpha, (
         Param("lambda", float, _REQUIRED),

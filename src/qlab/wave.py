@@ -212,24 +212,24 @@ def _evolve_leapfrog(field: WaveField, t_end: float, steps: int) -> WaveField:
     phi, right, left = u[1:-1], u[2:], u[:-2]
     phi[:] = field.phi
     pi = field.pi.copy()
-    acc = np.empty(n)
-    kick = np.empty(n)
+    acc, kick = np.empty(n), np.empty(n)
 
-    def accelerate():   # acc = c^2 ((phi[i+1] - 2 phi[i]) + phi[i-1]) / dx^2
+    def accelerate():   # kick = (c^2 ((phi[i+1] - 2 phi[i]) + phi[i-1]) / dx^2) dt/2
         u[0], u[-1] = u[-2], u[1]
-        np.multiply(phi, 2.0, out=acc)
-        np.subtract(right, acc, out=acc)
-        np.add(acc, left, out=acc)
-        np.divide(acc, dx2, out=acc)
-        np.multiply(acc, c2, out=acc)
+        np.multiply(phi, 2.0, acc)
+        np.subtract(right, acc, acc)
+        np.add(acc, left, acc)
+        np.divide(acc, dx2, acc)
+        np.multiply(acc, c2, acc)
+        np.multiply(acc, half_dt, kick)
 
-    # kick-drift-kick (velocity Verlet) on phi_tt = c^2 phi_xx, in place
+    # velocity Verlet on phi_tt = c^2 phi_xx, in place; a step's closing half kick opens the next
     accelerate()
     for _ in range(steps):
-        pi += np.multiply(acc, half_dt, out=kick)
-        phi += np.multiply(pi, dt, out=kick)
+        pi += kick
+        phi += np.multiply(pi, dt, acc)
         accelerate()
-        pi += np.multiply(acc, half_dt, out=kick)
+        pi += kick
     phi = phi.copy()
     mu, _ = _invariant(phi, pi, field.lam)
     return field._replace(phi=phi, pi=pi, time=field.time + t_end, mu=mu)

@@ -16,7 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qlab import classical, experiments
-from qlab.deformation import q_number
+from qlab.deformation import lambda_over_sinh, q_number
 from qlab.errors import WORK_BUDGET, ParameterError, SaturationError, SolverError
 
 OMEGA_Q_1_LAM1 = 1.3130352854993313           # cosh(1)/sinh(1)
@@ -383,6 +383,86 @@ def test_rk4_tracks_closed_form(lam):
     assert traj.hq_drift <= 1e-9
     # endpoint against the in-file reference route (qdot0 = omega p0 = 0)
     assert abs(traj.q[-1] - reference_q(1.0, 0.0, lam, float(traj.t[-1]))) < 1e-8
+
+
+def reference_rk4(q, p, lam, dt, n_steps):
+    """The RK4 loop as it stood before its step was rewritten with fewer
+    float operations: every k-stage negated, the update dt (k1 + 2 k2 + 2 k3
+    + k4) / 6.  The accuracy reference of classical._rk4."""
+    c1 = lambda_over_sinh(lam)
+    qs, ps = [q], [p]
+    for _ in range(n_steps):
+        w = c1 * math.cosh(lam * 0.5 * (q * q + p * p))
+        k1q, k1p = w * p, -w * q
+        q2, p2 = q + 0.5 * dt * k1q, p + 0.5 * dt * k1p
+        w = c1 * math.cosh(lam * 0.5 * (q2 * q2 + p2 * p2))
+        k2q, k2p = w * p2, -w * q2
+        q3, p3 = q + 0.5 * dt * k2q, p + 0.5 * dt * k2p
+        w = c1 * math.cosh(lam * 0.5 * (q3 * q3 + p3 * p3))
+        k3q, k3p = w * p3, -w * q3
+        q4, p4 = q + dt * k3q, p + dt * k3p
+        w = c1 * math.cosh(lam * 0.5 * (q4 * q4 + p4 * p4))
+        k4q, k4p = w * p4, -w * q4
+        q += dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
+        p += dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+        qs.append(q)
+        ps.append(p)
+    return qs, ps
+
+
+def oracle_rk4(q, p, lam, dt, n_steps):
+    """The same RK4 recurrence in 40-digit arithmetic, from the same doubles."""
+    with mpmath.workdps(40):
+        q, p, lam, dt = (mpmath.mpf(v) for v in (q, p, lam, dt))
+        c1 = lam / mpmath.sinh(lam) if lam else mpmath.mpf(1)
+
+        def rate(a, b):
+            w = c1 * mpmath.cosh(lam / 2 * (a * a + b * b))
+            return w * b, -w * a
+
+        qs, ps = [q], [p]
+        for _ in range(n_steps):
+            k1 = rate(q, p)
+            k2 = rate(q + dt / 2 * k1[0], p + dt / 2 * k1[1])
+            k3 = rate(q + dt / 2 * k2[0], p + dt / 2 * k2[1])
+            k4 = rate(q + dt * k3[0], p + dt * k3[1])
+            q += dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            p += dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            qs.append(q)
+            ps.append(p)
+        return qs, ps
+
+
+def max_error(track, oracle):
+    with mpmath.workdps(40):
+        return float(max(abs(mpmath.mpf(x) - want) for x, want in zip(track, oracle)))
+
+
+def margin_q0(lam):
+    """q0 with |lam| (q0^2 / 2) on _check_saturation's margin of 2, p0 = 0."""
+    q0 = math.sqrt(709.0 / abs(lam))
+    while 2.0 * abs(lam) * (0.5 * q0 * q0) > 709.0:
+        q0 = math.nextafter(q0, 0.0)
+    return q0
+
+
+@pytest.mark.parametrize("lam, q0, p0, dt", [
+    (0.0, 1.0, 0.5, 1e-2), (0.5, 1.0, 0.5, 1e-2), (1.0, 1.0, 0.5, 1e-2),
+    (2.0, 1.0, 0.5, 1e-2), (1.0, 0.3, -1.1, 3e-3), (2.0, 1.5, 0.2, 1e-3),
+    (720.0, margin_q0(720.0), 0.0, 1e-3)])
+def test_rk4_rounds_no_worse_than_the_reference_loop(lam, q0, p0, dt):
+    """500 steps of classical._rk4 and of reference_rk4 against the 40-digit
+    recurrence: each max error is within twice the reference's plus 4 ulp of
+    the largest |x| of its track, which is at most the orbit radius.  At
+    lam = 720, (lam/sinh lam) dt is subnormal and p stays below 1e-156;
+    stepping in (lam/sinh lam) t lost three of p's digits there."""
+    n_steps = 500
+    oracle = oracle_rk4(q0, p0, lam, dt, n_steps)
+    got = classical._rk4(q0, p0, lam, dt, n_steps)
+    ref = reference_rk4(q0, p0, lam, dt, n_steps)
+    for track, ref_track, want in zip(got, ref, oracle):
+        slack = 4.0 * math.ulp(float(max(abs(x) for x in want)))
+        assert max_error(track, want) <= 2.0 * max_error(ref_track, want) + slack
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])

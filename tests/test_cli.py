@@ -415,9 +415,13 @@ EDGE_ARGVS = [
     ("operators check --dim 1000000000000", 2,
      "ParameterError: dim must be >= 2 and <= 1000000"),
     ("classical bracket-grid --points 100000000", 2,
-     "ParameterError: points must be >= 1 and <= 1000"),
+     "ParameterError: points must be >= 1 and <= 577"),
+    ("classical bracket-grid --points 578", 2,
+     "ParameterError: points must be >= 1 and <= 577"),
     ("classical momentum-scaling --points 1000001", 2,
-     "ParameterError: points must be >= 2 and <= 1000000"),
+     "ParameterError: points must be >= 2 and <= 125000"),
+    ("classical momentum-scaling --points 125001", 2,
+     "ParameterError: points must be >= 2 and <= 125000"),
     ("wave simulate --lambda 0.3 --t-end 1 --n 1099511627776", 2,
      "ParameterError: n must be >= 4 and <= 1000000"),
     ("coherent build --alpha-re 1 --cutoff 1000000000000", 2,
