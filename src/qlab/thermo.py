@@ -242,8 +242,8 @@ def _moments(betas: list[float], lam: float, convention: str) -> list[_Moments]:
 def energy_levels(n_max: int, lam: float, convention: str = "sym") -> list[float]:
     """E_0..E_n_max for the chosen spectrum convention.
 
-    Raises SaturationError with the largest safe index when lam*n_max
-    overflows the double range of sinh.
+    Raises SaturationError where a level overflows the double range, with
+    the last index whose level is finite.
     """
     import numpy as np
 
@@ -251,13 +251,17 @@ def energy_levels(n_max: int, lam: float, convention: str = "sym") -> list[float
     a = _check_lam(lam)
     if n_max < 1:
         raise ParameterError("n_max must be >= 1")
-    if a != 0.0 and (n_max + 1) * a > _SINH_MAX_ARG:
-        raise SaturationError("energy levels overflow double range",
-                              largest_safe_n=int(_SINH_MAX_ARG / a) - 1)
     n = np.arange(n_max + 1, dtype=float)
     if a == 0.0:
         return (n + 0.5 if convention == "sym" else n).tolist()
-    return _spectrum(a, convention).energy(n).tolist()
+    with np.errstate(over="ignore"):  # past 709, sinh a and so E_1 on overflow
+        levels = (_spectrum(a, convention).energy(n) if a <= _SINH_MAX_ARG
+                  else np.where(n > 0, math.inf, 0.0))
+    if not levels[-1] < math.inf:  # the levels increase with n
+        safe = int(np.argmax(levels == math.inf)) - 1
+        raise SaturationError(f"energy levels past n = {safe} overflow the double range",
+                              largest_safe_n=safe)
+    return levels.tolist()
 
 
 def _check_temperature(t: float) -> float:

@@ -5,7 +5,9 @@ implicit scalar equation; the field then obeys an ordinary wave equation
 with constant speed f_q(mu) = (lam/sinh lam) cosh(lam mu), which is the
 classical orbit frequency omega_q at intensity mu.  Each Fourier mode is a
 harmonic oscillator of frequency |k| * speed, so time stepping is
-spectrally exact and dt only affects output sampling.
+spectrally exact and dt only affects output sampling.  The leapfrog
+cross-check is linear too: its steps turn each mode by a fixed angle, so
+any number of them costs one pair of FFTs, O(N log N).
 
 Conventions: grid of N samples (power of two) on a periodic domain of
 length L; the dynamics is expressed in the angle variable theta = 2 pi x/L,
@@ -160,9 +162,13 @@ def evolve(field: WaveField, t_end: float, dt: float | None = None,
 
     "spectral" (default): every mode rotates exactly at frequency
     |k| * speed — one step to any t_end, no stability constraint.
-    "leapfrog": second-order finite differences kept as a cross-check; this
-    mode must satisfy dt <= dx/(pi * speed) with dx = 2 pi / N, and take at
-    most errors.WORK_BUDGET steps of dt toward t_end (backward if negative).
+    "leapfrog": velocity Verlet on the 3-point stencil, kept as a
+    cross-check with its discrete dispersion.  Its s = round(|t_end/dt|)
+    steps of h = t_end/s, at most errors.WORK_BUDGET, are taken in closed
+    form: with omega_k = (2 speed/dx)|sin(k dx/2)| and dx = 2 pi/N, mode k
+    turns by s theta_k, theta_k = 2 asin(h omega_k/2), at the frequency
+    Omega_k = omega_k sqrt(1 - (h omega_k/2)^2).  dt must satisfy the
+    stability bound dt <= dx/(pi * speed), so |h omega_k/2| <= 1/pi.
     """
     if method == "spectral":
         return _evolve_spectral(field, t_end)
@@ -179,60 +185,38 @@ def evolve(field: WaveField, t_end: float, dt: float | None = None,
 
 def _evolve_spectral(field: WaveField, t_end: float) -> WaveField:
     n = field.n
-    k = _mode_numbers(n)
-    omega = np.abs(k) * field.speed
+    omega = np.abs(_mode_numbers(n)) * field.speed
     if not abs(t_end) * field.speed * (n // 2) < math.inf:  # the largest phase |k| speed t
         raise ParameterError(f"t_end = {t_end!r} takes the mode phases past the double range")
+    return _rotate(field, t_end, omega * t_end, omega)
+
+
+def _evolve_leapfrog(field: WaveField, t_end: float, steps: int) -> WaveField:
+    # steps velocity-Verlet steps of h = t_end/steps as one turn per mode (see evolve)
+    n = field.n
+    sin_half_k = np.abs(np.sin(_mode_numbers(n) * (math.pi / n)))  # |sin(k dx/2)|
+    omega = sin_half_k * (field.speed * n / math.pi)  # 2c/dx |sin(k dx/2)|
+    half = (t_end / steps * field.speed * n / TWO_PI) * sin_half_k  # h omega/2, |.| <= 1/pi
+    big_omega = omega * np.sqrt((1.0 - half) * (1.0 + half))
+    return _rotate(field, t_end, steps * (2.0 * np.arcsin(half)), big_omega)
+
+
+def _rotate(field: WaveField, t_end: float, phase: np.ndarray, freq: np.ndarray) -> WaveField:
+    """Turn every mode by phase at frequency freq; a mode of freq 0 (k = 0)
+    drifts, phi <- phi + t_end pi."""
+    n = field.n
     phi_hat = np.fft.fft(field.phi) / n
     pi_hat = np.fft.fft(field.pi) / n
-    cos = np.cos(omega * t_end)
-    sin = np.sin(omega * t_end)
-    # harmonic-oscillator rotation per mode; k = 0 has omega = 0 and stays 0
+    cos = np.cos(phase)
+    sin = np.sin(phase)
     with np.errstate(invalid="ignore", divide="ignore"):
-        sin_over = np.where(omega > 0, sin / np.where(omega > 0, omega, 1.0), t_end)
+        sin_over = np.where(freq > 0, sin / np.where(freq > 0, freq, 1.0), t_end)
     phi_new = phi_hat * cos + pi_hat * sin_over
-    pi_new = pi_hat * cos - phi_hat * omega * sin
+    pi_new = pi_hat * cos - phi_hat * freq * sin
     phi_t = np.fft.ifft(phi_new * n).real
     pi_t = np.fft.ifft(pi_new * n).real
     mu, _ = _invariant(phi_t, pi_t, field.lam)
     return field._replace(phi=phi_t, pi=pi_t, time=field.time + t_end, mu=mu)
-
-
-def _evolve_leapfrog(field: WaveField, t_end: float, steps: int) -> WaveField:
-    n = field.n
-    dx = TWO_PI / n
-    dx2 = dx * dx
-    c2 = field.speed ** 2
-    dt = t_end / steps
-    half_dt = 0.5 * dt
-
-    # phi lives in u[1:-1]; u[0] and u[-1] are ghost copies of phi[-1] and
-    # phi[0], so the periodic neighbours of phi are the slices u[2:], u[:-2]
-    u = np.empty(n + 2)
-    phi, right, left = u[1:-1], u[2:], u[:-2]
-    phi[:] = field.phi
-    pi = field.pi.copy()
-    acc, kick = np.empty(n), np.empty(n)
-
-    def accelerate():   # kick = (c^2 ((phi[i+1] - 2 phi[i]) + phi[i-1]) / dx^2) dt/2
-        u[0], u[-1] = u[-2], u[1]
-        np.multiply(phi, 2.0, acc)
-        np.subtract(right, acc, acc)
-        np.add(acc, left, acc)
-        np.divide(acc, dx2, acc)
-        np.multiply(acc, c2, acc)
-        np.multiply(acc, half_dt, kick)
-
-    # velocity Verlet on phi_tt = c^2 phi_xx, in place; a step's closing half kick opens the next
-    accelerate()
-    for _ in range(steps):
-        pi += kick
-        phi += np.multiply(pi, dt, acc)
-        accelerate()
-        pi += kick
-    phi = phi.copy()
-    mu, _ = _invariant(phi, pi, field.lam)
-    return field._replace(phi=phi, pi=pi, time=field.time + t_end, mu=mu)
 
 
 def spectral_shift(values: np.ndarray, delta: float) -> np.ndarray:
