@@ -90,11 +90,10 @@ def _check_saturation(intensity: float, lam: float, margin: float) -> None:
 
 
 def _intensity(alpha: complex) -> float:
-    """|alpha|^2, and inf where it overflows rather than an OverflowError."""
-    try:
-        return abs(alpha) ** 2
-    except OverflowError:
-        return math.inf
+    """|alpha|^2 as a float product, inf where it overflows: ** would raise
+    an OverflowError there."""
+    a = abs(alpha)
+    return a * a
 
 
 def poisson_bracket_check(alpha: complex, lam: float, h: float = 1e-4) -> float:
@@ -102,8 +101,8 @@ def poisson_bracket_check(alpha: complex, lam: float, h: float = 1e-4) -> float:
 
     The bracket d/dq(a_q) d/dp(a_q*) - d/dp(a_q) d/dq(a_q*) is evaluated by
     central differences with step h and compared with
-    -i (lam/sinh lam) sqrt(1 + |alpha_q|^4 sinh^2 lam) (_bracket_frequency);
-    returns the absolute deviation.
+    -i (lam/sinh lam) sqrt(1 + |alpha_q|^4 sinh^2 lam), taken as
+    _bracket_frequency's hypot; returns the absolute deviation.
     """
     if not 1e-6 <= h <= 1e-3:
         raise ParameterError("finite-difference step must lie in [1e-6, 1e-3]")
@@ -115,24 +114,15 @@ def poisson_bracket_check(alpha: complex, lam: float, h: float = 1e-4) -> float:
     da_dq = (a_q(q0 + h, p0) - a_q(q0 - h, p0)) / (2.0 * h)
     da_dp = (a_q(q0, p0 + h) - a_q(q0, p0 - h)) / (2.0 * h)
     bracket = da_dq * da_dp.conjugate() - da_dp * da_dq.conjugate()
-    aq = abs(deform_amplitude(alpha, lam))
-    aq4 = aq ** 4 if aq < 1e77 else math.inf  # past 1e77, ** raises OverflowError
-    target = -1j * _bracket_frequency(lam, aq * aq, aq4)
+    target = -1j * _bracket_frequency(lam, _intensity(deform_amplitude(alpha, lam)))
     return abs(bracket - target)
 
 
-def _bracket_frequency(lam: float, aq2: float, aq4: float) -> float:
-    """(lam/sinh lam) sqrt(1 + aq4 sinh^2 lam) with aq4 = aq2^2 = |alpha_q|^4.
-
-    Where sinh lam or the term under the root overflows (|lam| I past about
-    355 already), it is the same value written as hypot(lam/sinh lam,
-    aq2 lam).
+def _bracket_frequency(lam: float, aq2: float) -> float:
+    """(lam/sinh lam) sqrt(1 + aq2^2 sinh^2 lam), aq2 = |alpha_q|^2, written
+    as hypot(lam/sinh lam, aq2 lam), since (lam/sinh lam) sinh lam = lam: no
+    sinh or square to overflow, for every lam and aq2.
     """
-    if abs(lam) <= _SINH_MAX_ARG:
-        sh = math.sinh(lam)
-        under = 1.0 + aq4 * sh * sh
-        if under < math.inf:
-            return lambda_over_sinh(lam) * math.sqrt(under)
     return math.hypot(lambda_over_sinh(lam), aq2 * lam)
 
 
@@ -156,8 +146,7 @@ def exact_alpha_deformed(alpha_q0: complex, lam: float, t: float) -> complex:
     Frequency (lam/sinh lam) sqrt(1 + |alpha_q0|^4 sinh^2 lam); consistent
     with exact_alpha through the amplitude map (sqrt(1+sinh^2) = cosh).
     """
-    aq2 = abs(alpha_q0) ** 2
-    freq = _bracket_frequency(lam, aq2, aq2 * aq2)
+    freq = _bracket_frequency(lam, _intensity(alpha_q0))
     _check_phase(abs(t), freq)
     return alpha_q0 * cmath.exp(-1j * t * freq)
 

@@ -178,20 +178,12 @@ def _dispatch(ns: argparse.Namespace) -> int:
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = build_parser(_command_named(argv)).parse_args(argv)
+        return _dispatch(build_parser(_command_named(argv)).parse_args(argv))
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    except ParameterError as exc:
-        _emit_error(exc)
-        return 2
-    try:
-        return _dispatch(ns)
-    except ParameterError as exc:
-        _emit_error(exc)
-        return 2
     except QlabError as exc:
         _emit_error(exc)
-        return 3
+        return 2 if isinstance(exc, ParameterError) else 3
 
 
 def main() -> None:

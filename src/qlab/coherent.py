@@ -68,14 +68,16 @@ def build_f_coherent(alpha: complex, spec: dfm.DeformationSpec,
     must meet the same rule, else it is a CutoffError whose required_cutoff
     is the smallest cutoff that does.  Where none up to errors.WORK_BUDGET
     does, either way ends in one ParameterError naming that budget; where F
-    overflows below the cutoff, in the ladder's SaturationError.
+    overflows below the cutoff, in the ladder's SaturationError.  At
+    alpha = 0 it is the vacuum c_0 = 1, to the cutoff given or else to 1.
     """
     alpha = complex(alpha)
-    if alpha == 0:
-        return FCoherentState(alpha, spec, 1, np.array([1.0, 0.0], dtype=complex), 0.0)
     m = 32 if cutoff is None else int(cutoff)
     if m < 1:
         raise ParameterError("cutoff must be >= 1")
+    if alpha == 0:
+        m = 1 if cutoff is None else m
+        return FCoherentState(alpha, spec, m, np.eye(1, m + 1, dtype=complex)[0], 0.0)
     bound = 0.5 * math.log(TAIL_PROBABILITY)
     while True:
         peak, logs = _log_magnitudes(alpha, spec, m)

@@ -97,9 +97,10 @@ def _check_nonnegative(x, message: str) -> None:
 
 
 def _sech(x: float) -> float:
-    """1/cosh(x), going to 0 where cosh would overflow instead of raising."""
-    x = abs(x)
-    return 1.0 / math.cosh(x) if x < _SINH_MAX_ARG else 2.0 * math.exp(-x)
+    """1/cosh(x) as 2e/(1 + e^2), e = exp(-|x|): no cosh to overflow, so it
+    goes to 0 past |x| of about 745 and never raises."""
+    e = math.exp(-abs(x))
+    return 2.0 * e / (1.0 + e * e)
 
 
 def _log_cosh(x: float) -> float:

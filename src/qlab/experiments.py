@@ -542,6 +542,8 @@ _SPEC = (
     Param("f_table", str, "", "CSV file with custom f(n) values"),
 )
 _CONVENTION = Param("convention", str, "sym", "spectrum convention", ("sym", "num"))
+# approx_momentum's lambda^2 overflows past about 1.34e154
+_EXPANSION_LAMBDA = (-1e154, 1e154)
 
 COMMANDS: dict[str, Command] = {
     "deform table": Command(_run_deform_table, (
@@ -577,13 +579,13 @@ COMMANDS: dict[str, Command] = {
         Param("h", float, 1e-4, "finite-difference step"),
     ), "csv", "bracket residual over an (|alpha|, lambda) grid"),
     "classical momentum": Command(_run_classical_momentum, (
-        Param("lambda", float, _REQUIRED),
+        Param("lambda", float, _REQUIRED, bounds=_EXPANSION_LAMBDA),
         Param("q", float, _REQUIRED),
         Param("qdot", float, _REQUIRED),
     ), "json", "implicit momentum vs its small-lambda expansion"),
     "classical momentum-scaling": Command(_run_classical_momentum_scaling, (
-        Param("lam_coarse", float, 0.2),
-        Param("lam_fine", float, 0.1),
+        Param("lam_coarse", float, 0.2, bounds=_EXPANSION_LAMBDA),
+        Param("lam_fine", float, 0.1, bounds=_EXPANSION_LAMBDA),
         Param("points", int, 10, "grid points on the unit circle",
               bounds=(2, WORK_BUDGET // 8)),  # 9-30 us a point to lam 1e6: 8 units
     ), "csv", "expansion-error scaling between two lambda values"),

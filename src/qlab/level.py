@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .classical import _SQRT2, _rk4, _step_grid, exact_alpha, omega_q
+from .classical import _SQRT2, _intensity, _rk4, _step_grid, exact_alpha, omega_q
 from .errors import ParameterError
 
 if TYPE_CHECKING:
@@ -61,5 +61,5 @@ def evolve_one_level(psi0: complex, lam: float, t_end: float,
     exact = exact_alpha(psi0, lam, t_arr)
     max_dev = float(np.max(np.abs(rk4 - exact)))
     norm_drift = float(np.max(np.abs(np.abs(rk4) - abs(psi0))))
-    return LevelEvolution(t_arr, exact, rk4, omega_q(abs(psi0) ** 2, lam),
+    return LevelEvolution(t_arr, exact, rk4, omega_q(_intensity(psi0), lam),
                           max_dev, norm_drift)

