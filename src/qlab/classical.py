@@ -2,7 +2,7 @@
 
 Deformed amplitude transformation, deformed Poisson bracket verification,
 amplitude-dependent frequency, exact closed-form solutions, the implicit
-momentum-velocity relation, and RK4 integration for cross-validation.
+momentum-velocity relation, and RK4 as one rotation for cross-validation.
 
 Units: omega = m = 1; alpha = (q + ip)/sqrt(2), so |alpha|^2 = (q^2+p^2)/2.
 
@@ -28,6 +28,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
+_COSH_MAX_ARG = math.acosh(sys.float_info.max)  # cosh overflows past it
 
 
 class ClassicalState(NamedTuple):
@@ -241,23 +242,49 @@ def momentum_from_velocity(q: float, qdot: float, lam: float) -> float:
 def _momentum_in_logs(q: float, v: float, a: float) -> float:
     """The root p >= 0 of p cosh((a/2)(q^2 + p^2)) = c, c = (sinh a / a) v,
     as u = ln p: u + ln cosh((a/2)(q^2 + e^{2u})) - ln c rises with slope
-    >= 1.  The bracket is momentum_from_velocity's [p_lo, p_hi] in logs, with
+    >= 1.
+
+    With y = a p^2, x = a0 + y/2, a0 = a q^2/2 and z = 2(ln c - a0) + ln a,
+    ln cosh x = x - ln 2 + ln(1 + e^{-2x}) turns the root into
+    y + ln y = z + 2 ln 2 - 2 ln(1 + e^{-2x}), within [z, z + 2 ln 2].  So
+    y >= omega(z) (_wright_omega), x >= x_lo = a0 + omega(z)/2, and y lies in
+    [omega(z_lo), omega(z + 2 ln 2)], z_lo = z + 2 ln 2 - 2 ln(1 + e^{-2 x_lo}):
+    widened by 1e-9 against rounding, a bracket closed in a few steps
+    however large a is.  Where z <= 1 (or overflows) the bracket is
+    momentum_from_velocity's [p_lo, p_hi] in logs, with
     p_lo = c sech((a/2)(q^2 + p_hi^2)) <= p, since p <= p_hi.
     """
-    ln_c = math.log(v) + _log_sinh(a) - math.log(a)
+    ln_a = math.log(a)
+    ln_c = math.log(v) + _log_sinh(a) - ln_a
     a0 = 0.5 * a * q * q
-    p_hi = max(2.0, math.sqrt(max(ln_c + _LN2, 0.0) / a * 2.0))  # 2 ln_c may overflow
-    u_hi = min(ln_c - _log_cosh(a0), math.log(p_hi))
-    if u_hi < _LN_SMALLEST:
-        return 0.0  # the root underflows
 
     def gdg(u: float) -> tuple[float, float]:
         p2 = math.exp(2.0 * u)
         arg = a0 + 0.5 * a * p2
         return u + _log_cosh(arg) - ln_c, 1.0 + a * p2 * math.tanh(arg)
 
-    u_lo = ln_c - _log_cosh(a0 + 0.5 * a * math.exp(2.0 * u_hi))
+    z = 2.0 * (ln_c - a0) + ln_a
+    if 1.0 < z < math.inf:
+        z_hi = z + 2.0 * _LN2
+        z_lo = z_hi - 2.0 * math.log1p(math.exp(-2.0 * a0 - _wright_omega(z)))
+        u_lo = 0.5 * (math.log(_wright_omega(z_lo) * (1.0 - 1e-9)) - ln_a)
+        u_hi = 0.5 * (math.log(_wright_omega(z_hi) * (1.0 + 1e-9)) - ln_a)
+    else:
+        p_hi = max(2.0, math.sqrt(max(ln_c + _LN2, 0.0) / a * 2.0))  # 2 ln_c may overflow
+        u_hi = min(ln_c - _log_cosh(a0), math.log(p_hi))
+        if u_hi < _LN_SMALLEST:
+            return 0.0  # the root underflows
+        u_lo = ln_c - _log_cosh(a0 + 0.5 * a * math.exp(2.0 * u_hi))
     return math.exp(_newton_bisect(gdg, u_lo, u_hi))
+
+
+def _wright_omega(z: float) -> float:
+    """The root w of w + ln w = z for z >= 1 (Corless et al., "On the
+    Lambert W function", 1996): four Newton steps from z - ln z."""
+    w = z - math.log(z)
+    for _ in range(4):
+        w -= (w + math.log(w) - z) / (1.0 + 1.0 / w)
+    return w
 
 
 def approx_momentum(q: float, qdot: float, lam: float) -> float:
@@ -299,60 +326,60 @@ def _step_grid(t_end: float, dt: float) -> tuple[np.ndarray, float, int]:
 
 def _rk4(q: float, p: float, lam: float, dt: float,
          n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 of qdot = w p, pdot = -w q, w = omega_q((q^2+p^2)/2).
+    """RK4 of qdot = w p, pdot = -w q, w = omega_q((q^2+p^2)/2), projected
+    onto the conserved intensity, so that its n_steps steps are one rotation.
 
-    The one integrator of the nonlinear flow alpha' = -i omega_q(|alpha|^2)
-    alpha, alpha = (q + ip)/sqrt 2, shared by this module and ``level``.
-    Scalar floats and math.cosh beat numpy for one trajectory.  Each float
-    operation is a bytecode: p-stages are carried as +w q and subtracted, the
-    update is (dt/6)(k1 + 2(k2 + k3) + k4), samples go through memoryviews.
-    Stepping in (lam/sinh lam) t saves a product a stage but costs p digits.
+    The one integrator of the flow z' = -i omega_q(|z|^2/2) z, z = q + ip,
+    shared with ``level``.  The flow keeps I = |z|^2/2 and commutes with
+    phase rotations, so a step is z -> G z at the stage points z s_k:
+    s1 = 1, s2 = 1 - i h1/2, s3 = 1 - i h2 s2/2, s4 = 1 - i h3 s3,
+    h_k = dt omega_q(I |s_k|^2), and G = 1 - (i/6)(h1 + 2 h2 s2 + 2 h3 s3
+    + h4 s4), expanded in reals (z_1/z would lose four digits of arg G at
+    dt = 1e-4).  Projected onto I (Hairer, Lubich & Wanner, Geometric
+    Numerical Integration, IV.4), step k turns z by k arg G.
 
-    The flow conserves the intensity I, so it is checked once, up front.
-    With w frozen, a step with dt w <= 1 takes the RK4 stages to at most
-    1.25 I; the check leaves a margin of 2.  A step too long for the orbit
-    frequency makes RK4 diverge instead, which ends in a SolverError once
-    the last intensity is past that margin or not finite.
+    I is checked once, up front: with w frozen, a step with dt w <= 1 takes
+    the stages to at most 1.25 I; the check leaves a margin of 2.  A step
+    too long for the orbit is a SolverError where a stage cosh overflows or
+    |G|^{2 n_steps} > 2, the plain steps taking I past 2 I (zero stays zero).
     """
     import numpy as np
 
     intensity = 0.5 * (q * q + p * p)
     _check_saturation(intensity, lam, 2.0)
-    c1 = lambda_over_sinh(lam)
-    q_arr, p_arr = np.empty(n_steps + 1), np.empty(n_steps + 1)
-    q_out, p_out = memoryview(q_arr), memoryview(p_arr)
-    q_out[0], p_out[0] = q, p
-    cosh, half_lam, half_dt, sixth_dt = math.cosh, lam * 0.5, 0.5 * dt, dt / 6.0
-    try:
-        for i in range(1, n_steps + 1):
-            w = c1 * cosh(half_lam * (q * q + p * p))
-            k1q, k1p = w * p, w * q
-            q2, p2 = q + half_dt * k1q, p - half_dt * k1p
-            w = c1 * cosh(half_lam * (q2 * q2 + p2 * p2))
-            k2q, k2p = w * p2, w * q2
-            q3, p3 = q + half_dt * k2q, p - half_dt * k2p
-            w = c1 * cosh(half_lam * (q3 * q3 + p3 * p3))
-            k3q, k3p = w * p3, w * q3
-            q4, p4 = q + dt * k3q, p - dt * k3p
-            w = c1 * cosh(half_lam * (q4 * q4 + p4 * p4))
-            q += sixth_dt * (k1q + 2.0 * (k2q + k3q) + w * p4)
-            p -= sixth_dt * (k1p + 2.0 * (k2p + k3p) + w * q4)
-            q_out[i], p_out[i] = q, p
-    except OverflowError:
-        q = math.inf
-    if not 0.5 * (q * q + p * p) <= 2.0 * intensity:
-        raise SolverError(f"RK4 diverged: dt * omega_q = "
-                          f"{dt * omega_q(intensity, lam):.3g} is too long a step "
-                          "for this orbit", residual=None)
-    return q_arr, p_arr
+    c1, lam_i = lambda_over_sinh(lam), lam * intensity
+
+    # dt omega_q at z s, |s|^2 = s2: dt goes last, dt (lam/sinh lam) is subnormal at lam = 720
+    def h(s2: float) -> float:
+        x = lam_i * s2
+        return dt * (c1 * math.cosh(x)) if abs(x) <= _COSH_MAX_ARG else math.inf
+
+    h1 = h(1.0)
+    h2 = h(1.0 + 0.25 * h1 * h1)
+    a3 = 1.0 - 0.25 * h1 * h2  # s_3 = a3 - i h2/2, s_4 = a4 - i h3 a3
+    h3 = h(a3 * a3 + 0.25 * h2 * h2)
+    a4, b4 = 1.0 - 0.5 * h2 * h3, h3 * a3
+    h4 = h(a4 * a4 + b4 * b4)
+    re_g = 1.0 - (h1 * h2 + h2 * h3 + h3 * h4) / 6.0 + h1 * h2 * h3 * h4 / 24.0
+    im_g = -(h1 + 2.0 * (h2 + h3) + h4) / 6.0 + (h1 * h2 * h3 + h2 * h3 * h4) / 12.0
+    g2 = re_g * re_g + im_g * im_g
+    if not (g2 <= 2.0 ** (1.0 / n_steps) or intensity == 0.0 and g2 < math.inf):
+        raise SolverError(f"RK4 diverged: dt * omega_q = {dt * omega_q(intensity, lam):.3g} "
+                          "is too long a step for this orbit", residual=None)
+    phase = np.arange(n_steps + 1.0) * math.atan2(-im_g, re_g)
+    cos, sin = np.cos(phase), np.sin(phase, out=phase)
+    q_arr = q * cos + p * sin
+    cos *= p
+    sin *= q
+    return q_arr, np.subtract(cos, sin, out=cos)  # in place: one array fewer at the peak
 
 
 def integrate_eom(state0: ClassicalState, t_end: float, dt: float = 1e-3) -> Trajectory:
     """Fixed-step RK4 trajectory of qdot = omega_q p, pdot = -omega_q q.
 
-    omega_q is evaluated at the instantaneous intensity (q^2+p^2)/2.
-    Reports the max drift of the conserved |alpha|^2 and of the deformed
-    Hamiltonian, plus the max deviation from the closed-form q(t).
+    omega_q is taken at the stage points, the steps projected onto the
+    conserved |alpha|^2 (_rk4).  Reports the max drift of |alpha|^2 and of
+    the deformed Hamiltonian, plus the max deviation from the closed-form q(t).
     """
     import numpy as np
 

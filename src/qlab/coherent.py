@@ -44,7 +44,7 @@ def _log_magnitudes(alpha: complex, spec: dfm.DeformationSpec,
     ln|alpha| - ln s_n fall with n, so p follows the last positive one and the
     logs are summed from it both ways; at p = 0, from c_0 = 1 as one cumsum."""
     log_abs_alpha = math.log(abs(alpha)) if alpha else -math.inf
-    steps = log_abs_alpha - np.log(_ladder(cutoff + 1, spec))
+    steps = log_abs_alpha - np.log(_ladder(cutoff + 1, spec, size="cutoff"))
     peak = int(np.count_nonzero(steps > 0.0))
     return peak, np.r_[-np.cumsum(steps[:peak][::-1])[::-1], 0.0, np.cumsum(steps[peak:])]
 
@@ -106,7 +106,7 @@ def eigenvalue_residual(state: FCoherentState) -> float:
     More zero levels would leave the residual as it is."""
     amps = np.r_[state.coeffs, 0.0]
     # (A v)_n = s_n v_{n+1}
-    a_amps = np.r_[_ladder(state.cutoff + 2, state.spec) * amps[1:], 0.0]
+    a_amps = np.r_[_ladder(state.cutoff + 2, state.spec, size="cutoff") * amps[1:], 0.0]
     return float(np.linalg.norm(a_amps - state.alpha * amps))
 
 

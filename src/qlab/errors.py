@@ -3,9 +3,9 @@
 Two branches: ParameterError for precondition/validation failures and
 SolverError for runtime/numerical failures.  The CLI maps them to exit
 codes 2 and 3 respectively.  Past WORK_BUDGET, the most steps, levels,
-grid points or cells one run may compute (about 2 s of RK4; leapfrog takes
-its steps in closed form, at one cost whatever their count), a size is a
-ParameterError.
+grid points or cells one run may compute (about 2 s at about 2 us a unit;
+RK4 and leapfrog take their steps in closed form, far below a unit each),
+a size is a ParameterError.
 """
 
 WORK_BUDGET = 1_000_000

@@ -549,7 +549,7 @@ COMMANDS: dict[str, Command] = {
     "deform table": Command(_run_deform_table, (
         *_SPEC,
         Param("n_max", int, 10, "largest level in the table",
-              bounds=(1, WORK_BUDGET // 10)),  # a row costs ~10 RK4 steps
+              bounds=(1, WORK_BUDGET // 10)),  # a row: ~10 budget units of ~2 us
     ), "csv", "tabulate the deformation profile f, F, phi, factorials"),
     "operators check": Command(_run_operators_check, (
         *_SPEC,
@@ -587,7 +587,7 @@ COMMANDS: dict[str, Command] = {
         Param("lam_coarse", float, 0.2, bounds=_EXPANSION_LAMBDA),
         Param("lam_fine", float, 0.1, bounds=_EXPANSION_LAMBDA),
         Param("points", int, 10, "grid points on the unit circle",
-              bounds=(2, WORK_BUDGET // 8)),  # 9-30 us a point to lam 1e6: 8 units
+              bounds=(2, WORK_BUDGET // 8)),  # 10-14 us a point to lam 1e154: 8 units
     ), "csv", "expansion-error scaling between two lambda values"),
     "classical alpha": Command(_run_classical_alpha, (
         Param("lambda", float, _REQUIRED),

@@ -71,14 +71,16 @@ class FockState(_StateFields):
         return cls(dim, amps)
 
 
-def _ladder(dim: int, spec: dfm.DeformationSpec, minimum: int = 2) -> np.ndarray:
-    """The superdiagonal of A: s_n = sqrt(F(n+1)) for n = 0..dim-2."""
+def _ladder(dim: int, spec: dfm.DeformationSpec, minimum: int = 2,
+            size: str = "dim") -> np.ndarray:
+    """The superdiagonal of A: s_n = sqrt(F(n+1)) for n = 0..dim-2.  An
+    overflowing F names ``size``, the caller's parameter that sets dim."""
     if dim < minimum:
         raise ParameterError(f"dimension must be >= {minimum}, got {dim}")
     big = dfm.big_f(np.arange(1.0, dim), spec)
     if not np.isfinite(big).all():
         n = int(np.isfinite(big).argmin())
-        raise SaturationError(f"F({n + 1}) overflows double range; reduce dim or |lam|",
+        raise SaturationError(f"F({n + 1}) overflows double range; reduce {size} or |lam|",
                               largest_safe_n=n)
     return np.sqrt(big)
 

@@ -166,23 +166,58 @@ def oracle_momentum_in_logs(q, qdot, lam):
         return float(mpmath.exp(lo))
 
 
-def rtol_past_overflow(lam):
-    """(|lambda| + 4) eps: one rounding of lambda moves e^{-|lambda|}, which
-    these values carry, by |lambda| eps."""
-    return (abs(lam) + 4.0) * sys.float_info.epsilon
+def rtol_past_overflow(lam, p=0.0):
+    """(|lambda|/(1 + |lambda| p^2) + 4) eps: the log residual's terms are of
+    size |lambda| and carry |lambda| eps of rounding, and its slope in ln p
+    is 1 + |lambda| p^2.  So a root p far below 1, which carries
+    e^{-|lambda|}, is good to about |lambda| eps, and one with
+    |lambda| p^2 >> 1 to about eps/p^2."""
+    return (abs(lam) / (1.0 + abs(lam) * p * p) + 4.0) * sys.float_info.epsilon
 
 
-@pytest.mark.parametrize("lam", [709.5, 745.5, 800.0, 1000.0, 1e4])
-@pytest.mark.parametrize("q,qdot", [(0.1, 0.1), (0.0, 1.0), (1.0, 1.0), (0.5, 1e-3),
-                                    (0.01, 1e300), (1.2, 5e-324), (0.3, 1e-300)])
+MOMENTUM_PAST_OVERFLOW = [(0.1, 0.1), (0.0, 1.0), (1.0, 1.0), (0.5, 1e-3),
+                          (0.01, 1e300), (1.2, 5e-324), (0.3, 1e-300)]
+LAMBDA_PAST_OVERFLOW = [709.5, 745.5, 800.0, 1000.0, 1e4, 1e50, 1e154, 1e300]
+
+
+@pytest.mark.parametrize("lam", LAMBDA_PAST_OVERFLOW)
+@pytest.mark.parametrize("q,qdot", MOMENTUM_PAST_OVERFLOW)
 def test_momentum_past_sinh_overflow_matches_mpmath(q, qdot, lam):
     """(sinh lambda/lambda) qdot overflows past |lambda| = 709, so the root is
-    taken in logs.  Measured within 1.1 eps where p is of order 1, and within
-    310 eps where it is far below 1 and carries e^{-|lambda|}."""
+    taken in logs.  Measured within 1.1 eps where p is of order 1, up to
+    lambda = 1e300, and within 690 eps where it is far below 1 and carries
+    e^{-|lambda|} (q = 1.2 at 709.5, against a bound of 714 eps)."""
     expected = oracle_momentum_in_logs(q, qdot, lam)
     for sign in (1.0, -1.0):
         got = classical.momentum_from_velocity(q, sign * qdot, sign * lam)
-        assert abs(got - sign * expected) <= rtol_past_overflow(lam) * expected, sign
+        assert abs(got - sign * expected) <= rtol_past_overflow(lam, expected) * expected, sign
+
+
+def test_momentum_past_sinh_overflow_takes_a_few_residuals(monkeypatch):
+    """The closed-form bracket of y = lambda p^2 between Wright omegas is so
+    narrow that no root past |lambda| = 709 takes more than 12 residual
+    calls; bisecting up from u = -|lambda| took 1005 at lambda = 1e300."""
+    calls, newton_bisect = [], classical._newton_bisect
+
+    def counting(fdf, lo, hi):
+        def counted(x):
+            calls.append(x)
+            return fdf(x)
+        return newton_bisect(counted, lo, hi)
+
+    monkeypatch.setattr(classical, "_newton_bisect", counting)
+    for lam in LAMBDA_PAST_OVERFLOW + [1e6, 1e10, 1e100, 1e200]:
+        for q, qdot in MOMENTUM_PAST_OVERFLOW + [(1.41, 1.0), (1.4142, 1e-3), (2.0, 1.0)]:
+            calls.clear()
+            classical.momentum_from_velocity(q, qdot, lam)
+            assert len(calls) <= 12, (q, qdot, lam, len(calls))
+
+
+@pytest.mark.parametrize("z", [1.0, 1.0 + 2.0 ** -52, 1.5, 2.0, 10.0, 1e3, 1e10, 1e100, 1e300])
+def test_wright_omega_matches_mpmath(z):
+    with mpmath.workdps(40):
+        expected = mpmath.lambertw(mpmath.exp(mpmath.mpf(z)))
+    assert abs(classical._wright_omega(z) - expected) <= 2.0 * math.ulp(float(expected))
 
 
 @pytest.mark.parametrize("q", [0.52, 0.56, 0.57, 1.2])
@@ -405,9 +440,9 @@ def test_rk4_tracks_closed_form(lam):
 
 
 def reference_rk4(q, p, lam, dt, n_steps):
-    """The RK4 loop as it stood before its step was rewritten with fewer
-    float operations: every k-stage negated, the update dt (k1 + 2 k2 + 2 k3
-    + k4) / 6.  The accuracy reference of classical._rk4."""
+    """The plain RK4 loop, one step at a time with every k-stage negated and
+    the update dt (k1 + 2 k2 + 2 k3 + k4) / 6.  The accuracy reference of
+    classical._rk4, which takes the same steps as one rotation."""
     c1 = lambda_over_sinh(lam)
     qs, ps = [q], [p]
     for _ in range(n_steps):
@@ -429,11 +464,14 @@ def reference_rk4(q, p, lam, dt, n_steps):
     return qs, ps
 
 
-def oracle_rk4(q, p, lam, dt, n_steps):
-    """The same RK4 recurrence in 40-digit arithmetic, from the same doubles."""
+def oracle_rk4(q, p, lam, dt, n_steps, project=False):
+    """The same RK4 recurrence in 40-digit arithmetic, from the same doubles;
+    with project, each step is rescaled to the initial radius (the scheme
+    classical._rk4 takes)."""
     with mpmath.workdps(40):
         q, p, lam, dt = (mpmath.mpf(v) for v in (q, p, lam, dt))
         c1 = lam / mpmath.sinh(lam) if lam else mpmath.mpf(1)
+        radius = mpmath.hypot(q, p)
 
         def rate(a, b):
             w = c1 * mpmath.cosh(lam / 2 * (a * a + b * b))
@@ -447,9 +485,24 @@ def oracle_rk4(q, p, lam, dt, n_steps):
             k4 = rate(q + dt * k3[0], p + dt * k3[1])
             q += dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             p += dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            if project:
+                scale = radius / mpmath.hypot(q, p)
+                q, p = q * scale, p * scale
             qs.append(q)
             ps.append(p)
         return qs, ps
+
+
+def oracle_flow(q, p, lam, dt, n_steps):
+    """The true flow at 40 digits: z = q + ip turned by -omega_q k dt,
+    omega_q = (lam/sinh lam) cosh(lam I), from the same doubles."""
+    with mpmath.workdps(40):
+        q, p, lam, dt = (mpmath.mpf(v) for v in (q, p, lam, dt))
+        c1 = lam / mpmath.sinh(lam) if lam else mpmath.mpf(1)
+        omega = c1 * mpmath.cosh(lam * (q * q + p * p) / 2)
+        phases = [omega * k * dt for k in range(n_steps + 1)]
+        return ([q * mpmath.cos(t) + p * mpmath.sin(t) for t in phases],
+                [p * mpmath.cos(t) - q * mpmath.sin(t) for t in phases])
 
 
 def max_error(track, oracle):
@@ -465,23 +518,60 @@ def margin_q0(lam):
     return q0
 
 
-@pytest.mark.parametrize("lam, q0, p0, dt", [
+RK4_CASES = [
     (0.0, 1.0, 0.5, 1e-2), (0.5, 1.0, 0.5, 1e-2), (1.0, 1.0, 0.5, 1e-2),
     (2.0, 1.0, 0.5, 1e-2), (1.0, 0.3, -1.1, 3e-3), (2.0, 1.5, 0.2, 1e-3),
-    (720.0, margin_q0(720.0), 0.0, 1e-3)])
+    (720.0, margin_q0(720.0), 0.0, 1e-3)]
+
+
+@pytest.mark.parametrize("lam, q0, p0, dt", RK4_CASES)
 def test_rk4_rounds_no_worse_than_the_reference_loop(lam, q0, p0, dt):
-    """500 steps of classical._rk4 and of reference_rk4 against the 40-digit
-    recurrence: each max error is within twice the reference's plus 4 ulp of
-    the largest |x| of its track, which is at most the orbit radius.  At
-    lam = 720, (lam/sinh lam) dt is subnormal and p stays below 1e-156;
-    stepping in (lam/sinh lam) t lost three of p's digits there."""
+    """500 steps of classical._rk4 against the 40-digit projected recurrence,
+    and of reference_rk4 against the plain one: each max error of the first
+    is within twice the second's plus 4 ulp of the largest |x| of its track,
+    which is at most the orbit radius.  At lam = 720, (lam/sinh lam) dt is
+    subnormal and p stays below 1e-156; taking that product first lost three
+    of p's digits there."""
     n_steps = 500
-    oracle = oracle_rk4(q0, p0, lam, dt, n_steps)
+    projected = oracle_rk4(q0, p0, lam, dt, n_steps, project=True)
+    plain = oracle_rk4(q0, p0, lam, dt, n_steps)
     got = classical._rk4(q0, p0, lam, dt, n_steps)
     ref = reference_rk4(q0, p0, lam, dt, n_steps)
-    for track, ref_track, want in zip(got, ref, oracle):
+    for track, want, ref_track, ref_want in zip(got, projected, ref, plain):
         slack = 4.0 * math.ulp(float(max(abs(x) for x in want)))
-        assert max_error(track, want) <= 2.0 * max_error(ref_track, want) + slack
+        assert max_error(track, want) <= 2.0 * max_error(ref_track, ref_want) + slack
+
+
+@pytest.mark.parametrize("lam, q0, p0, dt", RK4_CASES)
+def test_rk4_tracks_the_true_flow_as_closely_as_the_loop(lam, q0, p0, dt):
+    """Against the 40-digit rotation at omega_q, the projected scheme errs
+    at most 1.01 times as much as the plain loop, plus 4 ulp of the largest
+    |x| of its track: projecting onto the conserved intensity costs no
+    accuracy."""
+    n_steps = 500
+    flow = oracle_flow(q0, p0, lam, dt, n_steps)
+    got = classical._rk4(q0, p0, lam, dt, n_steps)
+    ref = reference_rk4(q0, p0, lam, dt, n_steps)
+    for track, ref_track, want in zip(got, ref, flow):
+        slack = 4.0 * math.ulp(float(max(abs(x) for x in want)))
+        assert max_error(track, want) <= 1.01 * max_error(ref_track, want) + slack
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("dt", [1e-4, 1e-3])
+def test_rk4_matches_the_reference_loop_at_the_default_steps(lam, dt):
+    """At the suite's dt = 1e-4 and the CLI's 1e-3 the plain scheme's own
+    change of intensity is below one rounding a run, so the projected scheme
+    and the loop differ by no more than the loop's rounding: twice its
+    error against the 40-digit plain recurrence, plus 4 ulp."""
+    q0, p0, n_steps = 1.0, 0.0, 2000
+    got = classical._rk4(q0, p0, lam, dt, n_steps)
+    ref = reference_rk4(q0, p0, lam, dt, n_steps)
+    plain = oracle_rk4(q0, p0, lam, dt, n_steps)
+    slack = 4.0 * math.ulp(1.0)
+    for track, ref_track, want in zip(got, ref, plain):
+        gap = float(np.max(np.abs(track - np.array(ref_track))))
+        assert gap <= 2.0 * max_error(ref_track, want) + slack
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])

@@ -203,18 +203,24 @@ def test_overflowing_flow_saturates(capsys, argv, safe):
     assert payload["largest_safe_n"] == safe
 
 
-def test_overflowing_ladder_saturates(capsys):
+@pytest.mark.parametrize("argv, size, safe", [
+    ("operators check --lambda 3 --dim 300", "dim", 236),
+    ("coherent build --lambda 1 --alpha-re 1 --cutoff 720", "cutoff", 709),
+])
+def test_overflowing_ladder_saturates(capsys, argv, size, safe):
     """F(237) = sinh(711)/sinh(3) is past the double range; the error line
-    is all that reaches stderr, with no numpy warning before it."""
+    is all that reaches stderr, with no numpy warning before it, and names
+    the verb's own size parameter."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run(capsys, ["operators", "check", "--lambda", "3", "--dim", "300"])
+        code, out, err = run(capsys, argv.split())
     assert [str(w.message) for w in caught] == []
     assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1
     payload = json.loads(err)
     assert payload["error"] == "SaturationError"
-    assert payload["largest_safe_n"] == 236
+    assert payload["message"].endswith(f"; reduce {size} or |lam|")
+    assert payload["largest_safe_n"] == safe
 
 
 def test_operators_check_at_dim_100000(capsys):
@@ -412,6 +418,11 @@ EDGE_ARGVS = [
     ("thermo table --lambda 3.7 --t-min 1.5e-181 --t-max 4e-150", 3, "SolverError"),
     ("classical simulate --lambda -0.33 --q0 0 --p0 1.65 --t-end 2.23 --dt 3.02",
      3, "SolverError"),
+    # RK4's divergence guard at lambda = 0, one step each side of |G|^{2n} = 2:
+    # |G|^2 is 1.42 at dt = 2.9 and 2.27 at dt = 3
+    ("classical simulate --lambda 0 --q0 1 --p0 0 --t-end 2.9 --dt 2.9", 0, ""),
+    ("classical simulate --lambda 0 --q0 1 --p0 0 --t-end 3 --dt 3", 3,
+     "SolverError: RK4 diverged: dt * omega_q = 3 is too long a step"),
     ("wave simulate --lambda 0.3 --t-end 1e308 --n 16", 2, "ParameterError"),
     ("wave simulate --lambda 0.3 --t-end 0.5 --n -1", 2, "ParameterError"),
     ("wave simulate --lambda 0.3 --t-end 0.5 --n 16 --amplitude 1e308", 2, "ParameterError"),
@@ -460,9 +471,10 @@ EDGE_ARGVS = [
      "ParameterError: no cutoff up to 1000000 leaves a negligible tail"),
     ("coherent build --alpha-re 996", 2,
      "ParameterError: no cutoff up to 1000000 leaves a negligible tail"),
-    # F overflows below the cutoff
-    ("coherent build --lambda 1 --alpha-re 1 --cutoff 720", 3, "SaturationError"),
-    ("coherent build --lambda 30 --alpha-re 1", 3, "SaturationError"),
+    # F overflows below the cutoff, which the message names: the verb has no dim
+    ("coherent build --lambda 1 --alpha-re 1 --cutoff 720", 3,
+     "SaturationError: F(710) overflows double range; reduce cutoff or |lam|"),
+    ("coherent build --lambda 30 --alpha-re 1", 3, "SaturationError: reduce cutoff"),
     ("thermo planck-check --x 800", 2, "ParameterError"),
     # a repeated lambda leaves no extrapolation step between the two
     ("thermo planck-check --x 1 --lambdas 0.01,0.01", 2, "ParameterError: distinct"),
