@@ -20,7 +20,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
-from .deformation import (_LN2, _SINH_MAX_ARG, _log_cosh, _log_sinh, _sech,
+from .deformation import (_LN2, _SINH_MAX_ARG, _log_cosh, _log_sinh, _q_f, _sech,
                           lambda_over_sinh, q_number)
 from .errors import WORK_BUDGET, ParameterError, SaturationError, SolverError
 
@@ -46,25 +46,14 @@ class ClassicalState(NamedTuple):
 
 
 def deform_amplitude(alpha: complex, lam: float) -> complex:
-    """alpha_q = sqrt(sinh(lam |alpha|^2)/(|alpha|^2 sinh lam)) * alpha.
-
-    The scale factor is sqrt(I_q / I) with I = |alpha|^2 continued to real
-    argument; alpha = 0 maps to 0 (continuous limit).  Raises
-    SaturationError, as omega_q does, where |lam| I passes 709 and I_q
-    overflows.  Past |lam| = _SINH_MAX_ARG, where I_q/I underflows long
-    before its square root does, the scale is taken as
-    e^{(x - |lam|)/2} sqrt(|lam| (1 - e^{-2x})/x), x = |lam| I.
-    """
+    """alpha_q = f(I) alpha, I = |alpha|^2, f = sqrt(sinh(lam I)/(I sinh lam))
+    as f_of_n takes it; 0 at alpha = 0.  A SaturationError, as omega_q gives,
+    where |lam| I passes 709."""
     intensity = _intensity(alpha)
     if intensity == 0.0:
         return 0j
     _check_saturation(intensity, lam, 1.0)
-    a = abs(lam)
-    if a > _SINH_MAX_ARG:
-        x = a * intensity
-        return (math.exp(0.5 * (x - a)) * math.sqrt(a * (-math.expm1(-2.0 * x) / x))
-                * alpha)
-    return math.sqrt(q_number(intensity, lam) / intensity) * alpha
+    return _q_f(intensity, lam) * alpha
 
 
 def omega_q(intensity: float, lam: float) -> float:
@@ -221,8 +210,9 @@ def momentum_from_velocity(q: float, qdot: float, lam: float) -> float:
     if lam == 0 or qdot == 0.0:
         return float(qdot)
     if abs(lam) > _SINH_MAX_ARG:
-        if not math.isfinite(qdot):
-            raise ParameterError(f"velocity must be finite, got {qdot}")
+        if not (math.isfinite(qdot) and abs(lam) <= 8e307):  # 2 ln c overflows past 9e307
+            raise ParameterError(f"need a finite velocity and |lambda| <= 8e+307, "
+                                 f"got {qdot}, {lam}")
         return math.copysign(_momentum_in_logs(q, abs(qdot), abs(lam)), qdot)
     c = abs(qdot) / lambda_over_sinh(lam)
     if not math.isfinite(c):

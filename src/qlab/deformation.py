@@ -17,10 +17,12 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import ParameterError, SaturationError
+from .errors import ParameterError
 
 # sinh overflows double just above this argument.
 _SINH_MAX_ARG = 709.0
+_LN_MAX = math.log(sys.float_info.max)  # exp overflows past it
+_TINY = sys.float_info.min
 _LN2 = math.log(2.0)
 
 _Q = "q"
@@ -113,6 +115,18 @@ def _log_sinh(x: float) -> float:
     return x + math.log(-0.5 * math.expm1(-2.0 * x)) if x else -math.inf
 
 
+def _past_sinh(x, a: float, m, ln_c=0.0, root: bool = False):
+    """sinh(x)/(c sinh a), c = e^ln_c, as e^{x-a-ln_c} expm1(-2x)/expm1(-2a), which
+    only the value itself can overflow: n_q at x = n a, c = 1, or a thermal level.
+    With root its square root, f = sqrt(n_q/n) at c = n, whose expm1 ratio is >= 1
+    past x = a.  m is math, or numpy for arrays."""
+    d = 0.5 * (x - a - ln_c) if root else x - a - ln_c
+    e = m.exp(d) if m is not math or d <= _LN_MAX else math.inf  # math.exp raises; nan d: inf
+    if root:
+        return e * m.sqrt(m.expm1(-2.0 * x) / math.expm1(-2.0 * a))
+    return e * m.expm1(-2.0 * x) / math.expm1(-2.0 * a)
+
+
 def q_number(n, lam: float):
     """The q-integer n_q = sinh(n*lam)/sinh(lam), q = e^lam.
 
@@ -120,41 +134,38 @@ def q_number(n, lam: float):
     them.  The plain ratio is accurate for every lam down to the
     subnormals, since sinh keeps its relative accuracy there; only where
     n*lam underflows the normal range (lam = 0 included, n = inf too) is
-    the limit n lam/sinh(lam) returned.  Past |lam| = _SINH_MAX_ARG, where
-    sinh(lam) overflows and only n < 1 stays finite, it is the same ratio
-    written as e^{(n-1)|lam|} (1 - e^{-2n|lam|}) / (1 - e^{-2|lam|}).  Even
-    in lam.
+    the limit n lam/sinh(lam) returned.  Past n|lam| or |lam| =
+    _SINH_MAX_ARG, where a sinh overflows, the ratio takes _past_sinh's
+    form, so n_q is inf exactly where it leaves the double range.  Even in lam.
     """
     _check_nonnegative(n, "q_number requires n >= 0")
     a = abs(lam)
     if _is_array(n):
         import numpy as np
 
-        with np.errstate(all="ignore"):  # the ratio runs everywhere, kept where it applies
+        with np.errstate(all="ignore"):  # a form runs where it may overflow, kept where it applies
             x = n * a
-            out = (np.exp(x - a) * np.expm1(-2.0 * x) / math.expm1(-2.0 * a)
-                   if a > _SINH_MAX_ARG else np.sinh(n * lam) / math.sinh(lam))
-        small = ~(x >= sys.float_info.min)  # nan: n = inf at lam = 0
+            out = np.sinh(n * lam) / (math.sinh(lam) if a <= _SINH_MAX_ARG else math.inf)
+            if a > _SINH_MAX_ARG or x.max(initial=0.0) > _SINH_MAX_ARG:  # a sinh overflowed
+                past = (x > _SINH_MAX_ARG) | (a > _SINH_MAX_ARG)
+                out[past] = _past_sinh(x[past], a, np)
+        small = ~(x >= _TINY)  # nan: n = inf at lam = 0
         out[small] = n[small] * lambda_over_sinh(lam)
-        out[x > _SINH_MAX_ARG] = math.inf
         return out
     x = n * a
-    if not x >= sys.float_info.min:  # nan: n = inf at lam = 0
+    if not x >= _TINY:  # nan: n = inf at lam = 0
         return n * lambda_over_sinh(lam)
-    if x > _SINH_MAX_ARG:
-        return math.inf
-    if a > _SINH_MAX_ARG:
-        return math.exp(x - a) * math.expm1(-2.0 * x) / math.expm1(-2.0 * a)
+    if x > _SINH_MAX_ARG or a > _SINH_MAX_ARG:
+        return _past_sinh(x, a, math)
     return math.sinh(n * lam) / math.sinh(lam)
 
 
 def lambda_over_sinh(lam: float) -> float:
     """lam/sinh(lam), and its limit 1 at lam = 0.
 
-    Past |lam| = _SINH_MAX_ARG, where sinh overflows, it is the same value
-    written as 2|lam| e^{-|lam|} / (1 - e^{-2|lam|}); the denominator rounds
-    to 1 there, and e^{-|lam|} is taken as two halves so that only the
-    final product can leave the normal range.
+    Past |lam| = _SINH_MAX_ARG, where sinh overflows, it is 2|lam| e^{-|lam|}
+    (1 - e^{-2|lam|} rounds to 1), with e^{-|lam|} taken as two halves so
+    that only the final product can leave the normal range.
     """
     a = abs(lam)
     if a > _SINH_MAX_ARG:
@@ -189,28 +200,39 @@ def f_of_n(n, spec: DeformationSpec):
     """Deformation function f(n) >= 0; accepts real n >= 0, or an array.
 
     Identity, and q-deform at lam = 0 -> 1.  q-deform -> sqrt(n_q/n) for
-    n > 0, its limit inf at n = inf, and the pinned convention
-    lam/sinh(lam) at n = 0.  Custom -> table lookup (linear interpolation
-    at non-integer n).
+    n > 0, its limit inf at n = inf, and the pinned convention lam/sinh(lam)
+    at n = 0; where n_q over- or underflows before f, _past_sinh's root
+    form, so f is inf exactly where it overflows.  Custom -> table lookup
+    (linear interpolation at non-integer n).
     """
     _check_nonnegative(n, "f_of_n requires n >= 0")
     if spec.kind == _CUSTOM:
         return _interp(n, range(len(spec.table)), spec.table, "n")
+    a = abs(spec.lam)
     if _is_array(n):
         import numpy as np
 
-        if spec.kind == _IDENTITY or spec.lam == 0:
+        if spec.kind == _IDENTITY or a == 0:
             return np.ones_like(n, dtype=float)
         with np.errstate(all="ignore"):  # 0/0 at n = 0 and inf/inf at n = inf are replaced
-            out = np.sqrt(q_number(n, spec.lam) / n)
+            big = q_number(n, spec.lam)
+            out = np.sqrt(big / n)
+            if (past := (big == math.inf) | ((big < _TINY) & (n * a >= _TINY))).any():
+                out[past] = _past_sinh(n[past] * a, a, np, np.log(n[past]), root=True)
         out[n == 0] = lambda_over_sinh(spec.lam)
         out[n == math.inf] = math.inf
         return out
-    if spec.kind == _IDENTITY or spec.lam == 0:
+    if spec.kind == _IDENTITY or a == 0:
         return 1.0
-    if n == math.inf:
-        return math.inf
-    return math.sqrt(q_number(n, spec.lam) / n) if n else lambda_over_sinh(spec.lam)
+    return _q_f(n, spec.lam) if n else lambda_over_sinh(spec.lam)
+
+
+def _q_f(n: float, lam: float) -> float:
+    """f(n) = sqrt(n_q/n) of a q spec at lam != 0 (or 1 at lam = 0), n > 0."""
+    big = q_number(n, lam)
+    if big == math.inf or big < _TINY <= n * abs(lam):  # n_q left the range, f need not
+        return _past_sinh(n * abs(lam), abs(lam), math, math.log(n), root=True)
+    return math.sqrt(big / n)
 
 
 def big_f(n, spec: DeformationSpec):
@@ -231,51 +253,37 @@ def big_f_inverse(x, spec: DeformationSpec):
     F is strictly increasing for every valid spec.  In the q case the
     continuous extension F(y) = sinh(y*lam)/sinh(lam) inverts in closed
     form, y = asinh(x sinh|lam|)/|lam|, and y = x sinh|lam|/|lam| where
-    x sinh|lam| underflows the normal range.  Past |lam| = _SINH_MAX_ARG,
-    where sinh(lam) overflows, asinh(x sinh|lam|) is taken as ln x + |lam|.
-    Like q_number, it saturates where y|lam| passes _SINH_MAX_ARG.  In the
-    custom case the piecewise-linear extension of the table is inverted.
+    x sinh|lam| underflows the normal range.  Where x sinh|lam| overflows,
+    or sinh(lam) does (past _SINH_MAX_ARG), asinh(x sinh|lam|) is taken as
+    ln x + ln sinh|lam| + ln 2, to within e^-40 past 20, and below that (a
+    huge lam only) as asinh(x e^lam/2); so every finite x has its finite
+    root, and inf gives inf.  In the custom case the piecewise-linear
+    extension of the table is inverted.
     """
     _check_nonnegative(x, "big_f_inverse requires x >= 0")
     if spec.kind == _CUSTOM:
         return _interp(x, spec.nodes, range(len(spec.nodes)), "x")
-    if spec.kind == _IDENTITY:
+    if spec.kind == _IDENTITY or spec.lam == 0:
         return x.astype(float) if _is_array(x) else float(x)
     lam = abs(spec.lam)
+    sinh = math.sinh(lam) if lam <= _SINH_MAX_ARG else math.inf
     if _is_array(x):
         import numpy as np
 
         with np.errstate(all="ignore"):  # every branch runs everywhere, kept where it applies
-            if lam > _SINH_MAX_ARG:
-                half = math.exp(0.5 * min(lam, 765.0))  # past 765 only x = 0 is below 20
-                y_lam = np.log(x) + lam
+            z = x * sinh  # nan at x = 0 past 709, where the asinh form gives 0
+            y_lam = np.where(z < math.inf, np.arcsinh(z), np.log(x) + (_log_sinh(lam) + _LN2))
+            if sinh == math.inf:
+                half = math.exp(0.5 * min(lam, 765.0))  # x >= 5e-324 is past 20 from 765 on
                 y_lam = np.where(y_lam <= 20.0, np.arcsinh((x * half) * (0.5 * half)), y_lam)
-                linear = False
-            else:
-                z = x * math.sinh(lam)
-                y_lam, linear = np.arcsinh(z), ~(z >= sys.float_info.min)  # nan: inf at 0
-            if np.any(y_lam > _SINH_MAX_ARG):
-                raise SaturationError("F value beyond double range; cannot invert",
-                                      largest_safe_n=_SINH_MAX_ARG / lam)
-            return np.where(linear, x / lambda_over_sinh(lam), y_lam / lam)
-    if lam > _SINH_MAX_ARG:
-        if x == 0.0:
-            return 0.0
-        # sinh(lam) = e^lam/2 in double here, so asinh(x sinh lam) is
-        # ln(2 x sinh lam) = ln x + lam to within e^-40 once that passes 20;
-        # below that, x >= 5e-324 keeps lam < 765 and e^(lam/2) finite
-        y_lam = math.log(x) + lam
-        if y_lam <= 20.0:
-            half = math.exp(0.5 * lam)
-            y_lam = math.asinh((x * half) * (0.5 * half))
-    else:
-        z = x * math.sinh(lam)
-        if not z >= sys.float_info.min:  # asinh(z) = z keeps no digits (nan: inf at 0)
-            return x / lambda_over_sinh(lam)
-        y_lam = math.asinh(z)
-    if y_lam > _SINH_MAX_ARG:
-        raise SaturationError("F value beyond double range; cannot invert",
-                              largest_safe_n=_SINH_MAX_ARG / lam)
+            return np.where(z < _TINY, x / lambda_over_sinh(lam), y_lam / lam)
+    z = x * sinh
+    if z < math.inf:
+        return math.asinh(z) / lam if z >= _TINY else x / lambda_over_sinh(lam)
+    y_lam = math.log(x) + (_log_sinh(lam) + _LN2) if x else -math.inf
+    if y_lam <= 20.0:
+        half = math.exp(0.5 * min(lam, 765.0))  # x >= 5e-324 is past 20 from 765 on
+        y_lam = math.asinh((x * half) * (0.5 * half))
     return y_lam / lam
 
 

@@ -146,11 +146,10 @@ def _run_deform_table(p: dict) -> ExperimentResult:
         q_number = deformation.q_number(n, lam) if q else None
         f = deformation.f_of_n(n, spec)
         phi = deformation.phi_of_z(n, spec)  # for q also the commutator function
-        if n:
-            factorial *= f
-            if math.isinf(factorial):
-                raise SaturationError(f"deformed factorial overflows at n = {n}",
-                                      largest_safe_n=n - 1)
+        factorial *= f if n else 1.0
+        for name, value in (("phi = F(n + 1) - F(n)", phi), ("deformed factorial", factorial)):
+            if not value < math.inf:
+                raise SaturationError(f"{name} overflows at n = {n}", largest_safe_n=n - 1)
         table.append((n, q_number, f, big, phi, phi, factorial, roundtrip))
     names = ("n", "q_number", "f", "big_f", "phi", "commutator", "f_factorial",
              "roundtrip_err")
@@ -465,8 +464,8 @@ def _run_thermo_table(p: dict) -> ExperimentResult:
     columns = {"T": table.temperatures, "Z": table.z, "mean_n": table.mean_n,
                "C": table.c, "planck_approx": table.planck_approx}
     c = table.c
-    fall = c[0] / c[-1] if c[-1] else math.inf  # run_experiment rejects it
-    metrics = {"c_first": c[0], "c_last": c[-1], "fall": fall}
+    # a C(t_max) of 0, every excited level frozen out, has no fall
+    metrics = {"c_first": c[0], "c_last": c[-1], **({"fall": c[0] / c[-1]} if c[-1] else {})}
     if p["t_min"] > 1.0:
         products = [ci * math.log(ti) for ci, ti in zip(c, table.temperatures)]
         metrics["product_variation"] = (max(products) - min(products)) / max(products)

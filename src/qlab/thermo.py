@@ -25,7 +25,7 @@ import sys
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
-from .deformation import _SINH_MAX_ARG, _log_sinh
+from .deformation import _LN_MAX, _SINH_MAX_ARG, _TINY, _log_sinh, _past_sinh
 from .errors import WORK_BUDGET, ParameterError, SaturationError
 
 if TYPE_CHECKING:
@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 CONVENTIONS = ("sym", "num")
 
 _EULER_GAMMA = 0.5772156649015329
-_TINY = sys.float_info.min
+_BLUE_MAX_ARG = 2.0 * math.asinh(math.sqrt(0.5 * sys.float_info.max))  # cosh x - 1 overflows past
 _T_MIN, _T_MAX = 1e-300, 1e300  # keeps 1/T and the tail's energies ~1e3 T finite
 _TAIL_LOG = math.log(1e18)  # levels left out weigh < 1e-18 of level 1 (_moments)
 _BLOCK = 1 << 13  # levels per block: temporaries stay this long however long the sum
@@ -69,7 +69,8 @@ class _Spectrum(NamedTuple):
     2 sinh(a/2) = sinh(a)/cosh(a/2), exact even where a/2 underflows
     (E_n = (n_q + (n+1)_q)/2).  E_0 = shift, and the spacing is >= 1 and
     grows with n.  Where a (n + shift) underflows, E_n = n + shift, as in
-    q_number.
+    q_number.  Past a (n + shift) or a = _SINH_MAX_ARG (scale inf), where a
+    sinh overflows, E_n takes _past_sinh's form, inf where the level overflows.
     """
     a: float
     shift: float
@@ -79,7 +80,12 @@ class _Spectrum(NamedTuple):
         import numpy as np
 
         arg = self.a * (n + self.shift)
-        return np.where(arg < _TINY, n + self.shift, np.sinh(arg) / self.scale)
+        out = np.where(arg < _TINY, n + self.shift, np.sinh(arg) / self.scale)
+        if self.scale == math.inf or (arg.max() if arg.ndim else arg) > _SINH_MAX_ARG:
+            past = (arg > _SINH_MAX_ARG) | (self.scale == math.inf)  # E_n need not overflow
+            out[past] = _past_sinh(arg[past], self.a * (1.0 - self.shift), np,
+                                   math.log1p(2.0 * self.shift))  # scale = (1 + 2 shift) sinh h
+        return out
 
     def index(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The inverse n(E) of energy() and its slope dn/dE."""
@@ -92,9 +98,9 @@ class _Spectrum(NamedTuple):
 
 
 def _spectrum(a: float, convention: str) -> _Spectrum:
-    if convention == "sym":
-        return _Spectrum(a, 0.5, math.sinh(a) / math.cosh(0.5 * a))
-    return _Spectrum(a, 0.0, math.sinh(a))
+    scale = math.sinh(a) if a <= _SINH_MAX_ARG else math.inf  # energy() then needs no scale
+    shift = 0.5 if convention == "sym" else 0.0
+    return _Spectrum(a, shift, scale / math.cosh(shift * min(a, _SINH_MAX_ARG)))
 
 
 class _Moments(NamedTuple):
@@ -208,7 +214,7 @@ def _moments(betas: list[float], lam: float, convention: str) -> list[_Moments]:
         return [_Moments(-math.log(-math.expm1(-b)) - (0.5 * b if convention == "sym" else 0.0),
                          bose_einstein(b), (b * math.exp(-0.5 * b) / -math.expm1(-b)) ** 2,
                          0, 0, "closed") for b in betas]
-    spec = _spectrum(min(a, _SINH_MAX_ARG), convention)  # past it the first row saturates
+    spec = _spectrum(a, convention)
     # e^-x is 0 where x overflows, and 0/0 marks a block whose weights all underflow
     with np.errstate(all="ignore"):
         e_1 = float(spec.energy(np.float64(1.0)))
@@ -218,11 +224,12 @@ def _moments(betas: list[float], lam: float, convention: str) -> list[_Moments]:
         cuts = spec.index(np.float64(cuts[0]) if one else np.array(cuts))[0]
         rows, levels, tails = [], [], []
         for r, (b, c) in enumerate(zip(betas, [float(cuts)] if one else cuts.tolist())):
-            n_end = max(2, math.ceil(c)) if math.isfinite(c) else math.inf
-            if not a * (n_end - 1 + spec.shift) <= _SINH_MAX_ARG:
-                raise SaturationError(f"the levels up to the cutoff overflow the double range "
-                                      f"at lambda = {lam!r}, T = {1.0 / b!r}",
-                                      largest_safe_n=int(_SINH_MAX_ARG / a) - 1)
+            if not c < math.inf:  # scale E overflowed in index; scale <= 2 sinh a bounds n
+                finite = spec.energy(np.arange(4.0 + (_LN_MAX + 2.0) / a)) < math.inf
+                raise SaturationError(f"the cutoff level overflows the double range at "
+                                      f"lambda = {lam!r}, T = {1.0 / b!r}",
+                                      largest_safe_n=int(finite.argmin()) - 1)
+            n_end = max(2, math.ceil(c))
             smooth = a <= _EM_LAM and (b * a * math.cosh(a + a * spec.shift) / spec.scale
                                        <= _EM_SLOPE)
             direct = 1 if smooth else n_end
@@ -240,23 +247,17 @@ def _moments(betas: list[float], lam: float, convention: str) -> list[_Moments]:
 
 
 def energy_levels(n_max: int, lam: float, convention: str = "sym") -> list[float]:
-    """E_0..E_n_max for the chosen spectrum convention.
-
-    Raises SaturationError where a level overflows the double range, with
-    the last index whose level is finite.
-    """
+    """E_0..E_n_max for the chosen spectrum convention, at every finite lam.
+    A SaturationError where a level, not its sinh, overflows the double
+    range names the last index whose level is finite."""
     import numpy as np
 
     _check_convention(convention)
     a = _check_lam(lam)
     if n_max < 1:
         raise ParameterError("n_max must be >= 1")
-    n = np.arange(n_max + 1, dtype=float)
-    if a == 0.0:
-        return (n + 0.5 if convention == "sym" else n).tolist()
-    with np.errstate(over="ignore"):  # past 709, sinh a and so E_1 on overflow
-        levels = (_spectrum(a, convention).energy(n) if a <= _SINH_MAX_ARG
-                  else np.where(n > 0, math.inf, 0.0))
+    with np.errstate(all="ignore"):  # sinh overflows where energy() patches it (0/0 at lam = 0)
+        levels = _spectrum(a, convention).energy(np.arange(n_max + 1.0))
     if not levels[-1] < math.inf:  # the levels increase with n
         safe = int(np.argmax(levels == math.inf)) - 1
         raise SaturationError(f"energy levels past n = {safe} overflow the double range",
@@ -472,14 +473,14 @@ def blue_shift(n: float, lam: float) -> tuple[float, float]:
 
     exact = [omega_q(n) - omega_q(0)]/omega_q(0) = cosh(lam n) - 1;
     approx = lam^2 n^2 / 2.  The pair quantifies where the quadratic law
-    stops being trustworthy (lam*n approaching 1).
+    stops being trustworthy (lam*n approaching 1).  exact overflows past
+    |lam| n = 710.48, a SaturationError naming the last integer n before.
     """
-    if n < 0:
-        raise ParameterError("n must be >= 0")
-    if not abs(lam * n) <= _SINH_MAX_ARG:
-        raise SaturationError(f"cosh(lam n) overflows past lam n = {_SINH_MAX_ARG:g}",
-                              largest_safe_n=int(_SINH_MAX_ARG / abs(lam)))
-    half = 0.5 * lam * n
-    exact = 2.0 * math.sinh(half) ** 2  # cosh(lam n) - 1 without cancellation
-    approx = 0.5 * (lam * n) ** 2
-    return exact, approx
+    if not 0 <= n < math.inf:
+        raise ParameterError(f"n must be finite and >= 0, got {n!r}")
+    s = math.sinh(0.5 * lam * n) if abs(lam * n) <= 2.0 * _SINH_MAX_ARG else math.inf
+    exact = 2.0 * s ** 2 if abs(s) <= 1e154 else math.inf  # cosh(lam n) - 1 without cancellation
+    if exact == math.inf:  # past |s| = 1e154, where s ** 2 may raise, 2 s^2 overflows
+        raise SaturationError(f"cosh(lam n) - 1 overflows past lam n = {_BLUE_MAX_ARG:.6g}",
+                              largest_safe_n=math.floor(_BLUE_MAX_ARG / abs(lam)))
+    return exact, 0.5 * (lam * n) ** 2

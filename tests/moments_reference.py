@@ -1,13 +1,16 @@
 """The thermodynamic moments as qlab computed them before thermo_table
 evaluated a whole temperature grid in shared numpy calls: one _moments
 pass per temperature, its blocks summed with np.sum and pooled in order.
-Tests compare thermo's grid pass against this, bit for bit."""
+Tests compare thermo's grid pass against this, bit for bit.  Its errors
+follow the rule that a value saturates where it overflows: a cutoff whose
+index overflows names the last finite level."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 
-from qlab.deformation import _SINH_MAX_ARG
 from qlab.errors import SaturationError
 from qlab.thermo import (_BLOCK, _EM_LAM, _EM_SLOPE, _GREGORY, _LN_U_STEP, _TAIL_LOG,
                          _check_lam, _Moments, _spectrum, bose_einstein)
@@ -45,6 +48,18 @@ def _em_tail(m, beta, spec):
                             np.array(_GREGORY) * np.exp(-x_g))))
 
 
+def last_finite_level(a, shift):
+    """The last n whose level sinh(a (n + shift))/scale is at most DBL_MAX,
+    stepping up from level 0 at 40 digits."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(a)
+        scale = 2 * mpmath.sinh(a / 2) if shift else mpmath.sinh(a)
+        n = 0
+        while mpmath.sinh(a * (n + 1 + shift)) / scale <= sys.float_info.max:
+            n += 1
+        return n
+
+
 def moments(beta, lam, convention):
     """The moments of one temperature, 1/beta."""
     a = _check_lam(lam)
@@ -53,17 +68,16 @@ def moments(beta, lam, convention):
         log_z = -math.log(em) - (0.5 * beta if convention == "sym" else 0.0)
         heat = (beta * math.exp(-0.5 * beta) / em) ** 2
         return _Moments(log_z, bose_einstein(beta), heat, 0, 0, "closed")
-    spec = _spectrum(a, convention) if a <= _SINH_MAX_ARG else None
-    if spec is not None:
-        k = _TAIL_LOG - math.log(-math.expm1(-beta))
-        x_1 = beta * float(spec.energy(np.float64(1.0)) - spec.shift)
-        with np.errstate(over="ignore"):
-            n_cut, _ = spec.index(np.float64(spec.shift + (k + min(x_1, k)) / beta))
-        n_end = max(2, math.ceil(n_cut)) if math.isfinite(n_cut) else math.inf
-    if spec is None or not a * (n_end - 1 + spec.shift) <= _SINH_MAX_ARG:
-        raise SaturationError(f"the levels up to the cutoff overflow the double "
-                              f"range at lambda = {lam!r}, T = {1.0 / beta!r}",
-                              largest_safe_n=int(_SINH_MAX_ARG / a) - 1)
+    spec = _spectrum(a, convention)
+    k = _TAIL_LOG - math.log(-math.expm1(-beta))
+    x_1 = beta * float(spec.energy(np.float64(1.0)) - spec.shift)
+    with np.errstate(over="ignore", invalid="ignore"):  # scale inf past 709
+        n_cut, _ = spec.index(np.float64(spec.shift + (k + min(x_1, k)) / beta))
+    if not math.isfinite(n_cut):
+        raise SaturationError(f"the cutoff level overflows the double range at "
+                              f"lambda = {lam!r}, T = {1.0 / beta!r}",
+                              largest_safe_n=last_finite_level(a, spec.shift))
+    n_end = max(2, math.ceil(n_cut))
     smooth = a <= _EM_LAM and beta * a * math.cosh(a + a * spec.shift) / spec.scale <= _EM_SLOPE
     direct = 1 if smooth else n_end
     excited = _block_moments(*_em_tail(1, beta, spec)) if smooth else None

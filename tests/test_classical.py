@@ -193,6 +193,20 @@ def test_momentum_past_sinh_overflow_matches_mpmath(q, qdot, lam):
         assert abs(got - sign * expected) <= rtol_past_overflow(lam, expected) * expected, sign
 
 
+@pytest.mark.parametrize("q,qdot", MOMENTUM_PAST_OVERFLOW)
+def test_momentum_at_the_largest_lambda_matches_mpmath_and_past_it_is_refused(q, qdot):
+    """The logs of _momentum_in_logs hold up to |lambda| = 8e307; past about
+    9e307 their 2 ln c overflows (the root at q = qdot = 0.1, lambda =
+    1.7e308 is 1.41).  Past 8e307 a ParameterError names the bound."""
+    expected = oracle_momentum_in_logs(q, qdot, 8e307)
+    for sign in (1.0, -1.0):
+        got = classical.momentum_from_velocity(q, sign * qdot, sign * 8e307)
+        assert abs(got - sign * expected) <= rtol_past_overflow(8e307, expected) * expected
+        for lam in (math.nextafter(8e307, math.inf), 1.7e308):
+            with pytest.raises(ParameterError, match="<= 8e[+]307"):
+                classical.momentum_from_velocity(q, qdot, sign * lam)
+
+
 def test_momentum_past_sinh_overflow_takes_a_few_residuals(monkeypatch):
     """The closed-form bracket of y = lambda p^2 between Wright omegas is so
     narrow that no root past |lambda| = 709 takes more than 12 residual

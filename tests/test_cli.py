@@ -182,9 +182,9 @@ def test_saturation_error_carries_largest_safe_n(capsys):
     assert code == 3
     payload = json.loads(err)
     assert payload["error"] == "SaturationError"
-    assert payload["largest_safe_n"] == 709
+    assert payload["largest_safe_n"] == 710  # E_710 = e^709.77, E_711 = e^710.77
     code, _, _ = run(capsys, ["thermo", "levels", "--lambda", "1.0",
-                              "--n-max", "709"])
+                              "--n-max", "710"])
     assert code == 0
 
 
@@ -204,11 +204,11 @@ def test_overflowing_flow_saturates(capsys, argv, safe):
 
 
 @pytest.mark.parametrize("argv, size, safe", [
-    ("operators check --lambda 3 --dim 300", "dim", 236),
-    ("coherent build --lambda 1 --alpha-re 1 --cutoff 720", "cutoff", 709),
+    ("operators check --lambda 3 --dim 300", "dim", 237),
+    ("coherent build --lambda 1 --alpha-re 1 --cutoff 720", "cutoff", 710),
 ])
 def test_overflowing_ladder_saturates(capsys, argv, size, safe):
-    """F(237) = sinh(711)/sinh(3) is past the double range; the error line
+    """F(238) = sinh(714)/sinh(3) is past the double range; the error line
     is all that reaches stderr, with no numpy warning before it, and names
     the verb's own size parameter."""
     with warnings.catch_warnings(record=True) as caught:
@@ -259,12 +259,15 @@ def oracle_deform_amplitude(alpha, lam):
 
 
 def test_deform_table_past_sinh_overflow_saturates(capsys):
-    """F(1) at lambda = 800 is past the range q_number covers (n |lambda| <= 709)."""
+    """F(1) = 1 at lambda = 800, but F(2) = 2 cosh(800) is past the double
+    range, and so is phi(1) = F(2) - F(1): the row n = 1 is the first that
+    overflows."""
     code, out, err = run(capsys, ["deform", "table", "--lambda", "800", "--n-max", "2"])
     assert (code, out) == (3, "")
     payload = json.loads(err)
     assert payload["error"] == "SaturationError"
-    assert payload["largest_safe_n"] == 709.0 / 800.0
+    assert payload["message"] == "phi = F(n + 1) - F(n) overflows at n = 1"
+    assert payload["largest_safe_n"] == 0
 
 
 def test_bracket_past_sinh_overflow(capsys):
@@ -415,7 +418,6 @@ EDGE_ARGVS = [
     ("classical bracket-grid --points -1", 2, "ParameterError"),
     ("classical bracket-grid --lam-min=1e308 --lam-max=-1e308", 2, "ParameterError"),
     ("classical alpha --lambda 2.5 --q0 -3.3 --p0 -3.75 --t 1e308", 2, "ParameterError"),
-    ("thermo table --lambda 3.7 --t-min 1.5e-181 --t-max 4e-150", 3, "SolverError"),
     ("classical simulate --lambda -0.33 --q0 0 --p0 1.65 --t-end 2.23 --dt 3.02",
      3, "SolverError"),
     # RK4's divergence guard at lambda = 0, one step each side of |G|^{2n} = 2:
@@ -473,7 +475,7 @@ EDGE_ARGVS = [
      "ParameterError: no cutoff up to 1000000 leaves a negligible tail"),
     # F overflows below the cutoff, which the message names: the verb has no dim
     ("coherent build --lambda 1 --alpha-re 1 --cutoff 720", 3,
-     "SaturationError: F(710) overflows double range; reduce cutoff or |lam|"),
+     "SaturationError: F(711) overflows double range; reduce cutoff or |lam|"),
     ("coherent build --lambda 30 --alpha-re 1", 3, "SaturationError: reduce cutoff"),
     ("thermo planck-check --x 800", 2, "ParameterError"),
     # a repeated lambda leaves no extrapolation step between the two
@@ -490,10 +492,27 @@ EDGE_ARGVS = [
     ("thermo levels --lambda 0.1 --n-max 7089", 3, "SaturationError: past n = 7081"),
     ("thermo levels --lambda 0.1 --n-max 7082", 3, "SaturationError: past n = 7081"),
     ("thermo levels --lambda 0.1 --n-max 7081", 0, ""),
-    ("thermo levels --lambda 2 --n-max 354", 0, ""),
-    ("thermo levels --lambda 2 --n-max 355", 3, "SaturationError: past n = 354"),
+    # a level whose sinh overflows but whose value fits: E_355 = 1.29e308
+    ("thermo levels --lambda 2 --n-max 355", 0, ""),
+    ("thermo levels --lambda 2 --n-max 356", 3, "SaturationError: past n = 355"),
     ("thermo levels --lambda 2 --n-max 355 --convention num", 0, ""),
     ("thermo levels --lambda 800 --n-max 3", 3, "SaturationError: past n = 0"),
+    ("thermo levels --lambda 500 --n-max 1", 0, ""),  # E_1 = 7e216
+    # C = 0 on the whole grid, every excited level frozen out: no fall
+    ("thermo table --lambda 500 --t-min 1 --t-max 2 --points 2", 0, ""),
+    ("thermo table --lambda 3.7 --t-min 1.5e-181 --t-max 4e-150", 0, ""),
+    ("thermo table --lambda 710 --t-min 1 --t-max 2", 3,
+     "SaturationError: the cutoff level overflows the double range at lambda = 710.0"),
+    # F(1) = 1 at every lambda; at 709.5, phi(2) = F(3) - F(2) = e^1419 overflows
+    ("deform table --lambda 709.5 --n-max 1", 0, ""),
+    ("deform table --lambda 709.5 --n-max 2", 3,
+     "SaturationError: phi = F(n + 1) - F(n) overflows at n = 2"),
+    ("operators check --lambda 100 --dim 9", 0, ""),  # F(8) = 1.01e304
+    ("coherent build --lambda 800 --alpha-re 0.3", 3,
+     "SaturationError: F(2) overflows double range; reduce cutoff or |lam|"),
+    # 2 sinh^2(lambda n/2) = 1.12e308 at n = 710, past the double range at 711
+    ("thermo blueshift --lambda 1 --n 710", 0, ""),
+    ("thermo blueshift --lambda 1 --n 711", 3, "SaturationError: past lam n = 710.476"),
 ]
 SUCCESSFUL_EDGE_ARGVS = [argv.split() for argv, code, _ in EDGE_ARGVS if code == 0]
 

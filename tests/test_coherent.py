@@ -217,15 +217,15 @@ def test_no_cutoff_up_to_the_cap_is_one_error_naming_it():
 
 
 def test_ladder_overflow_below_the_cutoff_saturates():
-    """F(n) = sinh(n lam)/sinh(lam) is past the double range from n = 710 at
-    lam = 1, and from n = 24 at lam = 30."""
+    """F(n) = sinh(n lam)/sinh(lam) is past the double range from n = 711 at
+    lam = 1 (F(710) = 9.50e307), and from n = 25 at lam = 30."""
     assert coherent.build_f_coherent(1.0, dfm.q_deform(1.0), 700).cutoff == 700
     with pytest.raises(SaturationError) as info:
         coherent.build_f_coherent(1.0, dfm.q_deform(1.0), 720)
-    assert info.value.largest_safe_n == 709
+    assert info.value.largest_safe_n == 710
     with pytest.raises(SaturationError) as info:
         coherent.build_f_coherent(1.0, dfm.q_deform(30.0))
-    assert info.value.largest_safe_n == 23
+    assert info.value.largest_safe_n == 24
 
 
 def test_subnormal_phase_builds():

@@ -113,7 +113,7 @@ def test_big_f_inverse_matches_mpmath_at_tiny_lambda():
 
 
 INVERSE_LAMBDAS = [5e-324, 1e-9, 1e-3, 0.1, 1.0, 5.0]
-_SATURATION_N_LAMBDA = 709.0  # F^{-1} saturates where n*|lambda| passes this
+X_MAX = sys.float_info.max  # every finite x has its finite root
 
 
 def oracle_big_f_inverse(x, lam):
@@ -123,18 +123,10 @@ def oracle_big_f_inverse(x, lam):
         return float(mpmath.asinh(mpmath.mpf(x) * mpmath.sinh(lam)) / lam)
 
 
-def saturation_edge(lam):
-    """Largest x that F^{-1} inverts: F(709/|lambda|), capped at the double range."""
-    with mpmath.workdps(50):
-        edge = mpmath.sinh(_SATURATION_N_LAMBDA) / mpmath.sinh(abs(mpmath.mpf(lam)))
-        return min(float(edge), sys.float_info.max)
-
-
 @pytest.mark.parametrize("lam", INVERSE_LAMBDAS)
 def test_big_f_inverse_matches_mpmath_closed_form(lam):
-    """From x = 1e-300 up to the saturation edge, both signs of lambda."""
-    top = saturation_edge(lam) * (1.0 - 1e-12)
-    xs = [float(x) for x in np.geomspace(1e-300, top, 60)] + [top]
+    """From x = 1e-300 up to the largest double, both signs of lambda."""
+    xs = [float(x) for x in np.geomspace(1e-300, 1e308, 60)] + [X_MAX]
     want = [oracle_big_f_inverse(x, lam) for x in xs]
     for sign in (1.0, -1.0):
         spec = q_deform(sign * lam)
@@ -146,15 +138,22 @@ def test_big_f_inverse_matches_mpmath_closed_form(lam):
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 5.0])
-def test_big_f_inverse_saturates_just_past_the_edge(lam):
-    edge = saturation_edge(lam)
+def test_big_f_inverse_inverts_finite_x_past_the_old_edge(lam):
+    """F(709/|lambda|) is far below the largest double, and every finite x
+    past it has a finite root; where x sinh|lambda| overflows it is
+    (ln x + ln(2 sinh|lambda|))/|lambda|: 2 ulp of the root at 50 digits,
+    scalar and array, and x = inf gives inf."""
+    with mpmath.workdps(50):
+        old_edge = float(mpmath.sinh(709) / mpmath.sinh(mpmath.mpf(lam)))
+    xs = [old_edge * (1.0 + 1e-12), 1e300, X_MAX / math.sinh(lam) * 2.0, 1e308, X_MAX]
+    want = [oracle_big_f_inverse(x, lam) for x in xs]
     for sign in (1.0, -1.0):
         spec = q_deform(sign * lam)
-        assert_allclose(big_f_inverse(edge * (1.0 - 1e-12), spec),
-                        _SATURATION_N_LAMBDA / lam, rtol=1e-12)
-        with pytest.raises(SaturationError) as exc_info:
-            big_f_inverse(edge * (1.0 + 1e-12), spec)
-        assert exc_info.value.largest_safe_n == _SATURATION_N_LAMBDA / lam
+        got = big_f_inverse(np.array(xs + [math.inf]), spec).tolist()
+        assert got[-1] == math.inf and big_f_inverse(math.inf, spec) == math.inf
+        for x, w, g in zip(xs, want, got):
+            assert ulps_apart(big_f_inverse(x, spec), w) <= 2.0, (x, sign * lam)
+            assert ulps_apart(g, w) <= 2.0, (x, sign * lam)
 
 
 # past |lambda| = 709, where sinh(lambda) overflows; 1400 keeps a normal edge
@@ -164,10 +163,9 @@ HUGE_INVERSE_LAMBDAS = [709.01, 709.5, 720.0, 745.5, 764.0, 800.0, 1000.0, 1400.
 @pytest.mark.parametrize("lam", HUGE_INVERSE_LAMBDAS)
 def test_big_f_inverse_past_sinh_overflow_matches_mpmath(lam):
     """ln x + |lambda| and its asinh form below e^20; measured within 10.4 eps
-    of the 50-digit oracle, from the subnormals up to the saturation edge,
-    both signs of lambda."""
-    top = saturation_edge(lam) * (1.0 - 1e-12)
-    xs = [5e-324, 1e-315] + [float(x) for x in np.geomspace(1e-310, top, 80)] + [top]
+    of the 50-digit oracle, from the subnormals up to the largest double,
+    both signs of lambda, and inf at x = inf."""
+    xs = [5e-324, 1e-315] + [float(x) for x in np.geomspace(1e-310, 1e308, 80)] + [X_MAX]
     want = np.array([oracle_big_f_inverse(x, lam) for x in xs])
     for sign in (1.0, -1.0):
         spec = q_deform(sign * lam)
@@ -176,13 +174,8 @@ def test_big_f_inverse_past_sinh_overflow_matches_mpmath(lam):
         for x, expected in zip(xs, want.tolist()):
             got = big_f_inverse(x, spec)
             assert abs(got - expected) <= 16 * sys.float_info.epsilon * expected, (x, lam)
-    with pytest.raises(SaturationError) as exc_info:
-        big_f_inverse(saturation_edge(lam) * (1.0 + 1e-12), q_deform(lam))
-    assert exc_info.value.largest_safe_n == _SATURATION_N_LAMBDA / lam
-    with pytest.raises(SaturationError):
-        big_f_inverse(math.inf, q_deform(lam))
-    with pytest.raises(SaturationError):
-        big_f_inverse(np.array([1.0, math.inf]), q_deform(lam))
+    assert big_f_inverse(math.inf, q_deform(lam)) == math.inf
+    assert big_f_inverse(np.array([1.0, math.inf]), q_deform(lam))[1] == math.inf
 
 
 @pytest.mark.parametrize("lam", [0.5, 5.0, 40.0, 700.0])
@@ -209,8 +202,6 @@ _xs = st.floats(min_value=1e-300, max_value=1e300)
 @given(_xs, _lambdas)
 def test_big_f_inverse_properties(x, lam):
     """F(F^{-1}(x)) = x, and F^{-1} is even in lambda."""
-    if x >= saturation_edge(lam):
-        return
     y = big_f_inverse(x, q_deform(lam))
     assert big_f_inverse(x, q_deform(-lam)) == y
     # F has condition number n lambda coth(n lambda) <= 709 here
@@ -226,7 +217,7 @@ def ulps_apart(a: float, b: float) -> float:
 
 
 # every switch of the q branch: n |lambda| below the normal range, |lambda|
-# past 709, and saturation past n |lambda| = 709
+# and n |lambda| past 709, and where n_q, then f, leave the double range
 SWITCH_LAMBDAS = (0.0, 5e-324, 1e-300, 1e-9, 0.1, 1.0, 3.0, 700.0, 708.9, 709.0,
                   709.1, 710.0, 745.5, 800.0, 1400.0)
 _edge_factors = st.sampled_from([1.0, 1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52, 0.5, 2.0])
@@ -250,11 +241,14 @@ def spec_and_points(draw):
     lam = draw(st.sampled_from(SWITCH_LAMBDAS) | st.floats(0.0, 2000.0))
     lam *= draw(st.sampled_from([1.0, -1.0]))
     a = abs(lam)
-    anchors = [1.0] if a == 0 else [1.0, sys.float_info.min / a, 709.0 / a]
+    # n_q overflows past n |lambda| = ln DBL_MAX + ln(2 sinh|lambda|), f at twice that
+    top = math.log(sys.float_info.max) + a + math.log(-math.expm1(-2.0 * a)) if a else 0.0
+    anchors = [1.0] if a == 0 else [1.0, sys.float_info.min / a, 709.0 / a, top / a,
+                                    (top + math.log(sys.float_info.max)) / a]
     ns = [v * draw(_edge_factors) for v in anchors] + draw(st.lists(anywhere, max_size=20))
     ns = [n for n in ns if math.isfinite(n)]
     edge = q_number(709.0 / a, a) if a else 1.0
-    xs = [v * draw(_edge_factors) for v in (edge, sys.float_info.min, 1.0)]
+    xs = [v * draw(_edge_factors) for v in (edge, sys.float_info.min, 1.0, X_MAX / 2.0)]
     return q_deform(lam), ns + [0.0], xs + draw(st.lists(anywhere, max_size=20)) + [0.0]
 
 
@@ -263,21 +257,12 @@ def spec_and_points(draw):
 def test_array_and_scalar_agree_within_two_ulp(case):
     """numpy's sinh, exp and arcsinh are not libm's, so the array answers may
     round differently; they stay within 2 ulp of the scalar ones, on both
-    sides of every switch, and saturate (raise) exactly where those do."""
+    sides of every switch, and overflow to inf exactly where those do."""
     spec, ns, xs = case
     n = np.array(ns)
-    pairs = [(f_of_n, n), (big_f, n)]
+    pairs = [(f_of_n, n), (big_f, n), (big_f_inverse, np.array(xs))]
     if spec.kind == "q":
         pairs.append((lambda v, spec: q_number(v, spec.lam), n))
-    inverted = []
-    for x in xs:
-        try:
-            inverted.append((x, big_f_inverse(x, spec)))
-        except SaturationError as exc:
-            with pytest.raises(SaturationError) as info:
-                big_f_inverse(np.array([1.0, x]), spec)
-            assert info.value.largest_safe_n == exc.largest_safe_n
-    pairs.append((big_f_inverse, np.array([x for x, _ in inverted])))
     for fn, arg in pairs:
         got = fn(arg, spec)
         assert got.shape == arg.shape
@@ -314,10 +299,9 @@ def test_infinite_n_gives_inf_on_both_paths(lam):
     (and x sinh(lam) in big_f_inverse, asinh(nan)/0); at lam != 0 f_of_n's
     sqrt(n_q/n) used to be inf/inf, a nan."""
     spec = q_deform(lam)
-    fns = [lambda n: q_number(n, lam), lambda n: big_f(n, spec)]
-    if lam == 0.0:  # elsewhere F^-1(inf) saturates
-        fns.append(lambda x: big_f_inverse(x, spec))
-    else:  # sqrt(n_q/n), inf/inf at n = inf
+    fns = [lambda n: q_number(n, lam), lambda n: big_f(n, spec),
+           lambda x: big_f_inverse(x, spec)]
+    if lam != 0.0:  # sqrt(n_q/n), inf/inf at n = inf
         fns.append(lambda n: f_of_n(n, spec))
     for fn in fns:
         assert fn(math.inf) == math.inf
@@ -415,9 +399,10 @@ def test_big_f_inverse_at_zero():
 
 
 def test_big_f_inverse_beyond_double_range():
-    with pytest.raises(SaturationError) as exc_info:
-        big_f_inverse(1e308, q_deform(1.0))
-    assert exc_info.value.largest_safe_n > 0
+    """F(709.96) = 1e308 at lambda = 1, where 1e308 sinh(1) overflows: the
+    root in logs, within 2 ulp of the 50-digit one."""
+    want = oracle_big_f_inverse(1e308, 1.0)
+    assert ulps_apart(big_f_inverse(1e308, q_deform(1.0)), want) <= 2.0
 
 
 def test_phi_frozen_value():

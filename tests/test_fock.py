@@ -144,10 +144,10 @@ def test_fock_state_shape_check():
 
 
 def test_ladder_overflow_is_a_saturation_error():
-    """sinh(3 n)/sinh 3 is past the double range from n = 237 on."""
+    """sinh(3 n)/sinh 3 is past the double range from n = 238 on."""
     with pytest.raises(SaturationError) as info:
         fock.check_commutator(300, dfm.q_deform(3.0))
-    assert info.value.largest_safe_n == 236
+    assert info.value.largest_safe_n == 237
     with pytest.raises(SaturationError):
         fock.deformed_annihilation(300, dfm.q_deform(-3.0))
 

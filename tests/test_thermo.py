@@ -275,3 +275,20 @@ def test_blue_shift_at_zero():
     assert thermo.blue_shift(0.0, 0.5) == (0.0, 0.0)
     with pytest.raises(ParameterError):
         thermo.blue_shift(-1.0, 0.5)
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0, 0.1, 3.7, 800.0])
+def test_blue_shift_saturates_where_cosh_minus_one_overflows(lam):
+    """cosh(lam n) - 1 = 2 sinh^2(lam n/2) is finite up to |lam| n = 710.476,
+    past the old 709: the last integer n before it gives the 40-digit value
+    (rounding lam n moves it by |lam| n eps), and the next raises naming it."""
+    import mpmath
+
+    last = math.floor(thermo._BLUE_MAX_ARG / abs(lam))
+    with mpmath.workdps(40):
+        want = float(mpmath.cosh(mpmath.mpf(lam) * last) - 1)
+    exact, _ = thermo.blue_shift(float(last), lam)
+    assert abs(exact - want) <= (abs(lam) * last + 4.0) * math.ulp(want)
+    with pytest.raises(SaturationError) as info:
+        thermo.blue_shift(last + 1.0, lam)
+    assert info.value.largest_safe_n == last

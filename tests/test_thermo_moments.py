@@ -136,9 +136,11 @@ def test_lambda_must_be_finite(lam):
 
 
 def test_cutoff_past_the_sinh_range_saturates():
+    """The cutoff's index overflows at T = 1e290; E_2 = e^600/2 is the last
+    finite "sym" level at lambda = 300."""
     with pytest.raises(SaturationError) as exc_info:
         thermo.mean_occupation(1e290, 300.0)
-    assert exc_info.value.largest_safe_n == 1
+    assert exc_info.value.largest_safe_n == 2
     with pytest.raises(SaturationError):
         thermo.mean_occupation(1.0, 710.0, "num")  # sinh(lambda) itself overflows
     # the cutoff reaches level 1 only, so its sinh argument 1.5 lambda is safe
