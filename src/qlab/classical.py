@@ -20,15 +20,14 @@ import math
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
-from .deformation import (_LN2, _SINH_MAX_ARG, _log_cosh, _log_sinh, _q_f, _sech,
-                          lambda_over_sinh, q_number)
+from .deformation import (_LN2, _SINH_MAX_ARG, _log_cosh, _log_sinh, _omega, _omega_limit,
+                          _q_f, _sech, lambda_over_sinh, q_number)
 from .errors import WORK_BUDGET, ParameterError, SaturationError, SolverError
 
 if TYPE_CHECKING:
     import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
-_COSH_MAX_ARG = math.acosh(sys.float_info.max)  # cosh overflows past it
 
 
 class ClassicalState(NamedTuple):
@@ -47,8 +46,7 @@ class ClassicalState(NamedTuple):
 
 def deform_amplitude(alpha: complex, lam: float) -> complex:
     """alpha_q = f(I) alpha, I = |alpha|^2, f = sqrt(sinh(lam I)/(I sinh lam))
-    as f_of_n takes it; 0 at alpha = 0.  A SaturationError, as omega_q gives,
-    where |lam| I passes 709."""
+    as f_of_n takes it; 0 at alpha = 0.  A SaturationError where omega_q gives one."""
     intensity = _intensity(alpha)
     if intensity == 0.0:
         return 0j
@@ -58,25 +56,21 @@ def deform_amplitude(alpha: complex, lam: float) -> complex:
 
 def omega_q(intensity: float, lam: float) -> float:
     """Orbit-dependent frequency (lam/sinh lam) cosh(lam * intensity); 1 at lam = 0.
-
-    Raises SaturationError, with the largest safe intensity, where
-    |lam| * intensity would overflow cosh.
-    """
+    A SaturationError, naming the largest safe intensity, where the value overflows."""
     if intensity < 0:
         raise ParameterError("intensity must be >= 0")
-    _check_saturation(intensity, lam, 1.0)
-    return lambda_over_sinh(lam) * math.cosh(lam * intensity)
+    return _check_saturation(intensity, lam, 1.0)
 
 
-def _check_saturation(intensity: float, lam: float, margin: float) -> None:
-    """SaturationError unless margin * |lam| * intensity <= _SINH_MAX_ARG, past
-    which cosh(lam * intensity) overflows; an infinite intensity at lam = 0 too."""
-    scale = margin * abs(lam)
-    if not scale * intensity <= _SINH_MAX_ARG:
-        safe = _SINH_MAX_ARG / scale if scale else math.inf  # lam = 0: the double range
-        safe = int(safe) if safe < sys.float_info.max else sys.float_info.max
+def _check_saturation(intensity: float, lam: float, margin: float) -> float:
+    """omega_q(margin * intensity), or a SaturationError naming the largest safe
+    intensity where it overflows; an infinite intensity at lam = 0 too."""
+    omega = _omega(lam * (margin * intensity), lam)
+    if not omega < math.inf:
+        safe = _omega_limit(lam, margin)
         raise SaturationError(f"intensity {intensity!r} at lambda = {lam!r} is past "
-                              f"the largest safe intensity {safe:.6g}", largest_safe_n=safe)
+                              f"the largest safe intensity {safe!r}", largest_safe_n=safe)
+    return omega
 
 
 def _intensity(alpha: complex) -> float:
@@ -330,19 +324,17 @@ def _rk4(q: float, p: float, lam: float, dt: float,
 
     I is checked once, up front: with w frozen, a step with dt w <= 1 takes
     the stages to at most 1.25 I; the check leaves a margin of 2.  A step
-    too long for the orbit is a SolverError where a stage cosh overflows or
+    too long for the orbit is a SolverError where a stage omega_q overflows or
     |G|^{2 n_steps} > 2, the plain steps taking I past 2 I (zero stays zero).
     """
     import numpy as np
 
     intensity = 0.5 * (q * q + p * p)
     _check_saturation(intensity, lam, 2.0)
-    c1, lam_i = lambda_over_sinh(lam), lam * intensity
+    lam_i = lam * intensity
 
-    # dt omega_q at z s, |s|^2 = s2: dt goes last, dt (lam/sinh lam) is subnormal at lam = 720
-    def h(s2: float) -> float:
-        x = lam_i * s2
-        return dt * (c1 * math.cosh(x)) if abs(x) <= _COSH_MAX_ARG else math.inf
+    def h(s2: float) -> float:  # dt omega_q at z s, |s|^2 = s2
+        return dt * _omega(lam_i * s2, lam)
 
     h1 = h(1.0)
     h2 = h(1.0 + 0.25 * h1 * h1)

@@ -2,7 +2,7 @@
 
 q-numbers, the deformation function f(n), the operator spectrum
 F(n) = n f^2(n), its increments phi(n), the inverse of F, and the
-overflow-free sech, ln cosh and ln sinh.  All are pure
+overflow-free sech, ln cosh, ln sinh and omega_q.  All are pure
 functions; q_number, f_of_n, big_f, big_f_inverse (so phi_of_z too) also
 answer a whole float64 array by the same formulas and switch points as
 masks, importing numpy on that branch only.
@@ -22,6 +22,7 @@ from .errors import ParameterError
 # sinh overflows double just above this argument.
 _SINH_MAX_ARG = 709.0
 _LN_MAX = math.log(sys.float_info.max)  # exp overflows past it
+_COSH_MAX = math.acosh(sys.float_info.max)  # cosh overflows past it
 _TINY = sys.float_info.min
 _LN2 = math.log(2.0)
 
@@ -115,6 +116,36 @@ def _log_sinh(x: float) -> float:
     return x + math.log(-0.5 * math.expm1(-2.0 * x)) if x else -math.inf
 
 
+def _omega(lam_i: float, lam: float) -> float:
+    """omega_q = (lam/sinh lam) cosh(lam I) at lam_i = lam I, inf (nan at a nan lam_i)
+    exactly where the value overflows.  x = |lam_i|, a = |lam|: past cosh's range
+    a e^{x-a}/(1 - e^{-2a}), e^{x-a} in halves; else the plain product, lam/sinh lam past
+    sinh's as 2a h^2, h = e^{-a/2}, and with h last where that is subnormal (a > 715.6)."""
+    x, a = abs(lam_i), abs(lam)
+    if not x <= _COSH_MAX:  # or nan, as at an infinite I at lam = 0
+        e = math.exp(min(0.5 * (x - a), _LN_MAX))
+        return (a / -math.expm1(-2.0 * a) * e) * e if a else math.inf
+    if a <= _SINH_MAX_ARG:
+        return (lam / math.sinh(lam) if lam else 1.0) * math.cosh(x)
+    h = math.exp(-0.5 * a)
+    if (c := (a * h) * (2.0 * h)) >= _TINY:
+        return c * math.cosh(x)
+    return ((2.0 * a * h) * math.cosh(x)) * h
+
+
+def _omega_limit(lam: float, margin: float = 1.0) -> float:
+    """The largest I with _omega at margin I finite: acosh(DBL_MAX sinh a/a)/(margin a),
+    a = |lam|, in logs, then checked one ulp each way; DBL_MAX/margin at lam = 0."""
+    a = abs(lam)
+    i = min((_LN_MAX + _LN2 + (_log_sinh(a) - math.log(a))) / a if a else math.inf,
+            sys.float_info.max) / margin
+    while i > 0.0 and not _omega(lam * (margin * i), lam) < math.inf:
+        i = math.nextafter(i, 0.0)
+    while _omega(lam * (margin * math.nextafter(i, math.inf)), lam) < math.inf:
+        i = math.nextafter(i, math.inf)
+    return i
+
+
 def _past_sinh(x, a: float, m, ln_c=0.0, root: bool = False):
     """sinh(x)/(c sinh a), c = e^ln_c, as e^{x-a-ln_c} expm1(-2x)/expm1(-2a), which
     only the value itself can overflow: n_q at x = n a, c = 1, or a thermal level.
@@ -161,17 +192,9 @@ def q_number(n, lam: float):
 
 
 def lambda_over_sinh(lam: float) -> float:
-    """lam/sinh(lam), and its limit 1 at lam = 0.
-
-    Past |lam| = _SINH_MAX_ARG, where sinh overflows, it is 2|lam| e^{-|lam|}
-    (1 - e^{-2|lam|} rounds to 1), with e^{-|lam|} taken as two halves so
-    that only the final product can leave the normal range.
-    """
-    a = abs(lam)
-    if a > _SINH_MAX_ARG:
-        half = math.exp(-0.5 * a)
-        return (a * half) * (2.0 * half)
-    return 1.0 if lam == 0 else lam / math.sinh(lam)
+    """lam/sinh(lam), and its limit 1 at lam = 0: omega_q at I = 0 (_omega), which
+    past sinh's range takes 2|lam| e^{-|lam|} as two halves of the exponential."""
+    return _omega(0.0, lam)
 
 
 def _interp(x, xp, fp, what: str):

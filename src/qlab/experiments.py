@@ -60,7 +60,7 @@ class ExperimentResult(NamedTuple):
         """The columns zipped into one dict per row.  The benchmark's
         ``deform table`` check (perfbench/workloads.py) reads ``row["n"]``
         and ``row["big_f"]`` here, and the benchmark changes only on its own;
-        this view can go once ROADMAP item 1 moves that check to ``columns``."""
+        this view can go once ROADMAP item 2 moves that check to ``columns``."""
         return [dict(zip(self.columns, row)) for row in zip(*self.columns.values())]
 
 

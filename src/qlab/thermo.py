@@ -25,7 +25,7 @@ import sys
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
-from .deformation import _LN_MAX, _SINH_MAX_ARG, _TINY, _log_sinh, _past_sinh
+from .deformation import _LN2, _SINH_MAX_ARG, _TINY, _log_cosh, _log_sinh, _past_sinh
 from .errors import WORK_BUDGET, ParameterError, SaturationError
 
 if TYPE_CHECKING:
@@ -88,12 +88,17 @@ class _Spectrum(NamedTuple):
         return out
 
     def index(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The inverse n(E) of energy() and its slope dn/dE."""
+        """The inverse n(E) of energy() and, where y = scale E is finite (the tail's
+        nodes), its slope dn/dE; past that, asinh y = ln E + ln scale + ln 2."""
         import numpy as np
 
         y = self.scale * e
         linear = y < _TINY
-        n = np.where(linear, e, np.arcsinh(y) / self.a) - self.shift
+        big = np.arcsinh(y)
+        if not (y.max() if y.ndim else y) < math.inf:
+            ln_scale = _log_sinh(self.a) - _log_cosh(self.shift * self.a)
+            big = np.where(y < math.inf, big, np.log(e) + (ln_scale + _LN2))
+        n = np.where(linear, e, big / self.a) - self.shift
         return n, np.where(linear, 1.0, (self.scale / self.a) / np.hypot(1.0, y))
 
 
@@ -224,11 +229,6 @@ def _moments(betas: list[float], lam: float, convention: str) -> list[_Moments]:
         cuts = spec.index(np.float64(cuts[0]) if one else np.array(cuts))[0]
         rows, levels, tails = [], [], []
         for r, (b, c) in enumerate(zip(betas, [float(cuts)] if one else cuts.tolist())):
-            if not c < math.inf:  # scale E overflowed in index; scale <= 2 sinh a bounds n
-                finite = spec.energy(np.arange(4.0 + (_LN_MAX + 2.0) / a)) < math.inf
-                raise SaturationError(f"the cutoff level overflows the double range at "
-                                      f"lambda = {lam!r}, T = {1.0 / b!r}",
-                                      largest_safe_n=int(finite.argmin()) - 1)
             n_end = max(2, math.ceil(c))
             smooth = a <= _EM_LAM and (b * a * math.cosh(a + a * spec.shift) / spec.scale
                                        <= _EM_SLOPE)

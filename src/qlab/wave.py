@@ -26,8 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .classical import _newton_bisect, _step_count, omega_q
-from .deformation import _SINH_MAX_ARG, _log_cosh, _log_sinh, _sech, lambda_over_sinh
-from .errors import ParameterError, SaturationError, SolverError
+from .deformation import _LN_MAX, _log_cosh, _log_sinh, _omega_limit, _sech, lambda_over_sinh
+from .errors import ParameterError, SolverError
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,22 +122,17 @@ def _invariant(phi: np.ndarray, pi: np.ndarray, lam: float) -> tuple[float, floa
 
 
 def _solve_mu_in_logs(s_phi: float, ln_s_pi: float, a: float) -> tuple[float, float]:
-    """solve_mu's fixed point with s_pi/f_q(mu)^2 = e^{ln s_pi - 2 ln f_q(mu)},
-    on [0, _SINH_MAX_ARG/a], the intensities omega_q accepts.  A root past
-    that bound raises the SaturationError that omega_q would."""
+    """solve_mu's fixed point with s_pi/f_q(mu)^2 = e^{ln s_pi - 2 ln f_q(mu)} on [0,
+    mu_max], omega_q's intensities; a root past mu_max is inf, where omega_q raises."""
     ln_s = ln_s_pi + 2.0 * (_log_sinh(a) - math.log(a))
-    mu_max = _SINH_MAX_ARG / a
+    mu_max = _omega_limit(a)
 
     def fdf(mu: float) -> tuple[float, float]:
         e = ln_s - 2.0 * _log_cosh(a * mu)
-        s = math.exp(e) if e < _SINH_MAX_ARG else math.inf
+        s = math.exp(e) if e <= _LN_MAX else math.inf
         return s_phi + s - mu, -2.0 * a * s * math.tanh(a * mu) - 1.0
 
-    if fdf(mu_max)[0] > 0.0:
-        safe = int(mu_max)
-        raise SaturationError(f"the wave invariant mu at lambda = {a!r} is past the "
-                              f"largest safe intensity {safe}", largest_safe_n=safe)
-    mu = _newton_bisect(fdf, 0.0, mu_max)
+    mu = _newton_bisect(fdf, 0.0, mu_max) if fdf(mu_max)[0] <= 0.0 else math.inf
     return mu, omega_q(mu, a)
 
 
@@ -247,7 +242,7 @@ def traveling_field(profile, direction: int, lam: float,
         phi_hat = np.fft.fft(profile)
         mu = 2.0 * float(np.sum(0.5 * np.abs(k) * np.abs(phi_hat / profile.shape[0]) ** 2))
     speed = omega_q(mu, lam)
-    if mu and speed < sys.float_info.min:  # 0 past |lam| ~ 745, digits lost before
+    if mu and speed < sys.float_info.min:  # subnormal or 0: pi would lose its digits
         raise SolverError(f"the traveling-wave speed f_q(mu) = {speed!r} at lambda = "
                           f"{lam!r} underflows the normal double range, so "
                           "pi = -speed dphi/dtheta cannot carry the invariant")

@@ -1,17 +1,16 @@
 """The thermodynamic moments as qlab computed them before thermo_table
 evaluated a whole temperature grid in shared numpy calls: one _moments
 pass per temperature, its blocks summed with np.sum and pooled in order.
-Tests compare thermo's grid pass against this, bit for bit.  Its errors
-follow the rule that a value saturates where it overflows: a cutoff whose
-index overflows names the last finite level."""
+Tests compare thermo's grid pass against this, bit for bit.  Its cutoff
+follows the rule that a value saturates where it overflows: the cutoff
+energy is at most about 1.5e303, so its index is finite (where scale E
+overflows, index takes asinh(scale E) in logs), and so is every level
+below it."""
 
 import math
-import sys
 
-import mpmath
 import numpy as np
 
-from qlab.errors import SaturationError
 from qlab.thermo import (_BLOCK, _EM_LAM, _EM_SLOPE, _GREGORY, _LN_U_STEP, _TAIL_LOG,
                          _check_lam, _Moments, _spectrum, bose_einstein)
 
@@ -48,18 +47,6 @@ def _em_tail(m, beta, spec):
                             np.array(_GREGORY) * np.exp(-x_g))))
 
 
-def last_finite_level(a, shift):
-    """The last n whose level sinh(a (n + shift))/scale is at most DBL_MAX,
-    stepping up from level 0 at 40 digits."""
-    with mpmath.workdps(40):
-        a = mpmath.mpf(a)
-        scale = 2 * mpmath.sinh(a / 2) if shift else mpmath.sinh(a)
-        n = 0
-        while mpmath.sinh(a * (n + 1 + shift)) / scale <= sys.float_info.max:
-            n += 1
-        return n
-
-
 def moments(beta, lam, convention):
     """The moments of one temperature, 1/beta."""
     a = _check_lam(lam)
@@ -70,22 +57,19 @@ def moments(beta, lam, convention):
         return _Moments(log_z, bose_einstein(beta), heat, 0, 0, "closed")
     spec = _spectrum(a, convention)
     k = _TAIL_LOG - math.log(-math.expm1(-beta))
-    x_1 = beta * float(spec.energy(np.float64(1.0)) - spec.shift)
-    with np.errstate(over="ignore", invalid="ignore"):  # scale inf past 709
+    with np.errstate(over="ignore", invalid="ignore"):  # scale inf past 709, sinh patched
+        x_1 = beta * float(spec.energy(np.float64(1.0)) - spec.shift)
         n_cut, _ = spec.index(np.float64(spec.shift + (k + min(x_1, k)) / beta))
-    if not math.isfinite(n_cut):
-        raise SaturationError(f"the cutoff level overflows the double range at "
-                              f"lambda = {lam!r}, T = {1.0 / beta!r}",
-                              largest_safe_n=last_finite_level(a, spec.shift))
-    n_end = max(2, math.ceil(n_cut))
-    smooth = a <= _EM_LAM and beta * a * math.cosh(a + a * spec.shift) / spec.scale <= _EM_SLOPE
-    direct = 1 if smooth else n_end
-    excited = _block_moments(*_em_tail(1, beta, spec)) if smooth else None
-    for start in range(1, direct, _BLOCK):
-        n = np.arange(start, min(start + _BLOCK, direct), dtype=float)
-        x = beta * (spec.energy(n) - spec.shift)
-        block = _block_moments(n, x, np.exp(-x))
-        excited = block if excited is None else _merge(excited, block)
+        n_end = max(2, math.ceil(n_cut))
+        smooth = (a <= _EM_LAM
+                  and beta * a * math.cosh(a + a * spec.shift) / spec.scale <= _EM_SLOPE)
+        direct = 1 if smooth else n_end
+        excited = _block_moments(*_em_tail(1, beta, spec)) if smooth else None
+        for start in range(1, direct, _BLOCK):
+            n = np.arange(start, min(start + _BLOCK, direct), dtype=float)
+            x = beta * (spec.energy(n) - spec.shift)
+            block = _block_moments(n, x, np.exp(-x))
+            excited = block if excited is None else _merge(excited, block)
     total, mean_n, _, m2 = _merge((1.0, 0.0, 0.0, 0.0), excited)
     return _Moments(math.log1p(excited[0]) - beta * spec.shift, mean_n, m2 / total,
                     n_end - 1, direct, "direct+em" if smooth else "direct")

@@ -89,19 +89,33 @@ def test_omega_q_frozen_value():
         classical.omega_q(-0.1, 1.0)
 
 
+def omega_edge(lam, margin=1.0):
+    """x*/(margin |lam|), x* = acosh(DBL_MAX sinh|lam|/|lam|): past margin I =
+    x*/|lam|, omega_q = (lam/sinh lam) cosh(lam I) overflows.  40 digits."""
+    with mpmath.workdps(40):
+        a = abs(mpmath.mpf(lam))
+        return float(mpmath.acosh(sys.float_info.max * mpmath.sinh(a) / a) / a / margin)
+
+
 @pytest.mark.parametrize("lam", [2.0, -2.0])
 def test_omega_q_saturates_where_cosh_overflows(lam):
-    assert math.isfinite(classical.omega_q(354.5, lam))  # |lam| I = 709
+    """The value overflows, at I = 355.536 (cosh itself at 355.238), not
+    where |lam| I passes 709; the error names the last finite intensity."""
     with pytest.raises(SaturationError) as exc_info:
-        classical.omega_q(355.0, lam)
-    assert exc_info.value.largest_safe_n == 354
+        classical.omega_q(355.6, lam)
+    edge = exc_info.value.largest_safe_n
+    assert abs(edge - omega_edge(lam)) <= math.ulp(edge)
+    assert classical.omega_q(edge, lam) > 1.79e308
+    with pytest.raises(SaturationError, match=f"largest safe intensity {edge!r}"):
+        classical.omega_q(math.nextafter(edge, math.inf), lam)
 
 
 def test_rk4_checks_the_conserved_intensity_with_a_margin():
-    """The stages overshoot I, so RK4 stops at |lam| I = 709/2."""
+    """The stages overshoot I, so RK4 stops where omega_q(2 I) overflows."""
     with pytest.raises(SaturationError) as exc_info:
         classical.integrate_eom(classical.ClassicalState(19.0, 0.0, 2.0), 1e-3, 1e-4)
-    assert exc_info.value.largest_safe_n == 177  # I = 180.5 > 709/4
+    edge = exc_info.value.largest_safe_n  # I = 180.5 > 177.768
+    assert abs(edge - omega_edge(2.0, 2.0)) <= math.ulp(edge)
 
 
 def test_momentum_frozen_value():
@@ -355,11 +369,18 @@ def test_deform_amplitude_past_sinh_overflow_matches_mpmath(lam):
 
 
 def test_deform_amplitude_saturates_with_omega_q():
-    """I_q overflows past |lambda| I = 709, as cosh does in omega_q."""
-    for alpha, lam, safe in ((30.0 + 0j, 1.0, 709), (0.95 + 0j, 800.0, 0)):
+    """deform_amplitude raises where omega_q overflows, naming the same last
+    finite intensity: 710.637 at lambda = 1, 1.87887 at 800."""
+    for alpha, lam in ((30.0 + 0j, 1.0), (1.4 + 0j, 800.0)):
         with pytest.raises(SaturationError) as exc_info:
             classical.deform_amplitude(alpha, lam)
-        assert exc_info.value.largest_safe_n == safe
+        edge = exc_info.value.largest_safe_n
+        assert abs(edge - omega_edge(lam)) <= math.ulp(edge)
+        with pytest.raises(SaturationError) as exc_info:
+            classical.omega_q(abs(alpha) ** 2, lam)
+        assert exc_info.value.largest_safe_n == edge
+    # where the old argument bound refused: I = 0.9025, omega_q = 800 e^-78
+    assert classical.deform_amplitude(0.95 + 0j, 800.0).real > 0.0
 
 
 def test_amplitude_map_commutes_with_time_evolution_past_sinh_overflow():
@@ -525,7 +546,8 @@ def max_error(track, oracle):
 
 
 def margin_q0(lam):
-    """q0 with |lam| (q0^2 / 2) on _check_saturation's margin of 2, p0 = 0."""
+    """q0 with 2 |lam| (q0^2 / 2) = 709, p0 = 0: the old margin of 2, up to
+    which reference_rk4's plain cosh stays finite at every stage."""
     q0 = math.sqrt(709.0 / abs(lam))
     while 2.0 * abs(lam) * (0.5 * q0 * q0) > 709.0:
         q0 = math.nextafter(q0, 0.0)

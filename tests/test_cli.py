@@ -189,13 +189,17 @@ def test_saturation_error_carries_largest_safe_n(capsys):
 
 
 @pytest.mark.parametrize("argv, safe", [
-    (["classical", "simulate", "--lambda", "1", "--q0", "40", "--p0", "0", "--t-end", "1"], 354),
-    (["level", "simulate", "--lambda", "1", "--re", "30", "--t-end", "1"], 354),
-    (["wave", "simulate", "--lambda", "1", "--t-end", "1", "--amplitude", "60", "--n", "16"], 709),
-])
+    (["classical", "simulate", "--lambda", "1", "--q0", "40", "--p0", "0", "--t-end", "1"],
+     355.3186497177575),
+    (["level", "simulate", "--lambda", "1", "--re", "30", "--t-end", "1"], 355.3186497177575),
+    (["wave", "simulate", "--lambda", "1", "--t-end", "1", "--amplitude", "60", "--n", "16"],
+     710.637299435515),
+], ids=["argv0-354", "argv1-354", "argv2-709"])  # fixed ids keep each case's name stable
 def test_overflowing_flow_saturates(capsys, argv, safe):
-    """|lambda| I past 709 (past 709/2 for RK4, whose stages overshoot I)
-    is one SaturationError line, not an OverflowError traceback."""
+    """An intensity whose omega_q overflows (whose omega_q at 2 I, for RK4,
+    whose stages overshoot I) is one SaturationError line, not an
+    OverflowError traceback, naming the last finite intensity:
+    acosh(DBL_MAX sinh 1) = 710.6372994355152 at 40 digits."""
     code, out, err = run(capsys, argv)
     assert (code, out) == (3, "")
     payload = json.loads(err)
@@ -290,7 +294,8 @@ def test_bracket_past_the_safe_intensity_saturates(capsys):
                                   "--alpha-re", "30"])
     assert (code, out) == (3, "")
     payload = json.loads(err)
-    assert (payload["error"], payload["largest_safe_n"]) == ("SaturationError", 709)
+    assert (payload["error"], payload["largest_safe_n"]) == ("SaturationError",
+                                                             710.637299435515)
 
 
 def test_alpha_past_sinh_overflow(capsys):
@@ -501,8 +506,18 @@ EDGE_ARGVS = [
     # C = 0 on the whole grid, every excited level frozen out: no fall
     ("thermo table --lambda 500 --t-min 1 --t-max 2 --points 2", 0, ""),
     ("thermo table --lambda 3.7 --t-min 1.5e-181 --t-max 4e-150", 0, ""),
-    ("thermo table --lambda 710 --t-min 1 --t-max 2", 3,
-     "SaturationError: the cutoff level overflows the double range at lambda = 710.0"),
+    # every level below the cutoff is finite (E <= 1.5e303), and sinh(lambda) need not be
+    ("thermo table --lambda 710 --t-min 1 --t-max 2 --points 2", 0, ""),
+    ("thermo table --lambda 710 --t-min 1 --t-max 2 --points 2 --convention num", 0, ""),
+    # omega_q by its value: the speed 2.12e-258 where lambda/sinh(lambda) underflows to 0
+    ("wave simulate --lambda 800 --t-end 1", 0, ""),
+    ("wave simulate --lambda 760 --t-end 1 --mode 1 --amplitude 0.5", 0, ""),
+    # omega_q(2 I) = 709.5 at I = 0.5; the last finite intensity is 0.9955730460865284
+    ("classical simulate --lambda 709.5 --q0 1 --p0 0 --t-end 1", 0, ""),
+    ("classical simulate --lambda 709.5 --q0 1.411079761095402 --p0 0 --t-end 0.01", 0, ""),
+    ("classical simulate --lambda 709.5 --q0 1.4110797610954022 --p0 0 --t-end 0.01", 3,
+     "SaturationError: intensity 0.9955730460865287 at lambda = 709.5 is past the largest "
+     "safe intensity 0.9955730460865284"),
     # F(1) = 1 at every lambda; at 709.5, phi(2) = F(3) - F(2) = e^1419 overflows
     ("deform table --lambda 709.5 --n-max 1", 0, ""),
     ("deform table --lambda 709.5 --n-max 2", 3,
@@ -515,6 +530,38 @@ EDGE_ARGVS = [
     ("thermo blueshift --lambda 1 --n 711", 3, "SaturationError: past lam n = 710.476"),
 ]
 SUCCESSFUL_EDGE_ARGVS = [argv.split() for argv, code, _ in EDGE_ARGVS if code == 0]
+
+
+@pytest.mark.parametrize("lam, extra", [(800.0, []),
+                                        (760.0, ["--mode", "1", "--amplitude", "0.5"])])
+def test_wave_speed_past_the_underflow_of_lambda_over_sinh(capsys, lam, extra):
+    """The speed (lambda/sinh lambda) cosh(lambda mu), where lambda/sinh lambda
+    alone underflows, matches 40-digit mpmath at the reported mu to 1e-12."""
+    code, out, err = run(capsys, ["wave", "simulate", "--lambda", str(lam), "--t-end", "1",
+                                  *extra])
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(lam)
+        want = float(a / mpmath.sinh(a) * mpmath.cosh(a * mpmath.mpf(summary["mu"])))
+    assert summary["speed"] == pytest.approx(want, rel=1e-12)
+    if lam == 800.0:
+        assert summary["speed"] == pytest.approx(2.1203172424034487e-258, rel=1e-12)
+
+
+@pytest.mark.parametrize("convention", ["sym", "num"])
+def test_thermo_table_past_the_sinh_range_matches_the_oracle(capsys, convention):
+    """At lambda = 710, where sinh(lambda) overflows, the rows are the 20-digit
+    oracle's: "num" has E_1 = 1, "sym" no excited level of any weight."""
+    code, out, err = run(capsys, ["thermo", "table", "--lambda", "710", "--t-min", "1",
+                                  "--t-max", "2", "--points", "2", "--convention", convention])
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert header == "T,Z,mean_n,C,planck_approx" and len(rows) == 2
+    for row in rows:
+        t, z, mean_n, heat = (float(v) for v in row.split(",")[:4])
+        want = [float(v) for v in oracle(t, 710.0, convention)]
+        assert [math.log(z), mean_n, heat] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("argv, exit_code, error", [row for row in EDGE_ARGVS if row[1]])

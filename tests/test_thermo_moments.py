@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from thermo_oracle import oracle
 
 from qlab import thermo
-from qlab.errors import ParameterError, SaturationError
+from qlab.errors import ParameterError
 
 
 def assert_matches_oracle(t, lam, convention, rtol=1e-12):
@@ -135,13 +135,20 @@ def test_lambda_must_be_finite(lam):
         thermo.deformed_planck_approx(1.0, lam)
 
 
-def test_cutoff_past_the_sinh_range_saturates():
-    """The cutoff's index overflows at T = 1e290; E_2 = e^600/2 is the last
-    finite "sym" level at lambda = 300."""
-    with pytest.raises(SaturationError) as exc_info:
-        thermo.mean_occupation(1e290, 300.0)
-    assert exc_info.value.largest_safe_n == 2
-    with pytest.raises(SaturationError):
-        thermo.mean_occupation(1.0, 710.0, "num")  # sinh(lambda) itself overflows
+@pytest.mark.parametrize("t, lam, convention", [
+    (1e290, 300.0, "sym"), (1e295, 300.0, "num"), (1.0, 710.0, "num"), (2.0, -710.0, "num")])
+def test_cutoff_past_the_sinh_range_is_finite(t, lam, convention):
+    """scale E overflows at the cutoff (T = 1e290, lambda = 300), or scale
+    = sinh(lambda) does (710), yet the cutoff E <= 1.5e303 has a finite index,
+    and every level below it is finite: at lambda = 300, T = 1e290, levels
+    0, 1 and 2 (E_2 = e^600/2) weigh about 1 each, so <n> = 1."""
+    assert_matches_oracle(t, lam, convention)
+
+
+def test_cutoff_past_the_sinh_range_keeps_only_the_ground_level():
+    """"sym" at lambda = 710: E_1 = sinh(1065)/(2 sinh 355) = e^710/2 has no
+    weight at T = 1, so Z = e^{-1/2}, <n> = C = 0; before, the cutoff raised."""
+    m = thermo._moments([1.0], 710.0, "sym")[0]
+    assert (m.log_z, m.mean_n, m.heat) == (-0.5, 0.0, 0.0)
     # the cutoff reaches level 1 only, so its sinh argument 1.5 lambda is safe
     assert thermo.mean_occupation(1.0, 400.0) == 0.0

@@ -309,16 +309,18 @@ def test_fourier_modes_normalization():
 
 
 def oracle_mu(s_phi, s_pi, lam):
-    """solve_mu's fixed point at 60 digits, by bisection on
-    [0, min(709/lambda, RHS(0))]; the right side falls in mu, so RHS(0)
-    bounds the root too."""
+    """solve_mu's fixed point at 60 digits, by bisection on [0, min(mu_max,
+    RHS(0))], mu_max = acosh(DBL_MAX sinh|lambda|/|lambda|)/|lambda|, past
+    which f_q overflows; the right side falls in mu, so RHS(0) bounds the
+    root too."""
     with mpmath.workdps(60):
         big = mpmath.mpf(lam)
 
         def rhs_minus_mu(mu):
             return s_phi + s_pi * (mpmath.sinh(big) / (big * mpmath.cosh(big * mu))) ** 2 - mu
 
-        lo, hi = mpmath.mpf(0), min(709 / big, rhs_minus_mu(0))
+        mu_max = mpmath.acosh(sys.float_info.max * mpmath.sinh(big) / big) / big
+        lo, hi = mpmath.mpf(0), min(mu_max, rhs_minus_mu(0))
         for _ in range(220):
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if rhs_minus_mu(mid) > 0 else (lo, mid)
@@ -364,12 +366,21 @@ def test_solve_mu_at_a_subnormal_lambda_with_tiny_pi():
 
 
 def test_solve_mu_in_logs_saturates_past_the_safe_intensity():
-    """pi of order 1e-3 at lambda = 800 needs cosh(lambda mu) ~ e^800: mu
-    passes 709/800, where omega_q overflows."""
+    """pi of order 1e-3 at lambda = 800 needs cosh(lambda mu) = cosh(785.7): mu =
+    0.982 is past the old bound 709/800, but omega_q is finite up to
+    mu_max = 1.879, so it is solved.  phi of amplitude 3 puts mu past mu_max,
+    and the error names it."""
     theta = grid(16)
+    phi, pi = 0.01 * np.cos(theta), 1e-3 * np.sin(theta)
+    mu_want, speed_want = oracle_mu(mode_sum(phi, 1), mode_sum(pi, -1), 800.0)
+    mu, speed = wave.solve_mu(phi, pi, 800.0)
+    assert abs(mu - float(mu_want)) <= 2 * np.finfo(float).eps * mu
+    assert abs(speed - float(speed_want)) <= (800 + 4) * np.finfo(float).eps * speed
     with pytest.raises(SaturationError) as exc_info:
-        wave.solve_mu(0.01 * np.cos(theta), 1e-3 * np.sin(theta), 800.0)
-    assert exc_info.value.largest_safe_n == 0
+        wave.solve_mu(3.0 * np.cos(theta), pi, 800.0)
+    with mpmath.workdps(40):
+        mu_max = float(mpmath.acosh(sys.float_info.max * mpmath.sinh(800) / 800) / 800)
+    assert abs(exc_info.value.largest_safe_n - mu_max) <= math.ulp(mu_max)
 
 
 @pytest.mark.parametrize("lam", [360.0, 400.0, -400.0, 700.0])
