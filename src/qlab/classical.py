@@ -65,6 +65,8 @@ def omega_q(intensity: float, lam: float) -> float:
 def _check_saturation(intensity: float, lam: float, margin: float) -> float:
     """omega_q(margin * intensity), or a SaturationError naming the largest safe
     intensity where it overflows; an infinite intensity at lam = 0 too."""
+    if not math.isfinite(lam):
+        raise ParameterError(f"lambda must be finite, got {lam!r}")
     omega = _omega(lam * (margin * intensity), lam)
     if not omega < math.inf:
         safe = _omega_limit(lam, margin)

@@ -17,7 +17,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import ParameterError
+from .errors import WORK_BUDGET, ParameterError
 
 # sinh overflows double just above this argument.
 _SINH_MAX_ARG = 709.0
@@ -321,8 +321,8 @@ def _read_csv_rows(source, what: str) -> list[tuple[int, list[float]]]:
     ``source`` is a path or an open text file (UTF-8, LF or CRLF line ends).
     Blank lines are skipped, and so is the first nonblank row if it does not
     parse as numbers (a header).  An unreadable file, any later non-numeric
-    row or a nan or infinite cell raises ParameterError naming ``what`` and
-    the line.
+    row, a nan or infinite cell or a data row past WORK_BUDGET raises
+    ParameterError naming ``what`` and the line.
     """
     try:
         if hasattr(source, "read"):
@@ -346,6 +346,9 @@ def _read_csv_rows(source, what: str) -> list[tuple[int, list[float]]]:
         else:
             if not all(map(math.isfinite, values)):
                 raise ParameterError(f"{what} line {reader.line_num}: non-finite value")
+            if len(rows) == WORK_BUDGET:  # the bound of --n, before the rows cost more
+                raise ParameterError(f"{what} line {reader.line_num}: more than "
+                                     f"WORK_BUDGET = {WORK_BUDGET} data rows")
             rows.append((reader.line_num, values))
         header_allowed = False
     return rows

@@ -12,8 +12,8 @@ is decided empirically by planck_coefficient_check, not assumed.
 
 ln Z, <n> and C = beta^2 Var E all come from one pass over the spectrum
 for a whole temperature grid, _moments (one temperature is a grid of one):
-a closed-form cutoff, a centred variance, and a direct sum, or an
-Euler-Maclaurin tail from level 1 where the levels are smooth.  numpy is
+a closed-form cutoff, a centred variance, Gregory's rule over the smooth
+head of the levels, 1 .. J, and a direct sum past it.  numpy is
 imported only by that pass and by energy_levels; the closed forms (the blue
 shift, the Planck formula, the 1/ln T law) run without it.
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -38,8 +39,8 @@ _BLUE_MAX_ARG = 2.0 * math.asinh(math.sqrt(0.5 * sys.float_info.max))  # cosh x 
 _T_MIN, _T_MAX = 1e-300, 1e300  # keeps 1/T and the tail's energies ~1e3 T finite
 _TAIL_LOG = math.log(1e18)  # levels left out weigh < 1e-18 of level 1 (_moments)
 _BLOCK = 1 << 13  # levels per block: temporaries stay this long however long the sum
-_EM_LAM, _EM_SLOPE = 1e-3, 1e-2  # smooth enough for the tail from level 1 (_moments)
-# WORK_BUDGET units (~2 us) per temperature and per level or tail node summed (README)
+_EM_SLOPE = 1e-2  # Gregory's rule sums the levels up to where x' nears this (_moments)
+# WORK_BUDGET units (~2 us) per temperature and per level or head node summed (README)
 _POINT_COST, _LEVEL_COST = 16.0, 0.01
 # Step of the tail's trapezoid rule in s = ln u.  The integrand is analytic
 # for |Im s| < pi/2, so 1/8 errs by ~1e-20 (1/4 measured 6e-14); a binary
@@ -93,13 +94,15 @@ class _Spectrum(NamedTuple):
         import numpy as np
 
         y = self.scale * e
-        linear = y < _TINY
         big = np.arcsinh(y)
         if not (y.max() if y.ndim else y) < math.inf:
             ln_scale = _log_sinh(self.a) - _log_cosh(self.shift * self.a)
             big = np.where(y < math.inf, big, np.log(e) + (ln_scale + _LN2))
-        n = np.where(linear, e, big / self.a) - self.shift
-        return n, np.where(linear, 1.0, (self.scale / self.a) / np.hypot(1.0, y))
+        n, slope = big / self.a - self.shift, (self.scale / self.a) / np.hypot(1.0, y)
+        if (y.min() if y.ndim else y) < _TINY:  # E = n + shift where scale E underflows
+            linear = y < _TINY
+            n, slope = np.where(linear, e - self.shift, n), np.where(linear, 1.0, slope)
+        return n, slope
 
 
 def _spectrum(a: float, convention: str) -> _Spectrum:
@@ -113,7 +116,7 @@ class _Moments(NamedTuple):
     mean_n: float
     heat: float    # C = beta^2 Var E
     cutoff: int    # largest level index inside the tail bound
-    terms: int     # levels summed one by one
+    terms: int     # level 0, the levels summed one by one and the head's nodes
     tail: str      # "closed", "direct" or "direct+em"
 
 
@@ -128,9 +131,9 @@ def _segments(sizes: tuple[int, ...], first: tuple[int, ...]):
         n = np.arange(first[0], first[0] + ends[0], dtype=float)
         return (lambda v: v[0]), (lambda a: [float(add(a))]), n
     cuts, reps = list(zip([0, *ends], ends)), np.array(sizes)
-    n = np.arange(float(ends[-1])) + np.repeat([f - i for f, (i, _) in zip(first, cuts)], reps)
+    offsets = np.array([f - i for f, (i, _) in zip(first, cuts)]).repeat(reps)
     return ((lambda v: np.array(v).repeat(reps)),
-            (lambda a: [float(add(a[i:j])) for i, j in cuts]), n)
+            (lambda a: [float(add(a[i:j])) for i, j in cuts]), np.arange(float(ends[-1])) + offsets)
 
 
 def _merge(a, b):
@@ -143,41 +146,29 @@ def _merge(a, b):
     return w, na + (nb - na) * share, xa + d * share, qa + qb + d * d * wa * share
 
 
-def _pool(spec: _Spectrum, betas: list[float], e_1: float, levels: list, tails: list) -> list:
-    """Each row's blocks, (sum w, mean n, mean x, sum w (x - mean x)^2) of a
-    segment (row, start, size) weighted w = e^-x, pooled in order, in chunks
-    of at most _BLOCK elements or one longer segment.  Level segments hold
-    levels start .. start + size - 1.  A tail holds e^-x_1 times the integral
-    of e^-u dn/du over u = beta (E - E_1) > 0, by the trapezoid rule in ln u
-    on u_0 = start, u_0 + _LN_U_STEP, .., spanning [min(rho, 1) e^-42,
-    45 - ln min(rho, 1)] (dn/du has its branch points at |u| = rho,
-    |Im ln u| >= pi/2), plus Gregory's correction at n = 1 .. 7."""
+def _pool(spec: _Spectrum, betas: list[float], levels: list, heads: list) -> list:
+    """Each row's blocks, (sum w, mean n, mean x, sum w (x - mean x)^2) of a segment
+    (row, size, ..) weighted w = e^-x, pooled in order, in chunks of at most _BLOCK
+    elements or one longer segment: levels (row, size, start .. start + size - 1),
+    or a head (row, size, ends), Gregory's sum over levels 1 .. J (_head)."""
     import numpy as np
 
     chunks, pooled = [], [None] * len(betas)
-    for tail, segments in ((False, levels), (True, tails)):
+    for head, segments in ((False, levels), (True, heads)):
         size = _BLOCK
         for seg in segments:
-            if size + seg[2] > _BLOCK:
-                chunks.append((tail, []))
+            if size + seg[1] > _BLOCK:
+                chunks.append((head, []))
                 size = 0
             chunks[-1][1].append(seg)
-            size += seg[2]
-    for tail, chunk in chunks:
-        rows, start, size = zip(*chunk)
-        spread, sums, n = _segments(size, (0,) * len(size) if tail else start)
-        b = spread([betas[r] for r in rows])
-        if tail:  # n counts each tail's nodes; g is n on Gregory's, the last 7, else 0
-            g = np.maximum(n - spread([s - len(_GREGORY) - 1 for s in size]), 0).astype(int)
-            u = np.exp(spread(start) + n * _LN_U_STEP)
-            n, slope = spec.index(e_1 + u / b)
-            x = b * (e_1 - spec.shift) + u
-            x_g = b * (spec.energy(np.arange(len(_GREGORY) + 1.0)) - spec.shift)[g]
-            w = np.where(g, np.array((0.0, *_GREGORY))[g] * np.exp(-x_g),
-                         _LN_U_STEP * (u / b) * slope * np.exp(-x))
-            n, x = np.where(g, g, n), np.where(g, x_g, x)
+            size += seg[1]
+    for head, chunk in chunks:
+        rows, size, start = zip(*chunk)
+        spread, sums, n = _segments(size, (0,) * len(size) if head else start)
+        if head:
+            n, x, w = _head(spec, betas, chunk)
         else:
-            x = b * (spec.energy(n) - spec.shift)
+            x = spread([betas[r] for r in rows]) * (spec.energy(n) - spec.shift)
             w = np.exp(-x)
         total = sums(w)
         p = w / spread(total)  # nan in the all-zero segments, which are dropped below
@@ -189,28 +180,73 @@ def _pool(spec: _Spectrum, betas: list[float], e_1: float, levels: list, tails: 
     return pooled
 
 
+def _grid(b: float, e_m: float, spec: _Spectrum) -> tuple[float, int]:
+    """u_0 and the node count of the trapezoid rule in ln u on u_0, u_0 + _LN_U_STEP, ..
+    for the tail from energy e_m: [min(rho, 1) e^-42, 45 - ln min(rho, 1)], rho =
+    beta |E_m + i/scale|, where dn/du has its branch points (|Im ln u| >= pi/2)."""
+    ln_rho = math.log(min(b * math.hypot(e_m, 1.0 / spec.scale), 1.0))
+    u_0 = math.floor(ln_rho) - 42.0
+    return u_0, math.ceil((math.log(45.0 - ln_rho) - u_0) / _LN_U_STEP)
+
+
+def _head(spec: _Spectrum, betas: list[float], chunk: list):
+    """(n, x, w) of each head's nodes, for each end (m, u_0, nodes, arg_error), m = 1
+    or J: +-e^-x_m times the integral of e^-u dn/du over u = beta (E - E_m) > 0
+    (_grid), then Gregory's weights on levels m, m +- 1, .., m +- 6.  E_J takes back
+    the rounding of |lam| (J + shift), which would move the integral's end."""
+    import numpy as np
+
+    g = len(_GREGORY)
+    ends = [(betas[r], *end) for r, _, ends in chunk for end in ends]
+    b, m, u_0, _, arg_error = np.array(ends).T
+    sign = np.sign(1.5 - m)
+    n_g = m[:, None] + sign[:, None] * np.arange(float(g))
+    e_g = spec.energy(n_g)
+    x_g = b[:, None] * (e_g - spec.shift)
+    e_m = e_g[:, 0]
+    if len(ends) > len(chunk):  # a tail from J: dE/d(a (n + shift)) = |E + i/scale|
+        e_m = e_m + arg_error * np.hypot(e_m, 1.0 / spec.scale)
+    spread, _, k = _segments([end[3] for end in ends], (0,) * len(ends))
+    u = np.exp(spread(u_0) + k * _LN_U_STEP)
+    u_b = u / spread(b)
+    n, slope = spec.index(spread(e_m) + u_b)
+    x = spread(b * (e_m - spec.shift)) + u
+    trapezoid = (n, x, spread(sign * _LN_U_STEP) * u_b * slope * np.exp(-x))
+    gregory = (n_g, x_g, np.array(_GREGORY) * np.exp(-x_g))
+    if len(chunk) == 1:  # a single temperature's call
+        return [np.concatenate((t, e.ravel())) for t, e in zip(trapezoid, gregory)]
+    cut_t = [0, *accumulate(sum(end[2] for end in ends) for *_, ends in chunk)]
+    cut_g = [0, *accumulate(len(ends) for *_, ends in chunk)]
+    return [np.concatenate([v for i in range(len(chunk))
+                            for v in (t[cut_t[i]:cut_t[i + 1]], e[cut_g[i]:cut_g[i + 1]].ravel())])
+            for t, e in zip(trapezoid, gregory)]
+
+
 def _check_cost(points: int, summed: int) -> None:
     if not (cost := points * _POINT_COST + summed * _LEVEL_COST) <= WORK_BUDGET:
-        levels = f" and {summed} levels to sum" if summed else ""
-        raise ParameterError(f"{points} temperatures{levels} cost {cost:.6g} work units, past "
+        terms = f" and {summed} terms to sum" if summed else ""
+        raise ParameterError(f"{points} temperatures{terms} cost {cost:.6g} work units, past "
                              f"the limit of {WORK_BUDGET}")
 
 
 def _moments(betas: list[float], lam: float, convention: str) -> list[_Moments]:
     """ln Z, <n> and C = beta^2 Var E at each beta of a grid, in one pass.
 
-    With x_n = beta (E_n - E_0), the levels from N on weigh at most
-    e^-x_N/(1 - e^-beta).  So levels 0, 1 and every level with
-    x_n < K + min(x_1, K), K = ln(1e18) - ln(1 - e^-beta), leave out less
-    than 1e-18 of w_1 = e^-x_1, which carries <n> and C when cold.  The
-    last such index is E_n inverted in closed form.  lam = 0 has closed forms.
-    Levels >= 1 are summed in Chan-Golub-LeVeque-pooled blocks (a centred C),
-    or by an Euler-Maclaurin tail (_pool) where the slope s = x' is small:
-    Gregory's rule errs by ~G_7 D^7 g <= 0.01 * 42 s^7 on g = x^j e^-x
-    (j <= 2), against a sum >= 1/s, so by 0.5 s^8 relative: 5e-17 for
-    beta E'(1) <= _EM_SLOPE at n = 1, and 3e-21 at most for s ~ |lam| x
-    further out, where |lam| <= _EM_LAM.  The grid is planned and priced
-    (_check_cost) before any sum; each row is bit for bit its own grid's.
+    With x_n = beta (E_n - E_0), the levels from N on weigh at most e^-x_N/(1 - e^-beta).
+    So levels 0, 1 and every level with x_n < K + min(x_1, K), K = ln(1e18) - ln(1 -
+    e^-beta), leave out less than 1e-18 of w_1 = e^-x_1, which carries <n> and C when
+    cold; the last, the cutoff, is E_n inverted in closed form.  lam = 0 has closed
+    forms.  A head 1 .. J takes Gregory's rule (_head), where it has fewer nodes than
+    levels, and the rest are summed one by one, in Chan-Golub-LeVeque-pooled blocks.
+    With s = x'(n), x^(k) <= |lam|^(k-1) s, so the 7th derivative of g = x^j e^-x
+    (j <= 2), left to the rule's next coefficient 0.0094, is at most ~42 * 877 s m^6 g
+    (877 partitions of 7), m = max(s, |lam|).  J, in closed form, is the last level
+    with s m^6 <= _EM_SLOPE^7: an end errs by <= 3.5e-12 w_J against a head of over
+    367 such weights, 1e-14 relative (1e-16 measured).  Where 7 |lam| <= _EM_SLOPE,
+    s <= _EM_SLOPE (1 + x/7) and (1 + x/7)^7 <= e^x keep s m^6 w below that bound at
+    every level, so J is the cutoff, and a head there runs to infinity, where w <
+    1e-18 w_1.  The grid is planned and priced (_check_cost) before any sum; each row
+    is bit for bit its own grid's.
     """
     import numpy as np
 
@@ -220,6 +256,10 @@ def _moments(betas: list[float], lam: float, convention: str) -> list[_Moments]:
                          bose_einstein(b), (b * math.exp(-0.5 * b) / -math.expm1(-b)) ** 2,
                          0, 0, "closed") for b in betas]
     spec = _spectrum(a, convention)
+    g = len(_GREGORY)
+    # s m^6 <= _EM_SLOPE^7 is beta a cosh(a (n + shift))/scale <= _EM_SLOPE min(1, _EM_SLOPE/a)^6
+    ln_y = (7.0 * math.log(_EM_SLOPE) - 6.0 * math.log(max(a, _EM_SLOPE))
+            + _log_sinh(a) - _log_cosh(spec.shift * a) - math.log(a))
     # e^-x is 0 where x overflows, and 0/0 marks a block whose weights all underflow
     with np.errstate(all="ignore"):
         e_1 = float(spec.energy(np.float64(1.0)))
@@ -227,21 +267,30 @@ def _moments(betas: list[float], lam: float, convention: str) -> list[_Moments]:
                 for b in betas for k in [_TAIL_LOG - math.log(-math.expm1(-b))]]
         one = len(cuts) == 1  # a 0-d float64 passes index faster than an array
         cuts = spec.index(np.float64(cuts[0]) if one else np.array(cuts))[0]
-        rows, levels, tails = [], [], []
+        rows, levels, heads = [], [], []
         for r, (b, c) in enumerate(zip(betas, [float(cuts)] if one else cuts.tolist())):
             n_end = max(2, math.ceil(c))
-            smooth = a <= _EM_LAM and (b * a * math.cosh(a + a * spec.shift) / spec.scale
-                                       <= _EM_SLOPE)
-            direct = 1 if smooth else n_end
-            if smooth:
-                ln_rho = math.log(min(b * math.hypot(e_1, 1.0 / spec.scale), 1.0))
-                u_0 = math.floor(ln_rho) - 42.0
-                nodes = math.ceil((math.log(45.0 - ln_rho) - u_0) / _LN_U_STEP)
-                tails.append((r, u_0, nodes + len(_GREGORY)))
-            levels += [(r, s, min(s + _BLOCK, direct) - s) for s in range(1, direct, _BLOCK)]
-            rows.append((n_end - 1, direct, "direct+em" if smooth else "direct"))
-        _check_cost(len(betas), len(betas) + sum([s[2] for s in levels + tails]))
-        pooled = _pool(spec, betas, e_1, levels, tails)
+            y = max(ln_y - math.log(b), 0.0)  # acosh e^y = y + ln(1 + sqrt(1 - e^-2y))
+            join = int(min((y + math.log1p(math.sqrt(-math.expm1(-2.0 * y)))) / a - spec.shift,
+                           n_end - 1))
+            if join and 7.0 * a <= _EM_SLOPE:  # then the bound holds at every level
+                join = n_end - 1
+            size = 0
+            if join > 42.0 / _LN_U_STEP:  # a head has more nodes than that
+                ends = [(1, *_grid(b, e_1, spec), 0.0)]
+                if ends[0][2] + g < join < n_end - 1:  # a tail from J, subtracted, E_J's sinh
+                    arg = Fraction(a) * Fraction(join + spec.shift)  # argument exact
+                    ends.append((join, *_grid(b, float(spec.energy(np.float64(join))), spec),
+                                 float(arg - Fraction(a * (join + spec.shift)))))
+                size = sum(nodes + g for _, _, nodes, _ in ends)
+            if join > size > 0:  # a head only where it sums fewer terms
+                heads.append((r, size, ends))
+            else:
+                join = size = 0
+            levels += [(r, min(_BLOCK, n_end - s), s) for s in range(join + 1, n_end, _BLOCK)]
+            rows.append((n_end - 1, n_end - join + size, "direct+em" if size else "direct"))
+        _check_cost(len(betas), sum([row[1] for row in rows]))
+        pooled = _pool(spec, betas, levels, heads)
     return [_Moments(math.log1p(ex[0]) - b * spec.shift, m[1], m[3] / m[0], *row)
             for b, row, ex in zip(betas, rows, pooled) for m in [_merge((1.0, 0.0, 0.0, 0.0), ex)]]
 

@@ -110,6 +110,17 @@ def test_omega_q_saturates_where_cosh_overflows(lam):
         classical.omega_q(math.nextafter(edge, math.inf), lam)
 
 
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_lambda_is_a_parameter_error(lam):
+    """omega_q, deform_amplitude and RK4 share one check, which names lambda
+    before any saturation bound (that bound would read nan)."""
+    for call in (lambda: classical.omega_q(1.0, lam),
+                 lambda: classical.deform_amplitude(1.0 + 0.5j, lam),
+                 lambda: classical._rk4(1.0, 0.0, lam, 1e-3, 10)):
+        with pytest.raises(ParameterError, match="lambda must be finite"):
+            call()
+
+
 def test_rk4_checks_the_conserved_intensity_with_a_margin():
     """The stages overshoot I, so RK4 stops where omega_q(2 I) overflows."""
     with pytest.raises(SaturationError) as exc_info:

@@ -461,11 +461,11 @@ EDGE_ARGVS = [
     ("thermo levels --lambda 0 --n-max 1000000000000", 2,
      "ParameterError: n_max must be >= 1 and <= 1000000"),
     # a temperature grid priced past the work budget, one temperature more
-    # than fits: 62500 closed-form rows, or 144 rows of 690,468 levels
+    # than fits: 62500 closed-form rows, or 9016 rows of a head and 3,650 levels
     ("thermo table --lambda 0 --t-min 1 --t-max 10 --points 62501", 2,
      "ParameterError: 62501 temperatures cost 1.00002e+06 work units, past the limit of 1000000"),
-    ("thermo table --lambda 1.001e-3 --t-min 1e299 --t-max 1e300 --points 145", 2,
-     "ParameterError: 145 temperatures and 99950820 levels to sum cost"),
+    ("thermo table --lambda 1.43e-3 --t-min 1e299 --t-max 1e300 --points 9017", 2,
+     "ParameterError: 9017 temperatures and 85582506 terms to sum cost"),
     ("classical simulate --lambda 0.5 --q0 1 --p0 0 --t-end 0.01 --stride 0", 2,
      "ParameterError: stride must be >= 1 and <= 1000000"),
     ("level simulate --lambda 0.5 --re 0.5 --t-end 0.01 --stride 0", 2,
@@ -1188,9 +1188,10 @@ def test_run_experiment_rejects_unknown_params():
 
 
 def test_thermo_table_sums_a_long_spectrum(capsys):
-    """lambda = 1e-5 up to T = 1e6 reaches level 7e5, each row by the
-    Euler-Maclaurin tail from level 1: the JSON summary says so, and the
-    rows match the mpmath oracle."""
+    """lambda = 1e-5 up to T = 1e6 reaches level 7e5, each row by a head of
+    Gregory's rule from level 1 to the cutoff: the JSON summary says so, its
+    terms count level 0 and each head's nodes and 7 levels (375, 375 and
+    399), and the rows match the mpmath oracle."""
     argv = ["thermo", "table", "--lambda", "1e-5", "--t-min", "1e4", "--t-max", "1e6",
             "--points", "3"]
     code, out, err = run(capsys, argv)
@@ -1204,7 +1205,7 @@ def test_thermo_table_sums_a_long_spectrum(capsys):
     code, out, _ = run(capsys, argv + ["--format", "json"])
     summary = json.loads(out)
     assert code == 0 and summary["tail"] == "direct+em"
-    assert summary["cutoff_used"] == 700781 and summary["terms"] == 3
+    assert summary["cutoff_used"] == 700781 and summary["terms"] == 1149
     closed = experiments.run_experiment(
         "thermo table", {"lambda": 0.0, "t_min": 1.0, "t_max": 2.0, "points": 2})
     assert (closed.summary["terms"], closed.summary["tail"]) == (0, "closed")
@@ -1291,6 +1292,25 @@ def test_wave_ic_missing_file_exits_two(capsys, tmp_path):
                                 "--ic", str(tmp_path / "absent.csv")])
     assert code == 2
     assert json.loads(err)["error"] == "ParameterError"
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["wave", "simulate", "--lambda", "0.5", "--t-end", "1", "--ic"], wave_ic_lines()),
+    (["coherent", "recover", "--format", "json", "--coeffs"], ["1.0", "0.5", "0.2", "0.05"]),
+    (["operators", "check", "--kind", "custom", "--dim", "40", "--f-table"],
+     [f"{n},{math.sqrt(1.0 + 0.05 * n)!r}" for n in range(40)])])
+def test_input_files_stop_at_the_row_bound_of_n(capsys, tmp_path, monkeypatch, argv, rows):
+    """--ic, --coeffs and --f-table files are refused at data row WORK_BUDGET
+    + 1, as --n is past WORK_BUDGET: here with the bound lowered to the rows."""
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    monkeypatch.setattr(deformation, "WORK_BUDGET", len(rows))
+    assert run(capsys, argv + [str(path)])[0] == 0
+    monkeypatch.setattr(deformation, "WORK_BUDGET", len(rows) - 1)
+    code, out, err = run(capsys, argv + [str(path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"].endswith(
+        f"line {len(rows)}: more than WORK_BUDGET = {len(rows) - 1} data rows")
 
 
 COEFFS = [1.0, 0.5, 0.2, 0.05]  # f(n) = C_{n-1} / (C_n sqrt n)

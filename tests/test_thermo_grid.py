@@ -40,11 +40,12 @@ def assert_grid_matches_reference(temps, lam, convention):
     return [m.tail if m.terms <= thermo._BLOCK else "multi-block" for m in want]
 
 
-# lambda = 1e-5 at T = 99 sums 2 blocks directly; at and past 1e3 it takes
-# the Euler-Maclaurin tail; 1.0005e-3 sums up to 3 blocks below T = 1e8.
+# lambda = 1e-5 sums its levels directly at T = 99 and takes a head to the
+# cutoff from 99.5 on; 2e-3 takes a head and then levels up to the cutoff at
+# 1e5, and at 1e300 more terms than a block.
 MIXED = {0.0: [0.5, 1e6, 1e-3, 4.0],
          1e-5: [1e4, 0.5, 99.0, 1e300, 3.0, 99.5],
-         1.0005e-3: [1e8, 0.02, 1e5, 7.0],
+         2e-3: [1e300, 0.02, 1e5, 7.0],
          0.3: [64.0, 0.25, 1e-300, 2.0]}
 
 
@@ -64,8 +65,6 @@ _temps = st.lists(st.floats(min_value=-3.0, max_value=8.0).map(lambda e: 10.0 **
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_lams, _temps, st.sampled_from(thermo.CONVENTIONS), st.randoms(use_true_random=False))
 def test_every_row_is_its_own_grid_in_any_order(lam, temps, convention, random):
-    if lam > thermo._EM_LAM:  # keep each direct sum to a few blocks
-        temps = [min(t, 1e8) for t in temps]
     assert_grid_matches_reference(temps, lam, convention)
     random.shuffle(temps)
     assert_grid_matches_reference(temps, lam, convention)
@@ -93,19 +92,25 @@ def test_a_grid_past_the_work_budget_is_refused_before_any_sum(monkeypatch):
     def no_sum(*args):
         raise AssertionError("summed a grid past the budget")
 
+    # about the most terms one temperature sums: a head and 3,650 levels
+    assert thermo._moments([1e-300], 1.43e-3, "sym")[0].terms == 9504
     monkeypatch.setattr(thermo, "_pool", no_sum)
-    with pytest.raises(ParameterError, match="145 temperatures and 99950820 levels to sum"):
-        thermo.thermo_table(np.geomspace(1e299, 1e300, 145), 1.001e-3, "sym")
+    with pytest.raises(ParameterError, match="9017 temperatures and 85582506 terms to sum"):
+        thermo.thermo_table(np.geomspace(1e299, 1e300, 9017), 1.43e-3, "sym")
 
 
 def test_the_longest_single_sum_stays_under_a_megabyte():
-    """690,468 levels, the most one temperature sums, pass in blocks."""
-    thermo.specific_heat(1e300, 1.001e-3)
-    tracemalloc.start()
-    try:
-        heat = thermo.specific_heat(1e300, 1.001e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert heat == moments(1e-300, 1.001e-3, "sym").heat
-    assert peak < 1e6, f"peak traced allocation {peak} bytes"
+    """A head of 5,852 nodes and 3,650 levels, about the most one temperature
+    sums, pass in blocks; and 6,381 levels, the longest direct sum of a sweep
+    of lambda over [1e-8, 10] and T over [0.1, 1e300]."""
+    for lam, convention in ((1.43e-3, "sym"), (0.10904204429677526, "num")):
+        thermo.specific_heat(1e300, lam, convention)
+        tracemalloc.start()
+        try:
+            heat = thermo.specific_heat(1e300, lam, convention)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert heat == moments(1e-300, lam, convention).heat
+        assert peak < 1e6, f"peak traced allocation {peak} bytes"
+    assert thermo._moments([1e-300], 0.10904204429677526, "num")[0][4:] == (6382, "direct")

@@ -1,7 +1,7 @@
 """The one-pass thermodynamic moments (thermo._moments) against an mpmath
-oracle (thermo_oracle.py), on both sides of the bounds of the
-Euler-Maclaurin tail and of the old 1e-6 switch, plus hypothesis
-properties, a memory bound and the typed range errors.
+oracle (thermo_oracle.py), on both sides of the join of Gregory's head and
+of the old 1e-6 switch, plus hypothesis properties, a memory bound and the
+typed range errors.
 """
 
 import math
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from thermo_oracle import oracle
 
 from qlab import thermo
+from qlab.deformation import _log_cosh, _log_sinh
 from qlab.errors import ParameterError
 
 
@@ -41,29 +42,65 @@ def test_cold_moments_keep_their_relative_accuracy(lam):
             assert_matches_oracle(t, lam, convention)
 
 
-def slope_bound_temperature(lam, convention):
-    """The T at which beta E'(1) meets thermo._EM_SLOPE."""
-    spec = thermo._spectrum(lam, convention)
-    return lam * math.cosh(lam * (1.0 + spec.shift)) / spec.scale / thermo._EM_SLOPE
+def join_temperature(lam, convention, level):
+    """The T at which the join of _moments reaches level, where beta E'(level)
+    = _EM_SLOPE min(1, _EM_SLOPE/|lambda|)^6 (inf past the double range)."""
+    a, shift = abs(lam), (0.5 if convention == "sym" else 0.0)
+    ln_t = (math.log(a) + _log_cosh(a * (level + shift)) - _log_sinh(a) + _log_cosh(a * shift)
+            - math.log(thermo._EM_SLOPE) - 6.0 * math.log(min(1.0, thermo._EM_SLOPE / a)))
+    return math.exp(min(ln_t, 709.0))
+
+
+def plan(t, lam, convention):
+    return thermo._moments([1.0 / t], lam, convention)[0][3:]
+
+
+def across_a_change_of_plan(lo, hi, lam, convention, key=plan):
+    """Adjacent temperatures in [lo, hi] across which key, plan or tail,
+    changes, by bisection in ln T and then in T."""
+    first = key(lo, lam, convention)
+    assert first != key(hi, lam, convention), (lo, hi, lam, convention)
+    while math.nextafter(lo, hi) < hi:
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        mid = mid if lo < mid < hi else math.nextafter(lo, hi)
+        if key(mid, lam, convention) == first:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def tail(t, lam, convention):
+    return plan(t, lam, convention)[2]
+
+
+def assert_continuous(lo, hi, lam, convention, rtol=1e-14):
+    below, above = (thermo._moments([1.0 / x], lam, convention)[0] for x in (lo, hi))
+    for name, a, b in zip(("ln Z", "<n>", "C"), below, above):
+        assert abs(a - b) <= rtol * abs(b), \
+            f"{name}(T={lo!r}/{hi!r}, lambda={lam!r}, {convention}): {a!r} vs {b!r}"
 
 
 @pytest.mark.parametrize("convention", thermo.CONVENTIONS)
-def test_direct_and_em_sides_of_each_bound_agree(convention):
-    """Levels >= 1 go to the Euler-Maclaurin tail where |lambda| <=
-    _EM_LAM and beta E'(1) <= _EM_SLOPE: either side of each bound the
-    method changes, not the accuracy."""
-    bound = thermo._EM_LAM
-    for t in (1e4, 1e6):
-        below = assert_matches_oracle(t, bound * (1.0 - 1e-9), convention)
-        above = assert_matches_oracle(t, bound * (1.0 + 1e-9), convention)
-        assert (below.tail, below.terms) == ("direct+em", 1)
-        assert (above.tail, above.terms) == ("direct", above.cutoff + 1)
-    for lam in (1e-6, bound):
-        t = slope_bound_temperature(lam, convention)
-        cold = assert_matches_oracle(t * (1.0 - 1e-9), lam, convention)
-        hot = assert_matches_oracle(t * (1.0 + 1e-9), lam, convention)
-        assert (cold.tail, cold.terms) == ("direct", cold.cutoff + 1)
-        assert (hot.tail, hot.terms) == ("direct+em", 1)
+def test_both_sides_of_the_join_and_of_the_head_agree_with_the_oracle(convention):
+    """Levels 1 .. J take Gregory's rule and the rest are summed one by one.
+    Where the head appears, at J = 1 where 7 |lambda| <= _EM_SLOPE (it then
+    runs to the cutoff) and at J above its node count elsewhere, and where J
+    moves by one level, the method changes, not the accuracy."""
+    edges = [(lam, *across_a_change_of_plan(join_temperature(lam, convention, 1) * 0.999,
+                                            join_temperature(lam, convention, 1) * 1.001,
+                                            lam, convention, tail)) for lam in (1e-6, 1e-3)]
+    edges += [(lam, *across_a_change_of_plan(join_temperature(lam, convention, 10),
+                                             join_temperature(lam, convention, 3000),
+                                             lam, convention, tail)) for lam in (2e-3, 0.02)]
+    for lam, level in ((2e-3, 3000), (0.02, 2000), (0.05, 8000), (0.1, 6000)):
+        t = join_temperature(lam, convention, level)
+        edges.append((lam, *across_a_change_of_plan(t, t * (1.0 + 2.0 * lam), lam, convention)))
+    for lam, lo, hi in edges:
+        assert_continuous(lo, hi, lam, convention)
+        assert assert_matches_oracle(lo, lam, convention)[3:] != \
+            assert_matches_oracle(hi, lam, convention)[3:]
+    assert {tail(hi, lam, convention) for lam, _, hi in edges} == {"direct+em"}
 
 
 def test_undeformed_closed_form_is_the_limit():
@@ -102,17 +139,38 @@ def test_occupation_tends_to_bose_einstein(lam_exp, x, convention):
 
 
 def test_long_sum_memory_is_bounded():
-    """The longest direct sum, 6.3e5 levels just above _EM_LAM at the
-    hottest T, passes in blocks: no array as long as the sum."""
-    tracemalloc.start()
-    try:
-        m = thermo._moments([1.0 / 1e300], 1.1e-3, "sym")[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (m.tail, m.terms) == ("direct", 628411)
-    assert abs(m.heat / oracle(1e300, 1.1e-3, "sym")[2] - 1.0) <= 1e-12
-    assert peak < 4e6, f"peak traced allocation {peak} bytes"
+    """The longest direct sum, 6,382 terms at the hottest T (a sweep of lambda
+    over [1e-8, 10]), and a head of 5,852 nodes with 3,650 levels past it,
+    pass in blocks: no array as long as the sum."""
+    for lam, convention, plan_ in ((0.10904204429677526, "num", (6382, "direct")),
+                                   (1.43e-3, "sym", (9504, "direct+em"))):
+        tracemalloc.start()
+        try:
+            m = thermo._moments([1.0 / 1e300], lam, convention)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (m.terms, m.tail) == plan_
+        assert abs(m.heat / oracle(1e300, lam, convention)[2] - 1.0) <= 1e-12
+        assert peak < 4e6, f"peak traced allocation {peak} bytes"
+
+
+_lams_to_2 = st.floats(min_value=-6.0, max_value=math.log10(2.0)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_lams_to_2, st.sampled_from(thermo.CONVENTIONS), st.floats(min_value=0.0, max_value=1.0))
+def test_moments_are_continuous_across_the_join_and_the_head(lam, convention, q):
+    """ln Z, <n> and C at two adjacent temperatures across which the head
+    appears, or J (or the cutoff) moves by one level, agree to 1e-14 relative."""
+    if 7.0 * lam <= thermo._EM_SLOPE:  # the head appears where J reaches level 1
+        t = join_temperature(lam, convention, 1)
+        lo, hi, key = t * 0.999, t * 1.001, tail
+    else:  # J crosses a level up to where sinh(|lambda| (J + shift)) ~ 1e300
+        lo = join_temperature(lam, convention, max(1, int(q * (690.0 + math.log(lam)) / lam)))
+        hi, key = lo * (1.0 + 2.0 * lam), plan
+    if 1e-300 <= lo and hi <= 1e300 and key(lo, lam, convention) != key(hi, lam, convention):
+        assert_continuous(*across_a_change_of_plan(lo, hi, lam, convention, key), lam, convention)
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0, 1e301, 1e-301])

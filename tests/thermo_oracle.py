@@ -1,7 +1,8 @@
 """mpmath oracle for the thermodynamic moments of the deformed spectrum.
 
 It sums E_n = sinh(|lam| (n + s))/scale exactly at 20 digits: term by term
-where the weights fall below e^-60 within 1000 levels, and otherwise by
+where the weights fall below e^-60 within 1000 levels or |lam| > 0.1 (at
+most about 7,000 levels), and otherwise by
 the Euler-Maclaurin formula from n = 0, with a composite Gauss-Legendre
 integral (panel ends at most a factor 1e4 apart in x) and eight Bernoulli
 corrections from the Taylor series of the summand, which varies on a scale
@@ -36,7 +37,7 @@ def oracle(t: float, lam: float, convention: str) -> tuple[float, float, float]:
 
         sums = [mpmath.mpf(0)] * 4  # levels n >= 1; level 0 adds (1, 0, 0, 0)
         n_cut = n_of(mpmath.mpf(60))
-        if n_cut < 1000:
+        if n_cut < 1000 or a > 0.1:  # Euler-Maclaurin misses the sum's ripple e^(-pi^2/|lam|)
             for n in range(1, int(n_cut) + 2):
                 sums = [s + v for s, v in zip(sums, terms(mpmath.mpf(n), 1))]
         else:
