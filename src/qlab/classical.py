@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .deformation import (_LN2, _SINH_MAX_ARG, _log_cosh, _log_sinh, _omega, _omega_limit,
                           _q_f, _sech, lambda_over_sinh, q_number)
-from .errors import WORK_BUDGET, ParameterError, SaturationError, SolverError
+from .errors import _BLOCK, WORK_BUDGET, ParameterError, SaturationError, SolverError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -121,7 +121,7 @@ def exact_alpha(alpha0: complex, lam: float, t) -> complex | np.ndarray:
 
     omega = omega_q(_intensity(alpha0), lam)
     t = np.asarray(t, dtype=float)
-    _check_phase(float(np.max(np.abs(t), initial=0.0)), omega)
+    _check_phase(max(-float(t.min(initial=0.0)), float(t.max(initial=0.0))), omega)
     out = alpha0 * np.exp(-1j * t * omega)
     return complex(out) if out.ndim == 0 else out
 
@@ -307,13 +307,14 @@ def _step_grid(t_end: float, dt: float) -> tuple[np.ndarray, float, int]:
         raise ParameterError("dt must be positive")
     n_steps = _step_count(t_end, dt, "RK4")
     dt = t_end / n_steps
-    return np.arange(n_steps + 1) * dt, dt, n_steps
+    return np.arange(n_steps + 1.0) * dt, dt, n_steps  # float: one array, scaled in place
 
 
-def _rk4(q: float, p: float, lam: float, dt: float,
-         n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+def _rk4(q: float, p: float, lam: float, dt: float, n_steps: int,
+         out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """RK4 of qdot = w p, pdot = -w q, w = omega_q((q^2+p^2)/2), projected
-    onto the conserved intensity, so that its n_steps steps are one rotation.
+    onto the conserved intensity, so that its n_steps steps are one rotation:
+    its n_steps + 1 points q and p, written to ``out`` where one is given.
 
     The one integrator of the flow z' = -i omega_q(|z|^2/2) z, z = q + ip,
     shared with ``level``.  The flow keeps I = |z|^2/2 and commutes with
@@ -322,7 +323,8 @@ def _rk4(q: float, p: float, lam: float, dt: float,
     h_k = dt omega_q(I |s_k|^2), and G = 1 - (i/6)(h1 + 2 h2 s2 + 2 h3 s3
     + h4 s4), expanded in reals (z_1/z would lose four digits of arg G at
     dt = 1e-4).  Projected onto I (Hairer, Lubich & Wanner, Geometric
-    Numerical Integration, IV.4), step k turns z by k arg G.
+    Numerical Integration, IV.4), step k turns z by k arg G, in blocks of
+    _BLOCK steps, so that no temporary is longer than a block.
 
     I is checked once, up front: with w frozen, a step with dt w <= 1 takes
     the stages to at most 1.25 I; the check leaves a margin of 2.  A step
@@ -350,12 +352,15 @@ def _rk4(q: float, p: float, lam: float, dt: float,
     if not (g2 <= 2.0 ** (1.0 / n_steps) or intensity == 0.0 and g2 < math.inf):
         raise SolverError(f"RK4 diverged: dt * omega_q = {dt * omega_q(intensity, lam):.3g} "
                           "is too long a step for this orbit", residual=None)
-    phase = np.arange(n_steps + 1.0) * math.atan2(-im_g, re_g)
-    cos, sin = np.cos(phase), np.sin(phase, out=phase)
-    q_arr = q * cos + p * sin
-    cos *= p
-    sin *= q
-    return q_arr, np.subtract(cos, sin, out=cos)  # in place: one array fewer at the peak
+    angle = math.atan2(-im_g, re_g)
+    q_arr, p_arr = out or (np.empty(n_steps + 1), np.empty(n_steps + 1))
+    for start in range(0, n_steps + 1, _BLOCK):
+        b = slice(start, start + _BLOCK)
+        phase = np.arange(start, min(start + _BLOCK, n_steps + 1), dtype=float)
+        cos, sin = np.cos(np.multiply(phase, angle, out=phase)), np.sin(phase, out=phase)
+        np.add(np.multiply(q, cos, out=q_arr[b]), p * sin, out=q_arr[b])
+        np.subtract(np.multiply(p, cos, out=cos), np.multiply(q, sin, out=sin), out=p_arr[b])
+    return q_arr, p_arr
 
 
 def integrate_eom(state0: ClassicalState, t_end: float, dt: float = 1e-3) -> Trajectory:
@@ -363,18 +368,24 @@ def integrate_eom(state0: ClassicalState, t_end: float, dt: float = 1e-3) -> Tra
 
     omega_q is taken at the stage points, the steps projected onto the
     conserved |alpha|^2 (_rk4).  Reports the max drift of |alpha|^2 and of
-    the deformed Hamiltonian, plus the max deviation from the closed-form q(t).
+    the deformed Hamiltonian, plus the max deviation from the closed-form q(t),
+    in blocks of _BLOCK steps: only t, q and p span the run, 24 MB at WORK_BUDGET.
     """
     import numpy as np
 
-    lam = state0.lam
+    lam, alpha0 = state0.lam, state0.alpha
     t_arr, dt, n_steps = _step_grid(t_end, dt)
     q_arr, p_arr = _rk4(float(state0.q), float(state0.p), lam, dt, n_steps)
-
-    intensity = 0.5 * (q_arr * q_arr + p_arr * p_arr)
-    alpha_sq_drift = float(np.max(np.abs(intensity - intensity[0])))
-    hq = q_number(intensity, lam)  # the conserved H_q = sinh(lam I)/sinh(lam)
-    hq_drift = float(np.max(np.abs(hq - hq[0])))
-    q_exact = _SQRT2 * exact_alpha(state0.alpha, lam, t_arr).real
-    max_exact_dev = float(np.max(np.abs(q_arr - q_exact)))
-    return Trajectory(t_arr, q_arr, p_arr, alpha_sq_drift, hq_drift, max_exact_dev)
+    omega = omega_q(_intensity(alpha0), lam)
+    _check_phase(abs(float(t_arr[-1])), omega)  # the grid's ends bound |t|
+    peaks = np.zeros(3)  # the drifts of |alpha|^2 and H_q, the deviation from q(t)
+    for start in range(0, n_steps + 1, _BLOCK):
+        b = slice(start, start + _BLOCK)
+        intensity = 0.5 * (q_arr[b] * q_arr[b] + p_arr[b] * p_arr[b])
+        hq = q_number(intensity, lam)  # the conserved H_q = sinh(lam I)/sinh(lam)
+        if not start:
+            i0, hq0 = intensity[0], hq[0]
+        q_exact = _SQRT2 * (alpha0 * np.exp(-1j * t_arr[b] * omega)).real  # exact_alpha
+        np.maximum(peaks, [np.max(np.abs(intensity - i0)), np.max(np.abs(hq - hq0)),
+                           np.max(np.abs(q_arr[b] - q_exact))], out=peaks)
+    return Trajectory(t_arr, q_arr, p_arr, *peaks.tolist())

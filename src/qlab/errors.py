@@ -9,6 +9,7 @@ a size is a ParameterError.
 """
 
 WORK_BUDGET = 1_000_000
+_BLOCK = 1 << 13  # points a block: long runs pass in blocks, their temporaries 64 KB of doubles
 
 
 class QlabError(Exception):

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .classical import _SQRT2, _intensity, _rk4, _step_grid, exact_alpha, omega_q
-from .errors import ParameterError
+from .classical import _SQRT2, _check_phase, _intensity, _rk4, _step_grid, omega_q
+from .errors import _BLOCK, ParameterError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,16 +53,24 @@ def evolve_one_level(psi0: complex, lam: float, t_end: float,
     classical flow: RK4's step factor at |psi0|^2, projected onto the
     conserved |psi|, so the track turns by arg G a step where the exact
     solution turns by Omega dt.  Reports their max deviation and the norm
-    drift of the RK4 track, which is rounding alone.
+    drift of the RK4 track, which is rounding alone, in blocks of _BLOCK
+    steps: only t and the two complex tracks span the run, 40 MB at WORK_BUDGET.
     """
     import numpy as np
 
     psi0 = complex(psi0)
     t_arr, dt, n_steps = _step_grid(t_end, dt)
-    q, p = _rk4(_SQRT2 * psi0.real, _SQRT2 * psi0.imag, lam, dt, n_steps)
-    rk4 = (q + 1j * p) / _SQRT2
-    exact = exact_alpha(psi0, lam, t_arr)
-    max_dev = float(np.max(np.abs(rk4 - exact)))
-    norm_drift = float(np.max(np.abs(np.abs(rk4) - abs(psi0))))
-    return LevelEvolution(t_arr, exact, rk4, omega_q(_intensity(psi0), lam),
-                          max_dev, norm_drift)
+    rk4 = np.empty(n_steps + 1, complex)  # holds q + ip first, then psi, a block at a time
+    _rk4(_SQRT2 * psi0.real, _SQRT2 * psi0.imag, lam, dt, n_steps, out=(rk4.real, rk4.imag))
+    omega = omega_q(_intensity(psi0), lam)
+    _check_phase(abs(float(t_arr[-1])), omega)
+    exact, peaks = np.empty_like(rk4), np.zeros(2)  # peaks: the deviation, the norm drift
+    elided = 16 * (n_steps + 1) >= 1 << 18  # numpy took a whole track's psi0 e in place, as e psi0
+    for start in range(0, n_steps + 1, _BLOCK):
+        b = slice(start, start + _BLOCK)
+        np.divide(rk4[b].real + 1j * rk4[b].imag, _SQRT2, out=rk4[b])
+        e = np.exp(-1j * t_arr[b] * omega)
+        np.multiply(*((e, psi0) if elided else (psi0, e)), out=exact[b])
+        np.maximum(peaks, [np.max(np.abs(rk4[b] - exact[b])),
+                           np.max(np.abs(np.abs(rk4[b]) - abs(psi0)))], out=peaks)
+    return LevelEvolution(t_arr, exact, rk4, omega, *peaks.tolist())

@@ -27,7 +27,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 from .deformation import _LN2, _SINH_MAX_ARG, _TINY, _log_cosh, _log_sinh, _past_sinh
-from .errors import WORK_BUDGET, ParameterError, SaturationError
+from .errors import _BLOCK, WORK_BUDGET, ParameterError, SaturationError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,7 +38,6 @@ _EULER_GAMMA = 0.5772156649015329
 _BLUE_MAX_ARG = 2.0 * math.asinh(math.sqrt(0.5 * sys.float_info.max))  # cosh x - 1 overflows past
 _T_MIN, _T_MAX = 1e-300, 1e300  # keeps 1/T and the tail's energies ~1e3 T finite
 _TAIL_LOG = math.log(1e18)  # levels left out weigh < 1e-18 of level 1 (_moments)
-_BLOCK = 1 << 13  # levels per block: temporaries stay this long however long the sum
 _EM_SLOPE = 1e-2  # Gregory's rule sums the levels up to where x' nears this (_moments)
 # WORK_BUDGET units (~2 us) per temperature and per level or head node summed (README)
 _POINT_COST, _LEVEL_COST = 16.0, 0.01
@@ -460,8 +459,9 @@ class PlanckCheckReport(NamedTuple):
         return f"{a:.3g}" == f"{b:.3g}"
 
 
-def _raw_coefficient(x: float, lam: float, convention: str) -> float:
-    return (mean_occupation(1.0 / x, lam, convention) - bose_einstein(x)) / (lam * lam)
+def _raw_coefficients(xs: tuple[float, ...], lam: float, convention: str) -> list[float]:
+    rows = _moments([1.0 / _check_temperature(1.0 / x) for x in xs], lam, convention)  # one grid
+    return [(m.mean_n - bose_einstein(x)) / (lam * lam) for x, m in zip(xs, rows)]
 
 
 def planck_coefficient_check(lam_grid, x: float, convention: str = "sym") -> PlanckCheckReport:
@@ -482,22 +482,21 @@ def planck_coefficient_check(lam_grid, x: float, convention: str = "sym") -> Pla
     printed = planck_correction_coefficient(x)  # ParameterError unless x > 0
     if printed == 0.0:
         raise ParameterError(f"x = {x!r}: the printed coefficient underflows to 0")
-    raw = [_raw_coefficient(x, lam, convention) for lam in grid]
+    raw = [_raw_coefficients((x,), lam, convention)[0] for lam in grid]
     extrapolated = [((l1 / l2) ** 2 * k2 - k1) / ((l1 / l2) ** 2 - 1.0)
                     for (l1, k1), (l2, k2) in zip(zip(grid, raw), zip(grid[1:], raw[1:]))]
     limit = extrapolated[-1] if extrapolated else raw[-1]
 
     # identify the x-independent convention on a fixed probe set: two
     # Richardson levels remove the lam^2 and lam^4 error of the raw ratio
-    scales = {}
-    for conv in CONVENTIONS:
-        ratios = []
-        for xp in (0.5, 1.0, 2.0):
-            k1, k2, k3 = (_raw_coefficient(xp, lam, conv) for lam in (0.02, 0.01, 0.005))
+    probe = (0.5, 1.0, 2.0)  # 1/(1/x) = x: one grid a lam, rows bit for bit single temperatures
+    scales = {conv: [] for conv in CONVENTIONS}
+    for conv, ratios in scales.items():
+        ks = zip(*(_raw_coefficients(probe, lam, conv) for lam in (0.02, 0.01, 0.005)))
+        for xp, (k1, k2, k3) in zip(probe, ks):
             e1 = (4.0 * k2 - k1) / 3.0
             e2 = (4.0 * k3 - k2) / 3.0
             ratios.append((16.0 * e2 - e1) / 15.0 / planck_correction_coefficient(xp))
-        scales[conv] = ratios
     spread = {c: max(v) - min(v) for c, v in scales.items()}
     matched = min(spread, key=lambda c: spread[c] / max(abs(sum(scales[c])) / 3.0, 1e-30))
     matched_scale = sum(scales[matched]) / len(scales[matched])

@@ -9,6 +9,7 @@ so the production code and the oracle share no path.
 import cmath
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -17,7 +18,9 @@ from numpy.testing import assert_allclose
 
 from qlab import classical, experiments
 from qlab.deformation import lambda_over_sinh, q_number
-from qlab.errors import WORK_BUDGET, ParameterError, SaturationError, SolverError
+from qlab.errors import _BLOCK, WORK_BUDGET, ParameterError, SaturationError, SolverError
+
+import rk4_reference
 
 OMEGA_Q_1_LAM1 = 1.3130352854993313           # cosh(1)/sinh(1)
 MOMENTUM_Q1_QD1_LAM01 = 0.9967124970491392    # root of p cosh(...) = sinh(.1)/.1
@@ -693,3 +696,37 @@ def test_classical_state_properties():
     s = classical.ClassicalState(1.0, 1.0, 0.5)
     assert_allclose(s.intensity, 1.0, rtol=1e-15)
     assert_allclose(s.alpha, (1.0 + 1.0j) / math.sqrt(2.0), rtol=1e-15)
+
+
+@pytest.mark.parametrize("n_steps", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_blocked_track_and_checks_are_the_one_pass_bits(n_steps, sign):
+    """_rk4 and integrate_eom pass in blocks of _BLOCK steps.  Across block
+    boundaries, stepping backward and with p0 != 0, every array and metric is
+    bit for bit the one-pass formulas' (rk4_reference)."""
+    state0, dt = classical.ClassicalState(0.3, -1.1, 0.7), 1e-3
+    t_end = sign * n_steps * dt
+    got = classical.integrate_eom(state0, t_end, dt)
+    want = rk4_reference.integrate_eom(state0, t_end, dt)
+    for a, b in zip(got[:3], want[:3]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got[3:] == want[3:]
+    dt = t_end / n_steps
+    for a, b in zip(classical._rk4(0.3, -1.1, 0.7, dt, n_steps),
+                    rk4_reference.rk4(0.3, -1.1, 0.7, dt, n_steps)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_integrate_eom_memory_is_bounded():
+    """At 1e5 steps only t, q and p span the run: the traced peak stays
+    within three full-length arrays and 1 MB (7.2 MB before the blocks)."""
+    n_steps = 100_000
+    state0 = classical.ClassicalState(1.0, 0.5, 0.5)
+    tracemalloc.start()
+    try:
+        traj = classical.integrate_eom(state0, 10.0, 10.0 / n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.t.shape == (n_steps + 1,)
+    assert peak <= 3 * 8 * (n_steps + 1) + 1e6, f"peak traced allocation {peak} bytes"

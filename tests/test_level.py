@@ -5,6 +5,7 @@ phase-space maps.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from numpy.testing import assert_allclose
 
 from qlab import level
 from qlab.classical import omega_q
-from qlab.errors import ParameterError
+from qlab.errors import _BLOCK, ParameterError
+
+import rk4_reference
 
 OMEGA_PSI1_LAM1 = 1.3130352854993313  # cosh(1)/sinh(1)
 
@@ -80,3 +83,36 @@ def test_phase_space_scaled_frequency():
         level.psi_to_phase_space(psi, omega=0.0)
     with pytest.raises(ParameterError):
         level.phase_space_to_psi(1.0, 0.0, omega=-1.0)
+
+
+@pytest.mark.parametrize("n_steps", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1,
+                                     3 * _BLOCK + 5])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_blocked_evolution_is_the_one_pass_bits(n_steps, sign):
+    """evolve_one_level passes in blocks of _BLOCK steps.  Across block
+    boundaries, stepping backward and with Im psi0 != 0, every array and
+    metric is bit for bit the one-pass formulas' (rk4_reference).  From
+    2 _BLOCK - 1 steps on, numpy took the one-pass psi0 e in place, as e psi0,
+    whose fused imaginary part differs in the last bit."""
+    psi0, lam, dt = 0.3 - 0.8j, 0.7, 1e-3
+    t_end = sign * n_steps * dt
+    got = level.evolve_one_level(psi0, lam, t_end, dt)
+    want = rk4_reference.evolve_one_level(psi0, lam, t_end, dt)
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got[3:] == want[3:]
+
+
+def test_evolve_one_level_memory_is_bounded():
+    """At 1e5 steps only t and the two complex tracks span the run: the traced
+    peak stays within five full-length float arrays and 1 MB (8.0 MB before
+    the blocks)."""
+    n_steps = 100_000
+    tracemalloc.start()
+    try:
+        evo = level.evolve_one_level(0.6 + 0.4j, 1.0, 10.0, 10.0 / n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert evo.t.shape == (n_steps + 1,)
+    assert peak <= 5 * 8 * (n_steps + 1) + 1e6, f"peak traced allocation {peak} bytes"
