@@ -122,7 +122,8 @@ def exact_alpha(alpha0: complex, lam: float, t) -> complex | np.ndarray:
     omega = omega_q(_intensity(alpha0), lam)
     t = np.asarray(t, dtype=float)
     _check_phase(max(-float(t.min(initial=0.0)), float(t.max(initial=0.0))), omega)
-    out = alpha0 * np.exp(-1j * t * omega)
+    e = np.exp(-1j * t * omega)
+    out = alpha0 * e  # named, so that numpy never takes e in place as e * alpha0 (elision)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -10,6 +10,7 @@ a size is a ParameterError.
 
 WORK_BUDGET = 1_000_000
 _BLOCK = 1 << 13  # points a block: long runs pass in blocks, their temporaries 64 KB of doubles
+_T_MIN, _T_MAX = 1e-300, 1e300  # temperatures: keeps 1/T and the tail's energies ~1e3 T finite
 
 
 class QlabError(Exception):

@@ -65,12 +65,11 @@ def evolve_one_level(psi0: complex, lam: float, t_end: float,
     omega = omega_q(_intensity(psi0), lam)
     _check_phase(abs(float(t_arr[-1])), omega)
     exact, peaks = np.empty_like(rk4), np.zeros(2)  # peaks: the deviation, the norm drift
-    elided = 16 * (n_steps + 1) >= 1 << 18  # numpy took a whole track's psi0 e in place, as e psi0
     for start in range(0, n_steps + 1, _BLOCK):
         b = slice(start, start + _BLOCK)
         np.divide(rk4[b].real + 1j * rk4[b].imag, _SQRT2, out=rk4[b])
         e = np.exp(-1j * t_arr[b] * omega)
-        np.multiply(*((e, psi0) if elided else (psi0, e)), out=exact[b])
+        np.multiply(psi0, e, out=exact[b])
         np.maximum(peaks, [np.max(np.abs(rk4[b] - exact[b])),
                            np.max(np.abs(np.abs(rk4[b]) - abs(psi0)))], out=peaks)
     return LevelEvolution(t_arr, exact, rk4, omega, *peaks.tolist())

@@ -27,7 +27,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 from .deformation import _LN2, _SINH_MAX_ARG, _TINY, _log_cosh, _log_sinh, _past_sinh
-from .errors import _BLOCK, WORK_BUDGET, ParameterError, SaturationError
+from .errors import _BLOCK, _T_MAX, _T_MIN, WORK_BUDGET, ParameterError, SaturationError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,7 +36,6 @@ CONVENTIONS = ("sym", "num")
 
 _EULER_GAMMA = 0.5772156649015329
 _BLUE_MAX_ARG = 2.0 * math.asinh(math.sqrt(0.5 * sys.float_info.max))  # cosh x - 1 overflows past
-_T_MIN, _T_MAX = 1e-300, 1e300  # keeps 1/T and the tail's energies ~1e3 T finite
 _TAIL_LOG = math.log(1e18)  # levels left out weigh < 1e-18 of level 1 (_moments)
 _EM_SLOPE = 1e-2  # Gregory's rule sums the levels up to where x' nears this (_moments)
 # WORK_BUDGET units (~2 us) per temperature and per level or head node summed (README)

@@ -1,7 +1,9 @@
 """The RK4 tracks and their checks as qlab computed them before classical
 and level passed in blocks of _BLOCK steps: every step's phase, cos and
 sin, the intensity, H_q and the exact orbit as full-length arrays in one
-pass.  Tests compare the blocked passes against this, bit for bit."""
+pass.  The exact orbit psi0 e names e, so that its product takes the
+operands in the one order level uses at every length.  Tests compare the
+blocked passes against this, bit for bit."""
 
 import math
 
@@ -61,7 +63,8 @@ def evolve_one_level(psi0, lam, t_end, dt):
     q, p = rk4(_SQRT2 * psi0.real, _SQRT2 * psi0.imag, lam, dt, n_steps)
     track = (q + 1j * p) / _SQRT2
     omega = omega_q(abs(psi0) * abs(psi0), lam)
-    exact = psi0 * np.exp(-1j * t_arr * omega)
+    e = np.exp(-1j * t_arr * omega)
+    exact = psi0 * e  # named: (psi0, e) at every length, as level takes it
     return (t_arr, exact, track, omega,
             float(np.max(np.abs(track - exact))),
             float(np.max(np.abs(np.abs(track) - abs(psi0)))))

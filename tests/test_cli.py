@@ -31,6 +31,7 @@ from qlab import cli, deformation, experiments
 from qlab.errors import ParameterError, SaturationError, SolverError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BUNDLED_SUITE = SRC / "qlab" / "data" / "acceptance.suite"
 
 
 def run(capsys, argv):
@@ -466,6 +467,14 @@ EDGE_ARGVS = [
      "ParameterError: 62501 temperatures cost 1.00002e+06 work units, past the limit of 1000000"),
     ("thermo table --lambda 1.43e-3 --t-min 1e299 --t-max 1e300 --points 9017", 2,
      "ParameterError: 9017 temperatures and 85582506 terms to sum cost"),
+    # the temperature range of thermo's sums, declared on the Params: one
+    # ulp past each end
+    ("thermo table --lambda 0.3 --t-min 1e299 --t-max 1.0000000000000002e+300", 2,
+     "ParameterError: t_max must be >= 1e-300 and <= 1e+300, got 1.0000000000000002e+300"),
+    ("thermo table --lambda 0.3 --t-min 9.999999999999999e-301 --t-max 8", 2,
+     "ParameterError: t_min must be >= 1e-300 and <= 1e+300"),
+    ("thermo table --lambda 0.3 --t-min 0 --t-max 8", 2,
+     "ParameterError: t_min must be >= 1e-300 and <= 1e+300, got 0.0"),
     ("classical simulate --lambda 0.5 --q0 1 --p0 0 --t-end 0.01 --stride 0", 2,
      "ParameterError: stride must be >= 1 and <= 1000000"),
     ("level simulate --lambda 0.5 --re 0.5 --t-end 0.01 --stride 0", 2,
@@ -745,7 +754,7 @@ def tables(draw) -> dict:
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(columns=tables())
 def test_csv_renderer_matches_the_reference_on_any_columns(columns):
-    result = experiments.ExperimentResult(columns, {}, {})
+    result = experiments.ExperimentResult(columns, {})
     assert cli._render_csv(columns) == csv_reference._render_csv(result.rows)
 
 
@@ -822,7 +831,7 @@ def test_no_temp_files_left_behind(capsys, tmp_path):
 def test_recovery_round_trip_holds_at_its_largest_count(seed):
     """At count 262 every C_n is a normal double, so f comes back to an ulp."""
     result = experiments.run_experiment("coherent recover", {"count": 262, "seed": seed})
-    assert result.metrics["max_err"] <= 4.5e-16
+    assert result.summary["max_err"] <= 4.5e-16
 
 
 def test_seed_controls_recovery_experiment(capsys):
@@ -902,8 +911,13 @@ def test_missing_suite_file_exits_two(capsys, tmp_path):
 
 def test_suite_value_outside_its_domain_fails_at_load(tmp_path, monkeypatch):
     """load_suite checks every value against its Param before any section
-    runs, so a bad one in a late section stops the whole suite up front."""
-    path = write_suite(tmp_path, """
+    runs, so a bad one in a late section stops the whole suite up front: a
+    grid size, or a temperature outside thermo's [1e-300, 1e300]."""
+    ran = []
+    monkeypatch.setattr(experiments, "run_experiment", lambda *args: ran.append(args))
+    for bad, match in (("t_min = 0.5\npoints = 1", "points must be >= 2"),
+                       ("t_min = 0", r"t_min must be >= 1e-300 and <= 1e\+300")):
+        path = write_suite(tmp_path, f"""
 [first]
 run = level map
 re = 1
@@ -911,16 +925,77 @@ re = 1
 [table]
 run = thermo table
 lambda = 0.3
-t_min = 0.5
 t_max = 8
-points = 1
+{bad}
 """)
-    ran = []
-    monkeypatch.setattr(experiments, "run_experiment", lambda *args: ran.append(args))
-    for load in (experiments.load_suite, experiments.run_suite):
-        with pytest.raises(ParameterError, match="points must be >= 2"):
-            load(path)
+        for load in (experiments.load_suite, experiments.run_suite):
+            with pytest.raises(ParameterError, match=match):
+                load(path)
     assert ran == []
+
+
+def test_bundled_suite_metrics_are_each_verbs_json_summary(capsys):
+    """A report's metrics record is the whole JSON summary of its verb: each
+    bundled section run as `qlab <module> <verb> --format json` prints the
+    same keys, in the same order, with the same values."""
+    code, out, _ = run(capsys, ["suite", str(BUNDLED_SUITE)])
+    records = json.loads(out)["experiments"]
+    entries = experiments.load_suite(str(BUNDLED_SUITE))
+    assert code == 0 and [r["name"] for r in records] == [e.name for e in entries]
+    for record, entry in zip(records, entries):
+        flags = [arg for key, value in entry.params.items() for arg in (cli._flag(key), value)]
+        code, out, err = run(capsys, entry.command_key.split() + flags + ["--format", "json"])
+        assert (code, err) == (0, ""), entry.name
+        assert list(record["metrics"].items()) == list(json.loads(out).items()), entry.name
+
+
+def test_a_check_on_a_summary_value_that_is_no_number_fails_and_raises_nothing(capsys,
+                                                                                  tmp_path):
+    """A string, a list or a None fails its check the way a missing key
+    does; a bool is a number, so converged = true passes min = 1."""
+    path = write_suite(tmp_path, """
+[table]
+run = thermo table
+lambda = 0.1
+t_min = 1e2
+t_max = 1e6
+points = 3
+check.tail.max = 1
+check.c_last.min = 0
+
+[planck]
+run = thermo planck-check
+x = 1
+check.extrapolated.min = -10
+check.converged.min = 1
+
+[wave]
+run = wave simulate
+lambda = 0.3
+t_end = 1
+n = 16
+check.shape_error.max = 1
+check.missing.max = 1
+
+[blueshift]
+run = thermo blueshift
+lambda = 0
+n = 2
+check.ratio.max = 2
+""")
+    code, out, err = run(capsys, ["suite", path])
+    assert (code, err) == (1, "")
+    records = json.loads(out)["experiments"]
+    assert not any("error" in r for r in records)
+    got = {(r["name"], c["metric"]): (c["value"], c["passed"])
+           for r in records for c in r["checks"]}
+    assert {key: passed for key, (_, passed) in got.items()} == {
+        ("table", "tail"): False, ("table", "c_last"): True,
+        ("planck", "extrapolated"): False, ("planck", "converged"): True,
+        ("wave", "shape_error"): False, ("wave", "missing"): False,
+        ("blueshift", "ratio"): False}
+    assert got["planck", "converged"][0] is True
+    assert [got["wave", "shape_error"][0], got["blueshift", "ratio"][0]] == [None, None]
 
 
 def test_empty_suite_exits_zero(capsys, tmp_path):
@@ -1214,17 +1289,17 @@ def test_thermo_table_sums_a_long_spectrum(capsys):
 def test_thermo_table_reports_law_dev_only_where_the_law_applies():
     base = {"t_min": 1e2, "t_max": 1e6, "points": 3}
     deformed = experiments.run_experiment("thermo table", {"lambda": 0.3, **base})
-    assert 0.0 <= deformed.metrics["law_dev"] <= 1e-4
-    assert "fall" in deformed.metrics
+    assert 0.0 <= deformed.summary["law_dev"] <= 1e-4
+    assert "fall" in deformed.summary
     undeformed = experiments.run_experiment("thermo table", {"lambda": 0.0, **base})
-    assert "law_dev" not in undeformed.metrics
+    assert "law_dev" not in undeformed.summary
     below_range = experiments.run_experiment(
         "thermo table", {"lambda": 0.1, "t_min": 2.0, "t_max": 3.0, "points": 2})
-    assert "law_dev" not in below_range.metrics
+    assert "law_dev" not in below_range.summary
     # lambda/2 underflows to 0: L = ln(4T sinh(lambda/2)) - gamma is far below 1
     smallest = experiments.run_experiment(
         "thermo table", {"lambda": 5e-324, "t_min": 10.0, "t_max": 100.0, "points": 3})
-    assert "law_dev" not in smallest.metrics and "product_variation" in smallest.metrics
+    assert "law_dev" not in smallest.summary and "product_variation" in smallest.summary
 
 
 # ------------------------------------------------------------- input files

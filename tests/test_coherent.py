@@ -139,7 +139,7 @@ def test_overlap_verb_closed_form_holds_at_large_alpha():
     params = {"kind": "identity", "a_re": 612.3456789, "a_im": 523.98765,
               "b_re": 611.9876543, "b_im": 524.4321}
     result = experiments.run_experiment("coherent overlap", params)
-    assert result.metrics["closed_form_err"] <= 1e-12
+    assert result.summary["closed_form_err"] <= 1e-12
 
 
 def oracle_overlap(sa, sb):
