@@ -448,7 +448,8 @@ def _run_thermo_table(p: dict) -> ExperimentResult:
     temps = np.geomspace(p["t_min"], p["t_max"], p["points"])
     table = thermo.thermo_table(temps, p["lambda"], p["convention"])
     columns = {"T": table.temperatures, "Z": table.z, "mean_n": table.mean_n,
-               "C": table.c, "planck_approx": table.planck_approx}
+               "C": table.c, "planck_approx": [format(v, ".15g") if v > -math.inf else ""
+                                               for v in table.planck_approx]}  # "" at -inf
     c = table.c
     summary = {"lambda": p["lambda"], "convention": p["convention"],
                "cutoff_used": table.cutoff_used, "terms": table.terms, "tail": table.tail,
@@ -486,16 +487,11 @@ def _run_thermo_planck_check(p: dict) -> ExperimentResult:
         raise ParameterError(f"lambdas must be comma-separated reals, "
                              f"got {p['lambdas']!r}")
     report = thermo.planck_coefficient_check(grid, p["x"], p["convention"])
-    raw, ratios = report.raw_coefficients, list(report.residual_ratios)
-    summary = {"x": report.x, "convention": report.convention,
-               "limit": report.limit,
-               "printed_coefficient": report.printed_coefficient,
-               "ratio_to_printed": report.ratio_to_printed,
-               "matched_convention": report.matched_convention,
-               "matched_scale": report.matched_scale,
-               "extrapolated": list(report.extrapolated),
-               "residual_ratios": ratios,
-               "resid_ratio_min": min(ratios), "resid_ratio_max": max(ratios)}
+    raw, ratios = report.raw_coefficients, report.residual_ratios
+    summary = {key: getattr(report, key) for key in (
+        "x", "convention", "limit", "printed_coefficient", "ratio_to_printed",
+        "matched_convention", "matched_scale", "extrapolated", "residual_ratios")}
+    summary.update(resid_ratio_min=min(ratios), resid_ratio_max=max(ratios))
     if len(raw) >= 3:
         summary["contraction"] = abs(raw[-1] - raw[-2]) / abs(raw[-2] - raw[-3])
     summary["converged"] = report.converged()

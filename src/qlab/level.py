@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .classical import _SQRT2, _check_phase, _intensity, _rk4, _step_grid, omega_q
+from .classical import _SQRT2, _intensity, _rk4, _step_grid, exact_alpha, omega_q
 from .errors import _BLOCK, ParameterError
 
 if TYPE_CHECKING:
@@ -62,14 +62,11 @@ def evolve_one_level(psi0: complex, lam: float, t_end: float,
     t_arr, dt, n_steps = _step_grid(t_end, dt)
     rk4 = np.empty(n_steps + 1, complex)  # holds q + ip first, then psi, a block at a time
     _rk4(_SQRT2 * psi0.real, _SQRT2 * psi0.imag, lam, dt, n_steps, out=(rk4.real, rk4.imag))
-    omega = omega_q(_intensity(psi0), lam)
-    _check_phase(abs(float(t_arr[-1])), omega)
     exact, peaks = np.empty_like(rk4), np.zeros(2)  # peaks: the deviation, the norm drift
     for start in range(0, n_steps + 1, _BLOCK):
         b = slice(start, start + _BLOCK)
         np.divide(rk4[b].real + 1j * rk4[b].imag, _SQRT2, out=rk4[b])
-        e = np.exp(-1j * t_arr[b] * omega)
-        np.multiply(psi0, e, out=exact[b])
+        exact[b] = exact_alpha(psi0, lam, t_arr[b])
         np.maximum(peaks, [np.max(np.abs(rk4[b] - exact[b])),
                            np.max(np.abs(np.abs(rk4[b]) - abs(psi0)))], out=peaks)
-    return LevelEvolution(t_arr, exact, rk4, omega, *peaks.tolist())
+    return LevelEvolution(t_arr, exact, rk4, omega_q(_intensity(psi0), lam), *peaks.tolist())

@@ -40,6 +40,7 @@ _TAIL_LOG = math.log(1e18)  # levels left out weigh < 1e-18 of level 1 (_moments
 _EM_SLOPE = 1e-2  # Gregory's rule sums the levels up to where x' nears this (_moments)
 # WORK_BUDGET units (~2 us) per temperature and per level or head node summed (README)
 _POINT_COST, _LEVEL_COST = 16.0, 0.01
+_PLANCK_LAMBDAS = WORK_BUDGET // 700  # a planck-check lam: 700 units, two rows at x = 1e-300
 # Step of the tail's trapezoid rule in s = ln u.  The integrand is analytic
 # for |Im s| < pi/2, so 1/8 errs by ~1e-20 (1/4 measured 6e-14); a binary
 # step from an integer start keeps the nodes exact.
@@ -424,17 +425,20 @@ def planck_correction_coefficient(x: float) -> float:
     """
     if x <= 0:
         raise ParameterError("x must be positive")
-    em = math.exp(-x)
-    d = -math.expm1(-x)
+    em, d = math.exp(-x), -math.expm1(-x)
     return -x / d * (em + 4.0 * em * em + em * em * em) / d / d / d
 
 
 def deformed_planck_approx(t: float, lam: float) -> float:
-    """Small-lam occupation 1/(e^x - 1) + lam^2 * correction, x = 1/T."""
+    """Small-lam occupation 1/(e^x - 1) + lam^2 * correction, x = 1/T; -inf where it overflows."""
     _check_temperature(t)
     _check_lam(lam)
     x = 1.0 / t
-    return bose_einstein(x) + lam * lam * planck_correction_coefficient(x)
+    term = lam * lam * planck_correction_coefficient(x)
+    if not -math.inf < term:  # lam^2 or the coefficient overflowed alone, or 0 (-inf):
+        em, d = math.exp(-x), -math.expm1(-x)  # each lam between divisions by 1 - e^-x
+        term = -x / d * (em + 4.0 * em * em + em * em * em) * lam / d * lam / d / d
+    return bose_einstein(x) + term
 
 
 class PlanckCheckReport(NamedTuple):
@@ -458,11 +462,6 @@ class PlanckCheckReport(NamedTuple):
         return f"{a:.3g}" == f"{b:.3g}"
 
 
-def _raw_coefficients(xs: tuple[float, ...], lam: float, convention: str) -> list[float]:
-    rows = _moments([1.0 / _check_temperature(1.0 / x) for x in xs], lam, convention)  # one grid
-    return [(m.mean_n - bose_einstein(x)) / (lam * lam) for x, m in zip(xs, rows)]
-
-
 def planck_coefficient_check(lam_grid, x: float, convention: str = "sym") -> PlanckCheckReport:
     """Convergence report for [<n> - Bose]/lam^2 against the printed coefficient.
 
@@ -471,48 +470,55 @@ def planck_coefficient_check(lam_grid, x: float, convention: str = "sym") -> Pla
     which spectrum convention tracks the printed coefficient with an
     x-independent scale — probed internally at x in {0.5, 1, 2}.  Residual
     ratios are the O(lam^4) scaling evidence after subtracting the matched
-    coefficient.
+    coefficient.  Each <n> is summed once, in one _moments grid a (lam, convention),
+    which takes x too at the probe's lam.  A grid holds at most _PLANCK_LAMBDAS values.
     """
     _check_convention(convention)
     grid = sorted((float(v) for v in lam_grid), reverse=True)
+    if len(grid) > _PLANCK_LAMBDAS:  # before any set or sum
+        raise ParameterError(f"{len(grid)} lam values are past the limit of {_PLANCK_LAMBDAS}")
     if len(set(grid)) < len(grid) or len(grid) < 2 or grid[-1] <= 0 or grid[0] > 0.1:
         raise ParameterError("lam grid must contain >= 2 distinct values in (0, 0.1]")
 
     printed = planck_correction_coefficient(x)  # ParameterError unless x > 0
     if printed == 0.0:
         raise ParameterError(f"x = {x!r}: the printed coefficient underflows to 0")
-    raw = [_raw_coefficients((x,), lam, convention)[0] for lam in grid]
+    probe, probe_lams, table = (0.5, 1.0, 2.0), (0.02, 0.01, 0.005), {}
+
+    def excess(lam: float, conv: str, v: float) -> float:  # <n> - Bose, table[lam, conv, v]
+        if (lam, conv, v) not in table:  # 1/(1/x) = x at the probe: rows bit for bit alone
+            xs = dict.fromkeys((*probe, x) if lam in probe_lams else (v,))
+            rows = _moments([1.0 / _check_temperature(1.0 / u) for u in xs], lam, conv)
+            table.update(((lam, conv, u), m.mean_n - bose_einstein(u)) for u, m in zip(xs, rows))
+        return table[lam, conv, v]
+
+    raw = [excess(lam, convention, x) / (lam * lam) for lam in grid]
     extrapolated = [((l1 / l2) ** 2 * k2 - k1) / ((l1 / l2) ** 2 - 1.0)
                     for (l1, k1), (l2, k2) in zip(zip(grid, raw), zip(grid[1:], raw[1:]))]
-    limit = extrapolated[-1] if extrapolated else raw[-1]
+    limit = extrapolated[-1]  # the grid holds two values at least
 
     # identify the x-independent convention on a fixed probe set: two
     # Richardson levels remove the lam^2 and lam^4 error of the raw ratio
-    probe = (0.5, 1.0, 2.0)  # 1/(1/x) = x: one grid a lam, rows bit for bit single temperatures
     scales = {conv: [] for conv in CONVENTIONS}
     for conv, ratios in scales.items():
-        ks = zip(*(_raw_coefficients(probe, lam, conv) for lam in (0.02, 0.01, 0.005)))
-        for xp, (k1, k2, k3) in zip(probe, ks):
-            e1 = (4.0 * k2 - k1) / 3.0
-            e2 = (4.0 * k3 - k2) / 3.0
+        for xp in probe:
+            k1, k2, k3 = (excess(lam, conv, xp) / (lam * lam) for lam in probe_lams)
+            e1, e2 = (4.0 * k2 - k1) / 3.0, (4.0 * k3 - k2) / 3.0
             ratios.append((16.0 * e2 - e1) / 15.0 / planck_correction_coefficient(xp))
     spread = {c: max(v) - min(v) for c, v in scales.items()}
     matched = min(spread, key=lambda c: spread[c] / max(abs(sum(scales[c])) / 3.0, 1e-30))
     matched_scale = sum(scales[matched]) / len(scales[matched])
-    # the match is a simple rational constant, not a fitted parameter:
-    # snap to the nearest half-integer when the estimate is that close,
-    # so the residual below is a clean lam^4 remainder
+    # the match is a simple rational constant, not a fitted parameter: snap to the
+    # nearest half-integer when the estimate is that close, so the residual is lam^4
     snapped = round(2.0 * matched_scale) / 2.0
     if abs(matched_scale - snapped) < 1e-4:
         matched_scale = snapped
 
-    resid = [mean_occupation(1.0 / x, lam, matched) - bose_einstein(x)
-             - lam * lam * matched_scale * printed for lam in grid]
+    resid = [excess(lam, matched, x) - lam * lam * matched_scale * printed for lam in grid]
     residual_ratios = [r1 / r2 if r2 != 0 else math.inf for r1, r2 in zip(resid, resid[1:])]
 
-    return PlanckCheckReport(x, convention, grid, raw, extrapolated,
-                             limit, printed, limit / printed,
-                             matched, matched_scale, residual_ratios)
+    return PlanckCheckReport(x, convention, grid, raw, extrapolated, limit, printed,
+                             limit / printed, matched, matched_scale, residual_ratios)
 
 
 def blue_shift(n: float, lam: float) -> tuple[float, float]:

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from thermo_oracle import oracle
 
 import qlab
-from qlab import cli, deformation, experiments
+from qlab import cli, deformation, experiments, thermo
 from qlab.errors import ParameterError, SaturationError, SolverError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -42,12 +42,13 @@ def run(capsys, argv):
 
 # ---------------------------------------------------------------- coverage
 
-# The public functions that no verb runs: the dense ladder matrix and two
+# The public functions that no verb runs: the dense ladder matrix and three
 # scalar thermo readers, whose values the verbs carry in other forms and which
 # the benchmark (perfbench/) calls or times.  Every other public function is
 # reached by some verb, which the test below measures rather than declares.
 LIBRARY_ONLY = {
-    "fock.deformed_annihilation", "thermo.partition_function", "thermo.specific_heat",
+    "fock.deformed_annihilation", "thermo.mean_occupation", "thermo.partition_function",
+    "thermo.specific_heat",
 }
 PERFBENCH = SRC.parent / "perfbench"
 
@@ -512,6 +513,10 @@ EDGE_ARGVS = [
     ("thermo levels --lambda 2 --n-max 355 --convention num", 0, ""),
     ("thermo levels --lambda 800 --n-max 3", 3, "SaturationError: past n = 0"),
     ("thermo levels --lambda 500 --n-max 1", 0, ""),  # E_1 = 7e216
+    # planck_approx: the Bose value at lambda = 0 past T = 3e102, where the
+    # coefficient overflows, and an empty cell where lambda^2 times it does
+    ("thermo table --lambda 0 --t-min 1e200 --t-max 1e201 --points 2", 0, ""),
+    ("thermo table --lambda 0.3 --t-min 1e299 --t-max 1e300 --points 2", 0, ""),
     # C = 0 on the whole grid, every excited level frozen out: no fall
     ("thermo table --lambda 500 --t-min 1 --t-max 2 --points 2", 0, ""),
     ("thermo table --lambda 3.7 --t-min 1.5e-181 --t-max 4e-150", 0, ""),
@@ -571,6 +576,21 @@ def test_thermo_table_past_the_sinh_range_matches_the_oracle(capsys, convention)
         t, z, mean_n, heat = (float(v) for v in row.split(",")[:4])
         want = [float(v) for v in oracle(t, 710.0, convention)]
         assert [math.log(z), mean_n, heat] == pytest.approx(want, rel=1e-12)
+
+
+def test_thermo_table_leaves_an_overflowing_planck_cell_empty(capsys):
+    """Where lambda^2 times the coefficient overflows, the planck_approx cell
+    is empty and the row keeps the library's Z, <n> and C; a finite cell reads
+    as a float column would."""
+    code, out, err = run(capsys, ["thermo", "table", "--lambda", "0.3", "--t-min", "1e100",
+                                  "--t-max", "1e300", "--points", "3"])
+    assert (code, err) == (0, "")
+    table = thermo.thermo_table(np.geomspace(1e100, 1e300, 3), 0.3)
+    want = [[format(v, ".15g") for v in row] for row in
+            zip(table.temperatures, table.z, table.mean_n, table.c, table.planck_approx)]
+    want[1][4] = want[2][4] = ""
+    assert table.planck_approx[1:] == [-math.inf, -math.inf] and want[0][4] != ""
+    assert [line.split(",") for line in out.splitlines()[1:]] == want
 
 
 @pytest.mark.parametrize("argv, exit_code, error", [row for row in EDGE_ARGVS if row[1]])

@@ -7,9 +7,14 @@ Frozen constants were computed independently at 40-digit precision.
 """
 
 import math
+import struct
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qlab import thermo
@@ -224,6 +229,48 @@ def test_deformed_planck_approx():
     assert thermo.deformed_planck_approx(1.0, 0.0) == thermo.bose_einstein(1.0)
     got = thermo.deformed_planck_approx(1.0, 0.1)
     assert_allclose(got, BOSE_X1 + 0.01 * PLANCK_COEFF_X1, rtol=1e-12)
+
+
+def test_deformed_planck_approx_is_the_bose_value_at_lambda_zero():
+    """No correction is added at lam = 0, so past T = 3e102, where the
+    coefficient overflows, it reads the Bose value and not 0 (-inf) = nan."""
+    for t in (1.0, 1e102, 1e103, 1e200, 1e300):
+        assert thermo.deformed_planck_approx(t, 0.0) == thermo.bose_einstein(1.0 / t)
+
+
+def mp_planck(t, lam):
+    with mpmath.workdps(40):
+        x, a = 1 / mpmath.mpf(t), mpmath.mpf(lam)
+        em, d = mpmath.exp(-x), -mpmath.expm1(-x)
+        return em / d - a * a * x * (em + 4 * em ** 2 + em ** 3) / d ** 4
+
+
+@pytest.mark.parametrize("t, lam", [(1e150, 1e-100), (1e300, 1e-150), (1e300, 5e-324),
+                                    (1e200, 1e-200), (0.01, 1.5e154), (0.1, 1e154),
+                                    (1e-3, 1e200), (1.0, 1e154), (1e102, 0.3), (1e300, 0.3)])
+def test_deformed_planck_approx_overflows_only_where_its_value_does(t, lam):
+    """lam^2 times the coefficient is -inf only where the 40-digit value is
+    past the double range, though lam^2 or the coefficient overflows alone."""
+    want = mp_planck(t, lam)
+    got = thermo.deformed_planck_approx(t, lam)
+    if abs(want) > sys.float_info.max:
+        assert got == -math.inf
+    else:
+        assert got == pytest.approx(float(want), rel=1e-14)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(-300.0, 300.0), st.floats(-330.0, 160.0), st.sampled_from([1.0, -1.0]))
+def test_deformed_planck_approx_keeps_its_bits_where_the_plain_product_is_finite(
+        log_t, log_lam, sign):
+    t, lam = 10.0 ** log_t, sign * 10.0 ** log_lam
+    x = 1.0 / t
+    plain = thermo.bose_einstein(x) + lam * lam * thermo.planck_correction_coefficient(x)
+    got = thermo.deformed_planck_approx(t, lam)
+    if math.isfinite(plain):
+        assert struct.pack("<d", got) == struct.pack("<d", plain)
+    else:
+        assert got == -math.inf or got == pytest.approx(float(mp_planck(t, lam)), rel=1e-14)
 
 
 def test_planck_coefficient_check_identifies_convention():
