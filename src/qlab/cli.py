@@ -115,7 +115,7 @@ def _round_floats(value):
     if isinstance(value, bool):
         return value
     if isinstance(value, float):
-        return float(format(value, ".15g"))
+        return r if abs(r := float(format(value, ".15g"))) < math.inf else value  # no round to inf
     if isinstance(value, dict):
         return {k: _round_floats(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

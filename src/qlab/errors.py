@@ -8,7 +8,7 @@ RK4 and leapfrog take their steps in closed form, far below a unit each),
 a size is a ParameterError.
 """
 
-WORK_BUDGET = 1_000_000
+WORK_BUDGET, _POINT_COST = 1_000_000, 16  # and the units a thermal row costs (thermo's price)
 _BLOCK = 1 << 13  # points a block: long runs pass in blocks, their temporaries 64 KB of doubles
 _T_MIN, _T_MAX = 1e-300, 1e300  # temperatures: keeps 1/T and the tail's energies ~1e3 T finite
 

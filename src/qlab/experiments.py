@@ -18,8 +18,8 @@ import os
 from typing import Callable, NamedTuple
 
 from . import deformation
-from .errors import (_T_MAX, _T_MIN, WORK_BUDGET, ParameterError, QlabError, SaturationError,
-                     SolverError)
+from .errors import (_POINT_COST, _T_MAX, _T_MIN, WORK_BUDGET, ParameterError, QlabError,
+                     SaturationError, SolverError)
 
 _REQUIRED = object()
 
@@ -620,7 +620,8 @@ COMMANDS: dict[str, Command] = {
         _CONVENTION,
         Param("t_min", float, _REQUIRED, bounds=(_T_MIN, _T_MAX)),
         Param("t_max", float, _REQUIRED, bounds=(_T_MIN, _T_MAX)),
-        Param("points", int, 13, "geometric temperature grid size", bounds=(2, WORK_BUDGET)),
+        Param("points", int, 13, "geometric temperature grid size",
+              bounds=(2, WORK_BUDGET // _POINT_COST)),
     ), "csv", "Z, mean occupation, specific heat over a T grid"),
     "thermo levels": Command(_run_thermo_levels, (
         Param("lambda", float, _REQUIRED),

@@ -1,21 +1,16 @@
 """Statistical mechanics of a single deformed oscillator.
 
-Partition function, mean occupation, specific heat and its 1/ln T
-high-temperature law, the small-lam deformed Planck formula with its
-coefficient check, and the blue-shift law.  Units: k_B = hbar = omega = 1,
-so the only temperature variable is x = 1/T.
+Partition function, mean occupation, specific heat and its 1/ln T high-temperature law, the
+small-lam deformed Planck formula with its coefficient check, and the blue-shift law.  Units:
+k_B = hbar = omega = 1, so the only temperature variable is x = 1/T.
 
-Two spectrum conventions coexist because the energy ordering of A A† + A†A
-is a modeling choice: "sym" uses E_n = (F(n) + F(n+1))/2 and "num" uses
-E_n = F(n).  Which one reproduces the printed small-lam Planck correction
-is decided empirically by planck_coefficient_check, not assumed.
+Two spectrum conventions coexist because the energy ordering of A A† + A†A is a modeling
+choice: "sym" uses E_n = (F(n) + F(n+1))/2 and "num" uses E_n = F(n).  Which one reproduces
+the printed small-lam Planck correction is decided empirically by planck_coefficient_check.
 
-ln Z, <n> and C = beta^2 Var E all come from one pass over the spectrum
-for a whole temperature grid, _moments (one temperature is a grid of one):
-a closed-form cutoff, a centred variance, Gregory's rule over the smooth
-head of the levels, 1 .. J, and a direct sum past it.  numpy is
-imported only by that pass and by energy_levels; the closed forms (the blue
-shift, the Planck formula, the 1/ln T law) run without it.
+ln Z, <n> and C = beta^2 Var E come from one priced pass over a temperature grid, _moments.
+numpy is imported only by that pass and by energy_levels; the closed forms (the blue shift,
+the Planck formula, the 1/ln T law) run without it.
 """
 
 from __future__ import annotations
@@ -27,7 +22,8 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 from .deformation import _LN2, _SINH_MAX_ARG, _TINY, _log_cosh, _log_sinh, _past_sinh
-from .errors import _BLOCK, _T_MAX, _T_MIN, WORK_BUDGET, ParameterError, SaturationError
+from .errors import (_BLOCK, _POINT_COST, _T_MAX, _T_MIN, WORK_BUDGET, ParameterError,
+                     SaturationError)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,9 +34,6 @@ _EULER_GAMMA = 0.5772156649015329
 _BLUE_MAX_ARG = 2.0 * math.asinh(math.sqrt(0.5 * sys.float_info.max))  # cosh x - 1 overflows past
 _TAIL_LOG = math.log(1e18)  # levels left out weigh < 1e-18 of level 1 (_moments)
 _EM_SLOPE = 1e-2  # Gregory's rule sums the levels up to where x' nears this (_moments)
-# WORK_BUDGET units (~2 us) per temperature and per level or head node summed (README)
-_POINT_COST, _LEVEL_COST = 16.0, 0.01
-_PLANCK_LAMBDAS = WORK_BUDGET // 700  # a planck-check lam: 700 units, two rows at x = 1e-300
 # Step of the tail's trapezoid rule in s = ln u.  The integrand is analytic
 # for |Im s| < pi/2, so 1/8 errs by ~1e-20 (1/4 measured 6e-14); a binary
 # step from an integer start keeps the nodes exact.
@@ -179,13 +172,25 @@ def _pool(spec: _Spectrum, betas: list[float], levels: list, heads: list) -> lis
     return pooled
 
 
-def _grid(b: float, e_m: float, spec: _Spectrum) -> tuple[float, int]:
+def _grid(b: float, e_m: float, scale: float) -> tuple[float, int]:
     """u_0 and the node count of the trapezoid rule in ln u on u_0, u_0 + _LN_U_STEP, ..
     for the tail from energy e_m: [min(rho, 1) e^-42, 45 - ln min(rho, 1)], rho =
     beta |E_m + i/scale|, where dn/du has its branch points (|Im ln u| >= pi/2)."""
-    ln_rho = math.log(min(b * math.hypot(e_m, 1.0 / spec.scale), 1.0))
+    ln_rho = math.log(min(b * math.hypot(e_m, 1.0 / scale), 1.0))
     u_0 = math.floor(ln_rho) - 42.0
     return u_0, math.ceil((math.log(45.0 - ln_rho) - u_0) / _LN_U_STEP)
+
+
+# A _moments row's price in WORK_BUDGET units of 2 us: _POINT_COST, a level summed one by one, a
+# head node.  On 2 shared Xeon vCPUs a one-row call took 40 us, a level 15-30 ns, a node 60-140 ns.
+_LEVEL_COST, _NODE_COST = 0.015, 0.07
+_HEAD_MIN = _grid(1.0, 1.0, math.inf)[1] + len(_GREGORY)  # the shortest head: rho >= 1
+# The priciest row at x = 1/_T_MAX, |lam| <= 0.1 (a test sweeps lam), just past |lam| = _EM_SLOPE/7:
+# ends at rho = 700 x and 7 (_HEAD_MIN), and the levels from beta E_J = 7 to the cutoff (E ~ e^an).
+_WIDEST = (_POINT_COST + _NODE_COST * (_grid(1 / _T_MAX, 0.0, _EM_SLOPE / 7)[1] + _HEAD_MIN + 7)
+           + _LEVEL_COST * math.ceil(7 / _EM_SLOPE * math.log((_TAIL_LOG + math.log(_T_MAX)) / 7)))
+_PLANCK_LAMBDAS = int(WORK_BUDGET // _WIDEST - 6) // 2  # two rows at x a lam; the probe's six
+_PLANCK_X_MIN = 3.2196739725461854e-103  # below, the printed coefficient, ~ -6/x^3, is -inf
 
 
 def _head(spec: _Spectrum, betas: list[float], chunk: list):
@@ -221,31 +226,29 @@ def _head(spec: _Spectrum, betas: list[float], chunk: list):
             for t, e in zip(trapezoid, gregory)]
 
 
-def _check_cost(points: int, summed: int) -> None:
-    if not (cost := points * _POINT_COST + summed * _LEVEL_COST) <= WORK_BUDGET:
-        terms = f" and {summed} terms to sum" if summed else ""
-        raise ParameterError(f"{points} temperatures{terms} cost {cost:.6g} work units, past "
-                             f"the limit of {WORK_BUDGET}")
+def _check_cost(points: int, levels: int = 0, nodes: int = 0) -> None:
+    if (cost := points * _POINT_COST + levels * _LEVEL_COST + nodes * _NODE_COST) > WORK_BUDGET:
+        raise ParameterError(f"{points} temperatures, {levels} levels and {nodes} head nodes "
+                             f"cost {cost:.6g} work units, past the limit of {WORK_BUDGET}")
 
 
 def _moments(betas: list[float], lam: float, convention: str) -> list[_Moments]:
     """ln Z, <n> and C = beta^2 Var E at each beta of a grid, in one pass.
 
-    With x_n = beta (E_n - E_0), the levels from N on weigh at most e^-x_N/(1 - e^-beta).
-    So levels 0, 1 and every level with x_n < K + min(x_1, K), K = ln(1e18) - ln(1 -
-    e^-beta), leave out less than 1e-18 of w_1 = e^-x_1, which carries <n> and C when
-    cold; the last, the cutoff, is E_n inverted in closed form.  lam = 0 has closed
-    forms.  A head 1 .. J takes Gregory's rule (_head), where it has fewer nodes than
-    levels, and the rest are summed one by one, in Chan-Golub-LeVeque-pooled blocks.
-    With s = x'(n), x^(k) <= |lam|^(k-1) s, so the 7th derivative of g = x^j e^-x
-    (j <= 2), left to the rule's next coefficient 0.0094, is at most ~42 * 877 s m^6 g
-    (877 partitions of 7), m = max(s, |lam|).  J, in closed form, is the last level
-    with s m^6 <= _EM_SLOPE^7: an end errs by <= 3.5e-12 w_J against a head of over
-    367 such weights, 1e-14 relative (1e-16 measured).  Where 7 |lam| <= _EM_SLOPE,
-    s <= _EM_SLOPE (1 + x/7) and (1 + x/7)^7 <= e^x keep s m^6 w below that bound at
-    every level, so J is the cutoff, and a head there runs to infinity, where w <
-    1e-18 w_1.  The grid is planned and priced (_check_cost) before any sum; each row
-    is bit for bit its own grid's.
+    With x_n = beta (E_n - E_0), the levels from N on weigh at most e^-x_N/(1 - e^-beta).  So
+    levels 0, 1 and every level with x_n < K + min(x_1, K), K = ln(1e18) - ln(1 - e^-beta), leave
+    out less than 1e-18 of w_1 = e^-x_1, which carries <n> and C when cold; the last, the cutoff,
+    is E_n inverted in closed form.  lam = 0 has closed forms.  With s = x'(n), x^(k) <=
+    |lam|^(k-1) s, so the 7th derivative of g = x^j e^-x (j <= 2), left to Gregory's next
+    coefficient 0.0094, is at most ~42 * 877 s m^6 g (877 partitions of 7), m = max(s, |lam|).
+    J, in closed form, is the last level with s m^6 <= _EM_SLOPE^7: an end errs by <= 3.5e-12 w_J
+    against a head of over 367 such weights, 1e-14 relative (1e-16 measured).  Where 7 |lam| <=
+    _EM_SLOPE, s <= _EM_SLOPE (1 + x/7) and (1 + x/7)^7 <= e^x keep s m^6 w below that bound at
+    every level, so J is the cutoff, and a head there runs to infinity, where w < 1e-18 w_1.
+    Levels 1 .. J take Gregory's rule (_head) where its price is the lower; the rest are summed
+    one by one, in Chan-Golub-LeVeque-pooled blocks.  A row costs 16 units of 2 us, 0.015 a level
+    and 0.07 a head node (2 shared Xeon vCPUs: 40 us a one-row call, 15-30 ns a level, 60-140 ns a
+    node), and the grid is priced before any sum.  Each row is bit for bit its own grid's.
     """
     import numpy as np
 
@@ -264,10 +267,9 @@ def _moments(betas: list[float], lam: float, convention: str) -> list[_Moments]:
         e_1 = float(spec.energy(np.float64(1.0)))
         cuts = [spec.shift + (k + min(b * (e_1 - spec.shift), k)) / b  # E at x = K + min(x_1, K)
                 for b in betas for k in [_TAIL_LOG - math.log(-math.expm1(-b))]]
-        one = len(cuts) == 1  # a 0-d float64 passes index faster than an array
-        cuts = spec.index(np.float64(cuts[0]) if one else np.array(cuts))[0]
+        cuts = spec.index(np.float64(*cuts) if len(betas) == 1 else np.array(cuts))[0]  # 0-d: fast
         rows, levels, heads = [], [], []
-        for r, (b, c) in enumerate(zip(betas, [float(cuts)] if one else cuts.tolist())):
+        for r, (b, c) in enumerate(zip(betas, cuts.tolist() if cuts.ndim else [float(cuts)])):
             n_end = max(2, math.ceil(c))
             y = max(ln_y - math.log(b), 0.0)  # acosh e^y = y + ln(1 + sqrt(1 - e^-2y))
             join = int(min((y + math.log1p(math.sqrt(-math.expm1(-2.0 * y)))) / a - spec.shift,
@@ -275,20 +277,19 @@ def _moments(betas: list[float], lam: float, convention: str) -> list[_Moments]:
             if join and 7.0 * a <= _EM_SLOPE:  # then the bound holds at every level
                 join = n_end - 1
             size = 0
-            if join > 42.0 / _LN_U_STEP:  # a head has more nodes than that
-                ends = [(1, *_grid(b, e_1, spec), 0.0)]
+            if join * _LEVEL_COST > _HEAD_MIN * _NODE_COST:  # else no head is priced lower
+                ends = [(1, *_grid(b, e_1, spec.scale), 0.0)]
                 if ends[0][2] + g < join < n_end - 1:  # a tail from J, subtracted, E_J's sinh
                     arg = Fraction(a) * Fraction(join + spec.shift)  # argument exact
-                    ends.append((join, *_grid(b, float(spec.energy(np.float64(join))), spec),
+                    ends.append((join, *_grid(b, float(spec.energy(np.float64(join))), spec.scale),
                                  float(arg - Fraction(a * (join + spec.shift)))))
-                size = sum(nodes + g for _, _, nodes, _ in ends)
-            if join > size > 0:  # a head only where it sums fewer terms
-                heads.append((r, size, ends))
-            else:
+                size = sum(end[2] + g for end in ends)
+            if not 0 < size * _NODE_COST < join * _LEVEL_COST:  # the levels are priced lower
                 join = size = 0
+            heads += [(r, size, ends)] if size else []
             levels += [(r, min(_BLOCK, n_end - s), s) for s in range(join + 1, n_end, _BLOCK)]
             rows.append((n_end - 1, n_end - join + size, "direct+em" if size else "direct"))
-        _check_cost(len(betas), sum([row[1] for row in rows]))
+        _check_cost(len(betas), sum([seg[1] for seg in levels]), sum([h[1] for h in heads]))
         pooled = _pool(spec, betas, levels, heads)
     return [_Moments(math.log1p(ex[0]) - b * spec.shift, m[1], m[3] / m[0], *row)
             for b, row, ex in zip(betas, rows, pooled) for m in [_merge((1.0, 0.0, 0.0, 0.0), ex)]]
@@ -399,7 +400,7 @@ def thermo_table(temperatures, lam: float, convention: str = "sym") -> ThermoTab
     temps = [float(t) for t in temperatures]
     if not temps:
         raise ParameterError("temperature grid is empty")
-    _check_cost(len(temps), 0)  # before any work per temperature
+    _check_cost(len(temps))  # before any work per temperature
     rows = _moments([1.0 / _check_temperature(t) for t in temps], lam, convention)
     hottest = max(rows, key=lambda m: m.cutoff)
     return ThermoTable(lam, convention, temps, [math.exp(m.log_z) for m in rows],
@@ -431,9 +432,8 @@ def planck_correction_coefficient(x: float) -> float:
 
 def deformed_planck_approx(t: float, lam: float) -> float:
     """Small-lam occupation 1/(e^x - 1) + lam^2 * correction, x = 1/T; -inf where it overflows."""
-    _check_temperature(t)
+    x = 1.0 / _check_temperature(t)
     _check_lam(lam)
-    x = 1.0 / t
     term = lam * lam * planck_correction_coefficient(x)
     if not -math.inf < term:  # lam^2 or the coefficient overflowed alone, or 0 (-inf):
         em, d = math.exp(-x), -math.expm1(-x)  # each lam between divisions by 1 - e^-x
@@ -456,10 +456,8 @@ class PlanckCheckReport(NamedTuple):
 
     def converged(self) -> bool:
         """Last two extrapolants agree when rounded to 3 significant digits."""
-        if len(self.extrapolated) < 2:
-            return False
-        a, b = self.extrapolated[-2], self.extrapolated[-1]
-        return f"{a:.3g}" == f"{b:.3g}"
+        e = self.extrapolated
+        return len(e) >= 2 and f"{e[-2]:.3g}" == f"{e[-1]:.3g}"
 
 
 def planck_coefficient_check(lam_grid, x: float, convention: str = "sym") -> PlanckCheckReport:
@@ -481,8 +479,9 @@ def planck_coefficient_check(lam_grid, x: float, convention: str = "sym") -> Pla
         raise ParameterError("lam grid must contain >= 2 distinct values in (0, 0.1]")
 
     printed = planck_correction_coefficient(x)  # ParameterError unless x > 0
-    if printed == 0.0:
-        raise ParameterError(f"x = {x!r}: the printed coefficient underflows to 0")
+    if printed in (0.0, -math.inf):  # before any sum
+        raise ParameterError(f"x = {x!r}: the printed coefficient " + (
+            "underflows to 0" if printed == 0.0 else f"overflows; x must be >= {_PLANCK_X_MIN!r}"))
     probe, probe_lams, table = (0.5, 1.0, 2.0), (0.02, 0.01, 0.005), {}
 
     def excess(lam: float, conv: str, v: float) -> float:  # <n> - Bose, table[lam, conv, v]

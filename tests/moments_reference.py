@@ -3,11 +3,11 @@ evaluated a whole temperature grid in shared numpy calls: one _moments
 pass per temperature, its blocks summed with np.sum and pooled in order.
 Tests compare thermo's grid pass against this, bit for bit.  It follows
 thermo's plan: a head of levels 1 .. J by Gregory's rule (two tails in
-ln u where J is short of the cutoff), the rest one by one.  Its cutoff
-follows the rule that a value saturates where it overflows: the cutoff
-energy is at most about 1.5e303, so its index is finite (where scale E
-overflows, index takes asinh(scale E) in logs), and so is every level
-below it."""
+ln u where J is short of the cutoff) where thermo's price for it is the
+lower, the rest one by one.  Its cutoff follows the rule that a value
+saturates where it overflows: the cutoff energy is at most about 1.5e303,
+so its index is finite (where scale E overflows, index takes asinh(scale E)
+in logs), and so is every level below it."""
 
 import math
 from fractions import Fraction
@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from qlab.deformation import _log_cosh, _log_sinh
-from qlab.thermo import (_BLOCK, _EM_SLOPE, _GREGORY, _LN_U_STEP, _TAIL_LOG, _check_lam,
-                         _Moments, _spectrum, bose_einstein)
+from qlab.thermo import (_BLOCK, _EM_SLOPE, _GREGORY, _LEVEL_COST, _LN_U_STEP, _NODE_COST,
+                         _TAIL_LOG, _check_lam, _Moments, _spectrum, bose_einstein)
 
 
 def _block_moments(n, x, w):
@@ -90,7 +90,7 @@ def moments(beta, lam, convention):
             parts.append(_em_tail(join, beta, spec))
         parts += [_gregory(m, beta, spec) for m in [1, join][:len(parts)]]
         size = sum(len(p[0]) for p in parts)
-        if join <= size:
+        if not size * _NODE_COST < join * _LEVEL_COST:  # the head is priced higher
             join = size = 0
         excited = _block_moments(*map(np.concatenate, zip(*parts))) if size else None
         for start in range(join + 1, n_end, _BLOCK):

@@ -3,13 +3,14 @@ one table: three passes, the raw coefficients one lam at a time, the
 convention probe in one grid a (convention, lam), and a second
 mean_occupation pass for the residuals, so that a row could be summed up to
 three times.  Tests compare the one-table check against this, field for
-field."""
+field.  It refuses an x as the one-table check does: one whose printed
+coefficient underflows to 0 or overflows to -inf, before any row is summed."""
 
 import math
 
 from qlab.errors import ParameterError
-from qlab.thermo import (CONVENTIONS, PlanckCheckReport, _check_convention, _check_temperature,
-                         _moments, bose_einstein, mean_occupation,
+from qlab.thermo import (_PLANCK_X_MIN, CONVENTIONS, PlanckCheckReport, _check_convention,
+                         _check_temperature, _moments, bose_einstein, mean_occupation,
                          planck_correction_coefficient)
 
 
@@ -27,6 +28,9 @@ def planck_coefficient_check(lam_grid, x, convention="sym"):
     printed = planck_correction_coefficient(x)
     if printed == 0.0:
         raise ParameterError(f"x = {x!r}: the printed coefficient underflows to 0")
+    if printed == -math.inf:
+        raise ParameterError(f"x = {x!r}: the printed coefficient overflows; "
+                             f"x must be >= {_PLANCK_X_MIN!r}")
     raw = [_raw_coefficients((x,), lam, convention)[0] for lam in grid]
     extrapolated = [((l1 / l2) ** 2 * k2 - k1) / ((l1 / l2) ** 2 - 1.0)
                     for (l1, k1), (l2, k2) in zip(zip(grid, raw), zip(grid[1:], raw[1:]))]

@@ -459,15 +459,16 @@ EDGE_ARGVS = [
      "ParameterError: count must be >= 2 and <= 262"),
     ("coherent recover --count 263", 2, "ParameterError: count must be >= 2 and <= 262"),
     ("thermo table --lambda 0.3 --t-min 0.5 --t-max 8 --points 1000000000000", 2,
-     "ParameterError: points must be >= 2 and <= 1000000"),
+     "ParameterError: points must be >= 2 and <= 62500"),
     ("thermo levels --lambda 0 --n-max 1000000000000", 2,
      "ParameterError: n_max must be >= 1 and <= 1000000"),
     # a temperature grid priced past the work budget, one temperature more
-    # than fits: 62500 closed-form rows, or 9016 rows of a head and 3,650 levels
+    # than fits: WORK_BUDGET // _POINT_COST rows, a bound on --points, or
+    # 1,994 rows of a head of 6,250 nodes and 3,253 levels
     ("thermo table --lambda 0 --t-min 1 --t-max 10 --points 62501", 2,
-     "ParameterError: 62501 temperatures cost 1.00002e+06 work units, past the limit of 1000000"),
-    ("thermo table --lambda 1.43e-3 --t-min 1e299 --t-max 1e300 --points 9017", 2,
-     "ParameterError: 9017 temperatures and 85582506 terms to sum cost"),
+     "ParameterError: points must be >= 2 and <= 62500, got 62501"),
+    ("thermo table --lambda 1.43e-3 --t-min 1e299 --t-max 1e300 --points 1995", 2,
+     "ParameterError: 1995 temperatures, 6486679 levels and 12446358 head nodes cost"),
     # the temperature range of thermo's sums, declared on the Params: one
     # ulp past each end
     ("thermo table --lambda 0.3 --t-min 1e299 --t-max 1.0000000000000002e+300", 2,
@@ -493,6 +494,10 @@ EDGE_ARGVS = [
      "SaturationError: F(711) overflows double range; reduce cutoff or |lam|"),
     ("coherent build --lambda 30 --alpha-re 1", 3, "SaturationError: reduce cutoff"),
     ("thermo planck-check --x 800", 2, "ParameterError"),
+    # the printed coefficient, ~ -6/x^3, is -DBL_MAX at the least x, -inf an ulp below
+    ("thermo planck-check --x 3.2196739725461854e-103", 0, ""),
+    ("thermo planck-check --x 3.219673972546185e-103", 2, "ParameterError: the printed "
+     "coefficient overflows; x must be >= 3.2196739725461854e-103"),
     # a repeated lambda leaves no extrapolation step between the two
     ("thermo planck-check --x 1 --lambdas 0.01,0.01", 2, "ParameterError: distinct"),
     ("thermo planck-check --x 1 --lambdas 0.02,0.01,0.01", 2, "ParameterError: distinct"),
@@ -932,10 +937,12 @@ def test_missing_suite_file_exits_two(capsys, tmp_path):
 def test_suite_value_outside_its_domain_fails_at_load(tmp_path, monkeypatch):
     """load_suite checks every value against its Param before any section
     runs, so a bad one in a late section stops the whole suite up front: a
-    grid size, or a temperature outside thermo's [1e-300, 1e300]."""
+    grid size below 2 or past the budget's, or a temperature outside thermo's
+    [1e-300, 1e300]."""
     ran = []
     monkeypatch.setattr(experiments, "run_experiment", lambda *args: ran.append(args))
     for bad, match in (("t_min = 0.5\npoints = 1", "points must be >= 2"),
+                       ("t_min = 0.5\npoints = 62501", "points must be >= 2 and <= 62500"),
                        ("t_min = 0", r"t_min must be >= 1e-300 and <= 1e\+300")):
         path = write_suite(tmp_path, f"""
 [first]

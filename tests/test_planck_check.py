@@ -1,7 +1,11 @@
 """planck_coefficient_check reads every <n> from one table keyed by
 (lambda, convention, x): its reports against the three-pass check
 (planck_reference.py) field for field, each row summed once, and its
-lambda grid bounded before any sum."""
+lambda grid and x bounded before any sum."""
+
+import json
+import math
+import sys
 
 import pytest
 from planck_reference import planck_coefficient_check as reference
@@ -13,7 +17,7 @@ from qlab.errors import ParameterError
 # holding it and more, and two grids apart from it
 GRIDS = [(0.04, 0.02, 0.01), (0.02, 0.01, 0.005), (0.03, 0.02, 0.01, 0.005, 0.0025),
          (0.1, 0.05), (0.09, 0.07, 0.06)]
-XS = [0.5, 1.0, 2.0, 3.0, 1e-3, 0.01, 0.7, 30.0, 1e-250]
+XS = [0.5, 1.0, 2.0, 3.0, 1e-3, 0.01, 0.7, 30.0, 3.3e-103]
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -47,6 +51,33 @@ def summed_rows(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("x", [1e-310, 1e-250, 1e-200, 1e-103,
+                               math.nextafter(thermo._PLANCK_X_MIN, 0.0)])
+def test_an_x_whose_printed_coefficient_overflows_is_refused_before_any_sum(monkeypatch, x):
+    """Below _PLANCK_X_MIN the printed coefficient, ~ -6/x^3, is -inf.  The
+    check once summed every row and then failed on its report (exit 3); a
+    ParameterError now names the smallest x before any row is summed."""
+    calls = summed_rows(monkeypatch)
+    with pytest.raises(ParameterError, match=f"x must be >= {thermo._PLANCK_X_MIN!r}$"):
+        thermo.planck_coefficient_check(GRIDS[0], x)
+    assert calls == []
+
+
+def test_the_smallest_x_has_a_finite_report(capsys):
+    """At _PLANCK_X_MIN the printed coefficient is -DBL_MAX, and -inf an ulp
+    below, for a thousand ulps each side; its JSON report keeps that value,
+    where rounding it to 15 digits once made it -inf and a traceback."""
+    x_min, f = thermo._PLANCK_X_MIN, thermo.planck_correction_coefficient
+    below, above = [x_min], [x_min]
+    for _ in range(1000):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 1.0))
+    assert f(x_min) == -sys.float_info.max
+    assert {f(v) for v in below[1:]} == {-math.inf} and all(f(v) > -math.inf for v in above)
+    assert cli.run(["thermo", "planck-check", "--x", repr(x_min)]) == 0
+    assert json.loads(capsys.readouterr().out)["printed_coefficient"] == -sys.float_info.max
+
+
 def test_no_row_is_summed_twice(monkeypatch):
     calls = summed_rows(monkeypatch)
     for grid in GRIDS:
@@ -72,9 +103,9 @@ def lambdas(count):
 
 
 def test_a_grid_of_the_bound_runs_and_one_more_is_refused(capsys, monkeypatch):
-    """The bound is priced at about 1.4 ms a lambda, measured at x = 1e-300
-    in "num"; one more value is refused before any row is summed.  The grid,
-    about 30 KB of argv, goes to cli.run in-process, not into a test id."""
+    """The bound takes two of the priciest rows at x = 1e-300 a lambda (about
+    2 ms priced); one more value is refused before any row is summed.  The
+    grid, about 20 KB of argv, goes to cli.run in-process, not into a test id."""
     bound = thermo._PLANCK_LAMBDAS
     calls = summed_rows(monkeypatch)
     with pytest.raises(ParameterError, match=f"past the limit of {bound}$"):

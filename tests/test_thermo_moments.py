@@ -85,15 +85,16 @@ def assert_continuous(lo, hi, lam, convention, rtol=1e-14):
 def test_both_sides_of_the_join_and_of_the_head_agree_with_the_oracle(convention):
     """Levels 1 .. J take Gregory's rule and the rest are summed one by one.
     Where the head appears, at J = 1 where 7 |lambda| <= _EM_SLOPE (it then
-    runs to the cutoff) and at J above its node count elsewhere, and where J
-    moves by one level, the method changes, not the accuracy."""
+    runs to the cutoff) and where its price falls below the levels' elsewhere
+    (past J = 5,000 at lambda = 2e-3, 20,000 at 0.02; none past lambda ~ 0.022),
+    and where J moves by one level, the method changes, not the accuracy."""
     edges = [(lam, *across_a_change_of_plan(join_temperature(lam, convention, 1) * 0.999,
                                             join_temperature(lam, convention, 1) * 1.001,
                                             lam, convention, tail)) for lam in (1e-6, 1e-3)]
     edges += [(lam, *across_a_change_of_plan(join_temperature(lam, convention, 10),
-                                             join_temperature(lam, convention, 3000),
+                                             join_temperature(lam, convention, 30000),
                                              lam, convention, tail)) for lam in (2e-3, 0.02)]
-    for lam, level in ((2e-3, 3000), (0.02, 2000), (0.05, 8000), (0.1, 6000)):
+    for lam, level in ((2e-3, 8000), (5e-3, 10000), (0.01, 15000), (0.02, 25000)):
         t = join_temperature(lam, convention, level)
         edges.append((lam, *across_a_change_of_plan(t, t * (1.0 + 2.0 * lam), lam, convention)))
     for lam, lo, hi in edges:
@@ -139,10 +140,10 @@ def test_occupation_tends_to_bose_einstein(lam_exp, x, convention):
 
 
 def test_long_sum_memory_is_bounded():
-    """The longest direct sum, 6,382 terms at the hottest T (a sweep of lambda
-    over [1e-8, 10]), and a head of 5,852 nodes with 3,650 levels past it,
+    """The longest direct sum, 30,048 terms at the hottest T (a sweep of lambda
+    over [1e-8, 10]), and a head of 6,250 nodes with 3,253 levels past it,
     pass in blocks: no array as long as the sum."""
-    for lam, convention, plan_ in ((0.10904204429677526, "num", (6382, "direct")),
+    for lam, convention, plan_ in ((0.023106940151935124, "num", (30048, "direct")),
                                    (1.43e-3, "sym", (9504, "direct+em"))):
         tracemalloc.start()
         try:
